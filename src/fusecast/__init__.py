@@ -53,7 +53,6 @@ from .model import (
     backward,
     forward,
     fuse,
-    fuse_grad_theta,
     gelu,
     init_params,
     load_checkpoint,
@@ -69,11 +68,11 @@ from .textenc import (
     TextEmbedding,
     ZeroTextSource,
     encode_prompt,
-    import_external,
     load_cache,
     precompute_cache,
     prompt_key,
     save_cache,
+    text_source,
 )
 from .train import (
     OptState,
@@ -86,7 +85,6 @@ from .train import (
     evaluate_windows,
     gradient_check,
     init_opt_state,
-    select_hyperparams,
     train_model,
     window_tensors,
 )

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import data as dataio
 from .errors import ConfigError, FusecastError
 from .evaluation import (
+    HORIZONS,
     ablation_run,
     forecast_report,
     forecast_windows,
@@ -34,7 +35,7 @@ from .evaluation import (
 )
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate, save_csv, spec_comment
-from .textenc import PromptEncoder, ZeroTextSource, load_cache, precompute_cache, save_cache
+from .textenc import load_cache, precompute_cache, save_cache, text_source
 from .train import (
     TrainConfig,
     assemble_windows,
@@ -154,10 +155,17 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _int_list(text, name: str) -> list:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{name} needs comma-separated integers, got {text!r}") from None
+
+
 def _split_counts(cfg, frame) -> tuple:
     text = cfg["split_counts"]
     if text:
-        parts = tuple(int(p) for p in text.split(","))
+        parts = tuple(_int_list(text, "split_counts"))
         if len(parts) != 3:
             raise ConfigError(f"split_counts needs 3 integers, got {text!r}")
         return parts
@@ -166,19 +174,24 @@ def _split_counts(cfg, frame) -> tuple:
     return (train, val, n - train - val)
 
 
-def _prepare(cfg, data_path, horizon):
+def prepare(cfg, data_path, horizon: int, splits):
+    """Load, split and normalize a series; return (freq, [windows of each split]).
+
+    Normalization stats come from the train split. The val and test splits
+    borrow context from the history before them.
+    """
     frame = dataio.load_csv(data_path)
     spec = dataio.SplitSpec.from_counts(_split_counts(cfg, frame), cfg["context_len"])
     ranges = dataio.make_splits(frame, spec, horizon)
-    stats = dataio.compute_norm_stats(frame, ranges.train)
-    return dataio.normalize(frame, stats), ranges, stats
-
-
-def _windows(norm, ranges, which: str, cfg, horizon):
-    split = getattr(ranges, which)
-    if which != "train":  # later splits borrow context from earlier history
-        split = dataio.extend_back(split, cfg["context_len"])
-    return list(dataio.sample_windows(norm, split, cfg["context_len"], horizon, cfg["stride"]))
+    norm = dataio.normalize(frame, dataio.compute_norm_stats(frame, ranges.train))
+    windows = []
+    for which in splits:
+        split = getattr(ranges, which)
+        if which != "train":
+            split = dataio.extend_back(split, cfg["context_len"])
+        windows.append(list(dataio.sample_windows(norm, split, cfg["context_len"], horizon,
+                                                  cfg["stride"])))
+    return norm.freq, windows
 
 
 def _model_config(cfg) -> ModelConfig:
@@ -197,10 +210,36 @@ def _train_config(cfg) -> TrainConfig:
     )
 
 
-def _text_source(cfg, dim: int):
-    if cfg["text_mode"] == "zero":
-        return ZeroTextSource(dim)
-    return PromptEncoder(dim, cfg["text_seed"])
+def _fit(cfg, data_path, emb_cache=None):
+    """Train one model on the train/val windows; returns (mconfig, tconfig, result).
+
+    With emb_cache, prompts are embedded from that cache file, which is built
+    from the train and val prompts first if it does not exist yet.
+    """
+    freq, (train_w, val_w) = prepare(cfg, data_path, cfg["horizon"], ("train", "val"))
+    mconfig = _model_config(cfg)
+    tconfig = _train_config(cfg)
+    source = text_source(cfg["text_mode"], mconfig.dim, cfg["text_seed"])
+    if emb_cache:
+        cache_path = Path(emb_cache)
+        if cache_path.exists():
+            source = load_cache(cache_path)
+            if source.dim != mconfig.dim:
+                raise ConfigError(f"cache dim {source.dim} != hidden_dim {mconfig.dim}")
+        else:
+            prompts = []
+            for w in train_w + val_w:
+                prompts.extend(
+                    window_segments(w.context, w.start, freq, mconfig.segment_len,
+                                    cfg["decimals"])[1]
+                )
+            source = precompute_cache(prompts, mconfig.dim, cfg["text_seed"])
+            save_cache(source, cache_path)
+
+    train_data = assemble_windows(train_w, freq, mconfig.segment_len, source, cfg["decimals"])
+    val_data = assemble_windows(val_w, freq, mconfig.segment_len, source, cfg["decimals"])
+    result = train_model(init_params(mconfig), mconfig, tconfig, train_data, val_data)
+    return mconfig, tconfig, result
 
 
 def cmd_synth(args) -> int:
@@ -217,35 +256,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from(args)
-    horizon = cfg["horizon"]
-    norm, ranges, _ = _prepare(cfg, args.data, horizon)
-    train_w = _windows(norm, ranges, "train", cfg, horizon)
-    val_w = _windows(norm, ranges, "val", cfg, horizon)
-    mconfig = _model_config(cfg)
-    tconfig = _train_config(cfg)
-
-    source = _text_source(cfg, mconfig.dim)
-    if args.emb_cache:
-        cache_path = Path(args.emb_cache)
-        if cache_path.exists():
-            cache = load_cache(cache_path)
-            if cache.dim != mconfig.dim:
-                raise ConfigError(f"cache dim {cache.dim} != hidden_dim {mconfig.dim}")
-        else:
-            prompts = []
-            for w in train_w + val_w:
-                prompts.extend(
-                    window_segments(w.context, w.start, norm.freq,
-                                    mconfig.segment_len, cfg["decimals"])[1]
-                )
-            cache = precompute_cache(prompts, mconfig.dim, cfg["text_seed"])
-            save_cache(cache, cache_path)
-        source = cache
-
-    train_data = assemble_windows(train_w, norm.freq, mconfig.segment_len, source, cfg["decimals"])
-    val_data = assemble_windows(val_w, norm.freq, mconfig.segment_len, source, cfg["decimals"])
-    result = train_model(init_params(mconfig), mconfig, tconfig, train_data, val_data)
-
+    mconfig, tconfig, result = _fit(cfg, args.data, args.emb_cache)
     run_dir = make_run_dir(args.out_root, "train", {"config": cfg, "data": str(args.data)})
     save_checkpoint(result.params, mconfig, run_dir / "checkpoint.json")
     record = run_record(mconfig, tconfig, result)
@@ -261,19 +272,17 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config_from(args)
     params, mconfig = load_checkpoint(args.checkpoint)
-    horizons = sorted(int(h) for h in args.horizons.split(","))
+    horizons = sorted(_int_list(args.horizons, "horizons"))
     if horizons[0] < 1:
         raise ConfigError(f"horizons must be >= 1, got {horizons}")
     top = horizons[-1]
-    norm, ranges, _ = _prepare(cfg, args.data, top)
-    test_w = _windows(norm, ranges, "test", cfg, top)
+    freq, (test_w,) = prepare(cfg, args.data, top, ("test",))
     if args.max_windows and len(test_w) > args.max_windows:
         test_w = test_w[: args.max_windows]
-    source = _text_source(cfg, mconfig.dim)
+    source = text_source(cfg["text_mode"], mconfig.dim, cfg["text_seed"])
     per_horizon = {}
     for h in horizons:
-        mse, mae = forecast_windows(params, mconfig, test_w, norm.freq, h, source,
-                                    cfg["decimals"])
+        mse, mae = forecast_windows(params, mconfig, test_w, freq, h, source, cfg["decimals"])
         per_horizon[h] = {"mse": mse, "mae": mae}
     report = forecast_report(
         Path(args.data).stem, per_horizon,
@@ -286,7 +295,7 @@ def cmd_evaluate(args) -> int:
         print(render_forecast_table(report))
     if args.plot_data:
         w = test_w[0]
-        pred = rolling_forecast(params, mconfig, w.context, w.start, norm.freq, top,
+        pred = rolling_forecast(params, mconfig, w.context, w.start, freq, top,
                                 source, cfg["decimals"])
         with open(run_dir / "showcase.csv", "w", encoding="utf-8") as fh:
             fh.write("t,truth,prediction\n")
@@ -298,13 +307,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _config_from(args)
-    horizon = cfg["horizon"]
-    norm, ranges, _ = _prepare(cfg, args.data, horizon)
-    train_w = _windows(norm, ranges, "train", cfg, horizon)
-    val_w = _windows(norm, ranges, "val", cfg, horizon)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    report = ablation_run(train_w, val_w, norm.freq, _model_config(cfg),
-                          _train_config(cfg), seeds=seeds, text_seed=cfg["text_seed"])
+    seeds = _int_list(args.seeds, "seeds")
+    freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
+    report = ablation_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
+                          seeds=seeds, text_seed=cfg["text_seed"], decimals=cfg["decimals"])
     report["resolved_config"] = cfg
     report["data"] = str(args.data)
     run_dir = make_run_dir(args.out_root, "ablate", {"config": cfg, "data": str(args.data),
@@ -318,14 +324,11 @@ def cmd_ablate(args) -> int:
 
 def cmd_promote(args) -> int:
     cfg = _config_from(args)
-    horizon = cfg["horizon"]
-    norm, ranges, _ = _prepare(cfg, args.data, horizon)
-    train_w = _windows(norm, ranges, "train", cfg, horizon)
-    val_w = _windows(norm, ranges, "val", cfg, horizon)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    report = promotion_run(train_w, val_w, norm.freq, _model_config(cfg),
-                           _train_config(cfg), sizes, experts=cfg["experts"],
-                           text_seed=cfg["text_seed"])
+    sizes = _int_list(args.sizes, "sizes")
+    freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
+    report = promotion_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
+                           sizes, experts=cfg["experts"], text_seed=cfg["text_seed"],
+                           text_mode=cfg["text_mode"], decimals=cfg["decimals"])
     report["resolved_config"] = cfg
     report["data"] = str(args.data)
     run_dir = make_run_dir(args.out_root, "promote", {"config": cfg, "data": str(args.data),
@@ -344,23 +347,10 @@ _SWEEP_AXES = {"hidden_dim": "hidden_dim", "input_len": "context_len",
 def cmd_sweep(args) -> int:
     cfg = _config_from(args)
     key = _SWEEP_AXES[args.axis]
-    values = [int(v) for v in args.values.split(",")]
+    values = _int_list(args.values, "values")
 
     def run_one(value):
-        local = dict(cfg)
-        local[key] = value
-        horizon = local["horizon"]
-        norm, ranges, _ = _prepare(local, args.data, horizon)
-        train_w = _windows(norm, ranges, "train", local, horizon)
-        val_w = _windows(norm, ranges, "val", local, horizon)
-        mconfig = _model_config(local)
-        tconfig = _train_config(local)
-        source = _text_source(local, mconfig.dim)
-        train_data = assemble_windows(train_w, norm.freq, mconfig.segment_len, source,
-                                      local["decimals"])
-        val_data = assemble_windows(val_w, norm.freq, mconfig.segment_len, source,
-                                    local["decimals"])
-        result = train_model(init_params(mconfig), mconfig, tconfig, train_data, val_data)
+        _, _, result = _fit({**cfg, key: value}, args.data)
         return result.best_val_mse, result.curve[result.best_epoch]["val_mae"]
 
     report = sweep_run(values, run_one)
@@ -393,11 +383,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_dump_prompts(args) -> int:
     cfg = _config_from(args)
-    horizon = cfg["horizon"]
-    norm, ranges, _ = _prepare(cfg, args.data, horizon)
-    windows = _windows(norm, ranges, args.split, cfg, horizon)[: args.windows]
-    for i, w in enumerate(windows):
-        _, prompts = window_segments(w.context, w.start, norm.freq,
+    freq, (windows,) = prepare(cfg, args.data, cfg["horizon"], (args.split,))
+    for i, w in enumerate(windows[: args.windows]):
+        _, prompts = window_segments(w.context, w.start, freq,
                                      cfg["segment_len"], cfg["decimals"])
         print(f"window {i} channel {w.channel} starting {w.start}")
         for j, prompt in enumerate(prompts, start=1):
@@ -433,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="rolling multi-horizon test evaluation")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--horizons", default="96,192,336,720")
+    p.add_argument("--horizons", default=",".join(map(str, HORIZONS)))
     p.add_argument("--max-windows", type=int, default=0)
     p.add_argument("--table", action="store_true")
     p.add_argument("--plot-data", action="store_true")

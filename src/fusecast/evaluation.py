@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, InvalidHorizon, ShapeError
 from .model import ModelConfig, forward, init_params
-from .textenc import PromptEncoder
-from .train import TrainConfig, WindowTensors, assemble_windows, train_model, window_tensors
+from .textenc import text_source
+from .train import TrainConfig, assemble_windows, train_model, window_tensors
 
 HORIZONS = (96, 192, 336, 720)
 ABLATION_ROWS = ("Original", "w/o Context", "w/o Fusion", "w/o MoE")
@@ -170,24 +170,21 @@ def ablation_variants(config: ModelConfig) -> dict:
     }
 
 
-def _clone_zero_text(data: WindowTensors) -> WindowTensors:
-    return WindowTensors(x=data.x, te=np.zeros_like(data.te), future=data.future)
-
-
 def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
-                 tconfig: TrainConfig, seeds=(0, 1, 2), text_seed: int = 0) -> dict:
+                 tconfig: TrainConfig, seeds=(0, 1, 2), text_seed: int = 0,
+                 decimals: int = 4) -> dict:
     """Train all four ablation rows under each seed; report validation MSE/MAE.
 
     Returns {"rows": {row: {"per_seed_mse", "per_seed_mae", "mean_mse",
     "std_mse", "mean_mae", "std_mae"}}, "seeds", "config"}.
     """
-    encoder = PromptEncoder(config.dim, text_seed)
-    train_data = assemble_windows(train_windows, freq, config.segment_len, encoder)
-    val_data = assemble_windows(val_windows, freq, config.segment_len, encoder)
-    datasets = {
-        "builtin": (train_data, val_data),
-        "zero": (_clone_zero_text(train_data), _clone_zero_text(val_data)),
-    }
+    datasets = {}
+    for text_mode in ("builtin", "zero"):
+        source = text_source(text_mode, config.dim, text_seed)
+        datasets[text_mode] = (
+            assemble_windows(train_windows, freq, config.segment_len, source, decimals),
+            assemble_windows(val_windows, freq, config.segment_len, source, decimals),
+        )
     rows = {}
     for row, (variant, text_mode) in ablation_variants(config).items():
         per_mse, per_mae = [], []
@@ -211,7 +208,7 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
 
 def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
                   tconfig: TrainConfig, sizes, experts: int = 4,
-                  text_seed: int = 0) -> dict:
+                  text_seed: int = 0, text_mode: str = "builtin", decimals: int = 4) -> dict:
     """Single-expert vs routed-experts comparison across backbone widths.
 
     For each hidden size, trains a one-expert ungated model and a gated
@@ -223,9 +220,9 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
     table = []
     for dim in sizes:
         base = replace(config, dim=dim)
-        encoder = PromptEncoder(dim, text_seed)
-        train_data = assemble_windows(train_windows, freq, base.segment_len, encoder)
-        val_data = assemble_windows(val_windows, freq, base.segment_len, encoder)
+        source = text_source(text_mode, dim, text_seed)
+        train_data = assemble_windows(train_windows, freq, base.segment_len, source, decimals)
+        val_data = assemble_windows(val_windows, freq, base.segment_len, source, decimals)
         results = {}
         for label, variant in (
             ("original", replace(base, experts=1, gated=False)),

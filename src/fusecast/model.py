@@ -161,13 +161,19 @@ class ForwardTrace:
     pred: np.ndarray  # (B, N, S)
 
 
-def segment_embed(values, params):
-    """SE = GeLU(values @ seg_W + seg_b) over the trailing axis."""
+def _segment_embed(values, params):
+    """segment_embed's (pre-activation, SE); backward needs the pre-activation."""
     values = np.asarray(values, dtype=np.float64)
     seg_w = params["seg_W"]
     if values.shape[-1] != seg_w.shape[0]:
         raise ShapeError(f"segment length {values.shape[-1]} != seg_W rows {seg_w.shape[0]}")
-    return gelu(values @ seg_w + params["seg_b"])
+    pre = values @ seg_w + params["seg_b"]
+    return pre, gelu(pre)
+
+
+def segment_embed(values, params):
+    """SE = GeLU(values @ seg_W + seg_b) over the trailing axis."""
+    return _segment_embed(values, params)[1]
 
 
 def fuse(se, te, theta):
@@ -178,12 +184,6 @@ def fuse(se, te, theta):
         raise ShapeError(f"fusion inputs {se.shape} vs {te.shape}")
     alpha = sigmoid(float(theta))
     return alpha * se + (1.0 - alpha) * te, alpha
-
-
-def fuse_grad_theta(se, te, theta):
-    """Closed-form d(E)/d(theta) = sigmoid(theta)*(1-sigmoid(theta))*(SE - TE)."""
-    alpha = sigmoid(float(theta))
-    return alpha * (1.0 - alpha) * (np.asarray(se, dtype=np.float64) - np.asarray(te, dtype=np.float64))
 
 
 def _split_heads(x, heads):
@@ -272,16 +272,21 @@ def _block_backward(d_out, params, config, layer, cache, grads):
     return d_x + d_x_mid
 
 
+def _backbone(x, params, config: ModelConfig):
+    """Run the block stack over (B, N, D); returns (output, per-block caches)."""
+    caches = []
+    for layer in range(config.layers):
+        x, cache = _block_forward(x, params, config, layer)
+        caches.append(cache)
+    return x, tuple(caches)
+
+
 def backbone_forward(e, params, config: ModelConfig):
     """Contextualize the fused sequence; position i sees only positions <= i."""
     e = np.asarray(e, dtype=np.float64)
     squeeze = e.ndim == 2
-    if squeeze:
-        e = e[None]
-    x = e
-    for layer in range(config.layers):
-        x, _ = _block_forward(x, params, config, layer)
-    return x[0] if squeeze else x
+    h, _ = _backbone(e[None] if squeeze else e, params, config)
+    return h[0] if squeeze else h
 
 
 def moe_forward(e_hat, params, config: ModelConfig):
@@ -319,25 +324,14 @@ def forward(params: dict, config: ModelConfig, x, te) -> ForwardTrace:
         raise ShapeError(f"segment batch shape {x.shape}, want (B, N, {config.segment_len})")
     if te.shape != x.shape[:2] + (config.dim,):
         raise ShapeError(f"text batch shape {te.shape}, want {x.shape[:2] + (config.dim,)}")
-    se_pre = x @ params["seg_W"] + params["seg_b"]
-    se = gelu(se_pre)
-    if config.fused:
-        alpha = sigmoid(float(params["theta"]))
-        fused_e = alpha * se + (1.0 - alpha) * te
-    else:
-        alpha = 1.0
-        fused_e = se
-    h = fused_e
-    layer_caches = []
-    for layer in range(config.layers):
-        h, cache = _block_forward(h, params, config, layer)
-        layer_caches.append(cache)
+    se_pre, se = _segment_embed(x, params)
+    fused_e, alpha = fuse(se, te, params["theta"]) if config.fused else (se, 1.0)
+    h, layer_caches = _backbone(fused_e, params, config)
     s_hat, gate, experts_out = moe_forward(h, params, config)
-    pred = s_hat @ params["out_W"] + params["out_b"]
     return ForwardTrace(
         config=config, x=x, te=te, se_pre=se_pre, se=se, alpha=alpha, fused=fused_e,
-        layers=tuple(layer_caches), e_hat=h, gate=gate, experts_out=experts_out,
-        s_hat=s_hat, pred=pred,
+        layers=layer_caches, e_hat=h, gate=gate, experts_out=experts_out,
+        s_hat=s_hat, pred=predict_segment(s_hat, params),
     )
 
 

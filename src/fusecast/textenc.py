@@ -4,8 +4,7 @@ The encoder stands in for a frozen language model: each token hashes to a
 fixed random sign vector, a causal exponential moving average contextualizes
 the token stream, and the final state is the prompt embedding. It is a pure
 function of (prompt bytes, dim, seed), so embeddings can be precomputed once
-and cached. Real externally computed embeddings can be imported from the same
-file format and used interchangeably.
+and cached.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ _EMA_DECAY = 0.5
 
 
 def prompt_key(prompt: str) -> str:
-    """64-bit content hash of the prompt bytes, as 16 hex chars.
-
-    Unseeded so builtin and external caches share one key space.
-    """
+    """64-bit content hash of the prompt bytes, as 16 hex chars."""
     return hashlib.blake2b(prompt.encode("utf-8"), digest_size=8).hexdigest()
 
 
@@ -112,12 +108,18 @@ class ZeroTextSource:
         return np.zeros(self.dim, dtype=np.float64)
 
 
+def text_source(mode: str, dim: int, seed: int):
+    """The text source a text mode names: "zero" or the builtin encoder."""
+    if mode == "zero":
+        return ZeroTextSource(dim)
+    return PromptEncoder(dim, seed)
+
+
 class EmbeddingCache:
     """Write-once map from prompt key to embedding, shared read-only afterwards."""
 
-    def __init__(self, dim: int, source: str = "builtin"):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.source = source
         self._entries: dict[str, TextEmbedding] = {}
         self._shas: dict[str, str] = {}
 
@@ -151,7 +153,7 @@ class EmbeddingCache:
 
 def precompute_cache(prompts, dim: int, seed: int) -> EmbeddingCache:
     """Encode every distinct prompt once."""
-    cache = EmbeddingCache(dim=dim, source="builtin")
+    cache = EmbeddingCache(dim=dim)
     for prompt in prompts:
         if prompt not in cache:
             cache.add(prompt, encode_prompt(prompt, dim, seed).vector)
@@ -177,14 +179,14 @@ def save_cache(cache: EmbeddingCache, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_cache(path, source: str = "builtin") -> EmbeddingCache:
+def load_cache(path) -> EmbeddingCache:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         match = CACHE_HEADER_RE.match(header)
         if not match:
             raise CorruptCache(f"bad cache header: {header!r}")
         dim = int(match.group(1))
-        cache = EmbeddingCache(dim=dim, source=source)
+        cache = EmbeddingCache(dim=dim)
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -201,12 +203,4 @@ def load_cache(path, source: str = "builtin") -> EmbeddingCache:
                 raise CorruptCache(f"line {lineno}: duplicate key {key} with different values")
             cache._entries[key] = TextEmbedding(vector=vector, key=key)
             cache._shas[key] = sha
-    return cache
-
-
-def import_external(path, model_dim: int) -> EmbeddingCache:
-    """Load externally computed embeddings; their dim must match the model."""
-    cache = load_cache(path, source="external")
-    if cache.dim != model_dim:
-        raise ShapeError(f"cache dim {cache.dim} != model dim {model_dim}")
     return cache

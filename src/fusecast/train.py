@@ -20,8 +20,6 @@ from .descriptors import render_prompt, segment_series
 from .errors import ConfigError, NonFiniteGradient, ShapeError
 from .model import ModelConfig, backward, forward, init_params
 
-LR_GRID = (1e-2, 1e-3, 5e-4)
-LAMBDA_GRID = (0.01, 0.1, 0.5)
 SPARSITY_MODES = ("literal", "entropy", "none")
 
 
@@ -270,22 +268,6 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
             break
     result.steps = state.step
     return result
-
-
-def select_hyperparams(lr_grid, lambda_grid, evaluate):
-    """Exhaustive grid search by validation MSE.
-
-    evaluate(lr, lam) runs one training and returns its validation MSE. Ties
-    break toward smaller lr, then smaller lambda.
-    """
-    if not lr_grid or not lambda_grid:
-        raise ConfigError("hyperparameter grids must be non-empty")
-    results = []
-    for lr in lr_grid:
-        for lam in lambda_grid:
-            results.append((float(evaluate(lr, lam)), lr, lam))
-    best = min(results, key=lambda r: (r[0], r[1], r[2]))
-    return best[1], best[2], results
 
 
 GRADCHECK_CONFIG = dict(segment_len=4, dim=8, experts=2, layers=1, heads=1)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from fusecast import evaluation
 from fusecast.cli import (
     _bool,
     main,
@@ -16,6 +17,7 @@ from fusecast.cli import (
 )
 from fusecast.errors import ConfigError
 from fusecast.model import load_checkpoint
+from fusecast.train import assemble_windows
 
 BASE = [
     "--context-len", "12", "--segment-len", "4", "--hidden-dim", "8",
@@ -214,6 +216,22 @@ class TestErrorReporting:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("command,bad", [
+        ("train", ["--split-counts", "a,b,c"]),
+        ("evaluate", ["--horizons", "x"]),
+        ("ablate", ["--seeds", "x"]),
+        ("promote", ["--sizes", "x"]),
+        ("sweep", ["--axis", "hidden_dim", "--values", "x"]),
+    ], ids=["split-counts", "horizons", "seeds", "sizes", "values"])
+    def test_bad_integer_list(self, tmp_path, data_csv, trained, capsys, command, bad):
+        argv = [command, "--data", str(data_csv), "--out-root", str(tmp_path / "runs")] + bad
+        if command == "evaluate":
+            argv += ["--checkpoint", str(trained / "checkpoint.json")]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "integers" in err["message"]
+
 
 class TestEvaluateCommand:
     def test_report_and_table(self, tmp_path, data_csv, trained, capsys):
@@ -258,6 +276,25 @@ class TestHarnessCommands:
         report = json.loads((run_dir / "promotion.json").read_text())
         assert report["rows"][0]["size"] == 8
         assert report["rows"][0]["promotion_mse"].endswith("%")
+
+    @pytest.mark.parametrize("command,extra,sources", [
+        ("ablate", ["--seeds", "0"], {"PromptEncoder", "ZeroTextSource"}),
+        ("promote", ["--sizes", "8", "--text-mode", "zero"], {"ZeroTextSource"}),
+    ], ids=["ablate", "promote"])
+    def test_harness_renders_with_configured_text(self, tmp_path, data_csv, monkeypatch,
+                                                  command, extra, sources):
+        seen = []
+
+        def spy(windows, freq, segment_len, text_source, decimals=4):
+            seen.append((type(text_source).__name__, decimals))
+            return assemble_windows(windows, freq, segment_len, text_source, decimals)
+
+        monkeypatch.setattr(evaluation, "assemble_windows", spy)
+        rc = main([command, "--data", str(data_csv), "--decimals", "2",
+                   "--out-root", str(tmp_path / "runs")] + extra + BASE)
+        assert rc == 0
+        assert {name for name, _ in seen} == sources
+        assert {decimals for _, decimals in seen} == {2}
 
     def test_sweep(self, tmp_path, data_csv, capsys):
         out_root = tmp_path / "runs"

@@ -10,7 +10,6 @@ from fusecast.model import (
     backbone_forward,
     forward,
     fuse,
-    fuse_grad_theta,
     gelu,
     init_params,
     load_checkpoint,
@@ -144,16 +143,6 @@ class TestFusion:
         lo, hi = np.minimum(se, te), np.maximum(se, te)
         assert (e >= lo - 1e-12).all() and (e <= hi + 1e-12).all()
 
-    def test_grad_matches_finite_difference(self):
-        rng = np.random.default_rng(2)
-        se, te = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        theta, h = 0.7, 1e-6
-        up, _ = fuse(se, te, theta + h)
-        down, _ = fuse(se, te, theta - h)
-        np.testing.assert_allclose(
-            fuse_grad_theta(se, te, theta), (up - down) / (2 * h), atol=1e-8
-        )
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             fuse(np.zeros((2, 3)), np.zeros((2, 4)), 0.0)
@@ -266,6 +255,16 @@ class TestForward:
         x, te = make_inputs(TINY)
         trace = forward(params, TINY, x, te)
         np.testing.assert_array_equal(trace.se, segment_embed(x, params))
+
+    def test_fusion_and_backbone_match_trace(self):
+        params = init_params(TINY)
+        params["theta"] = np.asarray(0.4)
+        x, te = make_inputs(TINY)
+        trace = forward(params, TINY, x, te)
+        fused, alpha = fuse(trace.se, te, params["theta"])
+        assert alpha == trace.alpha
+        np.testing.assert_array_equal(trace.fused, fused)
+        np.testing.assert_array_equal(trace.e_hat, backbone_forward(fused, params, TINY))
 
     def test_unfused_ignores_text(self):
         config = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, fused=False)

@@ -12,7 +12,6 @@ from fusecast.textenc import (
     PromptEncoder,
     ZeroTextSource,
     encode_prompt,
-    import_external,
     load_cache,
     precompute_cache,
     prompt_key,
@@ -212,12 +211,3 @@ class TestCache:
         loaded = load_cache(path)
         with pytest.raises(CorruptCache):
             loaded.lookup(prompts[0])
-
-    def test_import_external_checks_dim(self, tmp_path):
-        cache, _ = self.build(dim=6)
-        path = tmp_path / "emb.cache"
-        save_cache(cache, path)
-        loaded = import_external(path, model_dim=6)
-        assert loaded.source == "external"
-        with pytest.raises(ShapeError):
-            import_external(path, model_dim=8)

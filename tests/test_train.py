@@ -19,7 +19,6 @@ from fusecast.train import (
     evaluate_windows,
     init_opt_state,
     penalty_gate_grad,
-    select_hyperparams,
     train_model,
     window_segments,
     window_tensors,
@@ -301,20 +300,3 @@ class TestTrainingLoop:
         result = train_model(params, self.CONFIG, config, train, val)
         assert result.curve[-1]["train_loss"] < result.curve[0]["train_loss"]
 
-
-class TestHyperparamSearch:
-    def test_grid_argmin_with_tie_breaks(self):
-        table = {
-            (1e-2, 0.01): 0.5, (1e-2, 0.1): 0.4,
-            (1e-3, 0.01): 0.4, (1e-3, 0.1): 0.6,
-        }
-        lr, lam, results = select_hyperparams(
-            (1e-2, 1e-3), (0.01, 0.1), lambda a, b: table[(a, b)]
-        )
-        # two cells tie at 0.4; smaller lr wins
-        assert (lr, lam) == (1e-3, 0.01)
-        assert len(results) == 4
-
-    def test_empty_grid(self):
-        with pytest.raises(ConfigError):
-            select_hyperparams((), (0.1,), lambda a, b: 0.0)
