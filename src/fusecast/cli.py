@@ -214,8 +214,11 @@ def _fit(cfg, data_path, emb_cache=None):
     """Train one model on the train/val windows; returns (mconfig, tconfig, result).
 
     With emb_cache, prompts are embedded from that cache file, which is built
-    from the train and val prompts first if it does not exist yet.
+    from the train and val prompts first if it does not exist yet. The cache
+    holds builtin-encoder vectors, so it needs text_mode=builtin.
     """
+    if emb_cache and cfg["text_mode"] != "builtin":
+        raise ConfigError(f"--emb-cache needs text_mode=builtin, got {cfg['text_mode']!r}")
     freq, (train_w, val_w) = prepare(cfg, data_path, cfg["horizon"], ("train", "val"))
     mconfig = _model_config(cfg)
     tconfig = _train_config(cfg)
@@ -275,9 +278,11 @@ def cmd_evaluate(args) -> int:
     horizons = sorted(_int_list(args.horizons, "horizons"))
     if horizons[0] < 1:
         raise ConfigError(f"horizons must be >= 1, got {horizons}")
+    if args.max_windows < 0:
+        raise ConfigError(f"max_windows must be >= 0 (0 = all), got {args.max_windows}")
     top = horizons[-1]
     freq, (test_w,) = prepare(cfg, args.data, top, ("test",))
-    if args.max_windows and len(test_w) > args.max_windows:
+    if args.max_windows:
         test_w = test_w[: args.max_windows]
     source = text_source(cfg["text_mode"], mconfig.dim, cfg["text_seed"])
     per_horizon = {}
@@ -289,8 +294,9 @@ def cmd_evaluate(args) -> int:
         config={"resolved": cfg, "model": asdict(mconfig)}, seeds=(mconfig.seed,),
     )
     run_dir = make_run_dir(args.out_root, "evaluate",
-                           {"config": cfg, "data": str(args.data), "horizons": horizons})
-    write_json(run_dir / "report.json", asdict(report))
+                           {"config": cfg, "data": str(args.data), "horizons": horizons,
+                            "max_windows": args.max_windows})
+    write_json(run_dir / "report.json", report)
     if args.table:
         print(render_forecast_table(report))
     if args.plot_data:
@@ -351,7 +357,7 @@ def cmd_sweep(args) -> int:
 
     def run_one(value):
         _, _, result = _fit({**cfg, key: value}, args.data)
-        return result.best_val_mse, result.curve[result.best_epoch]["val_mae"]
+        return result.best_val_mse, result.best_val_mae
 
     report = sweep_run(values, run_one)
     report["axis"] = args.axis

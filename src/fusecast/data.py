@@ -71,18 +71,11 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class SplitRanges:
-    """Half-open index ranges tiling [0, train+val+test), plus sample counts.
-
-    ``samples`` holds the number of usable forecast targets per channel in
-    each split. Validation/test contexts are allowed to reach back across
-    their left boundary, so their count is ``split_len - F + 1``; the train
-    split has no earlier history and loses ``context_len`` positions.
-    """
+    """Half-open index ranges tiling [0, train+val+test)."""
 
     train: tuple[int, int]
     val: tuple[int, int]
     test: tuple[int, int]
-    samples: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -184,11 +177,6 @@ def make_splits(frame: TimeSeriesFrame, spec: SplitSpec, horizon: int) -> SplitR
         train=(0, spec.train_end),
         val=(spec.train_end, spec.val_end),
         test=(spec.val_end, spec.test_end),
-        samples={
-            "train": train_len - c - f + 1,
-            "val": val_len - f + 1,
-            "test": test_len - f + 1,
-        },
     )
 
 

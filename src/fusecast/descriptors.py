@@ -32,7 +32,6 @@ class Segment:
     values: np.ndarray
     start: datetime
     end: datetime
-    index: int  # 1-based position within its window
 
 
 @dataclass(frozen=True)
@@ -40,14 +39,6 @@ class StatDescriptor:
     mean: float
     std: float  # population convention
     change: float  # last value minus first value
-
-
-@dataclass(frozen=True)
-class PromptRecord:
-    timestamp_text: str
-    stat_text: str
-    prompt: str
-    segment_index: int
 
 
 def segment_series(
@@ -71,7 +62,6 @@ def segment_series(
                 values=values[lo : lo + segment_len],
                 start=seg_start,
                 end=seg_start + (segment_len - 1) * freq,
-                index=i + 1,
             )
         )
     return segments
@@ -107,16 +97,10 @@ def render_stat_text(stats: StatDescriptor, decimals: int = 4) -> str:
     )
 
 
-def render_prompt(segment: Segment, decimals: int = 4) -> PromptRecord:
+def render_prompt(segment: Segment, decimals: int = 4) -> str:
     """Full descriptor pipeline for one segment.
 
     The prompt is the timestamp phrase and stats phrase joined by one space.
     """
-    timestamp_text = render_timestamp_descriptor(segment)
     stat_text = render_stat_text(stat_descriptor(segment), decimals)
-    return PromptRecord(
-        timestamp_text=timestamp_text,
-        stat_text=stat_text,
-        prompt=f"{timestamp_text} {stat_text}",
-        segment_index=segment.index,
-    )
+    return f"{render_timestamp_descriptor(segment)} {stat_text}"

@@ -12,7 +12,7 @@ Metrics are computed on the normalized scale throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace, asdict
+from dataclasses import replace, asdict
 
 import numpy as np
 
@@ -99,41 +99,29 @@ def forecast_windows(params, config: ModelConfig, windows, freq, horizon: int,
     """Average rolling-forecast MSE/MAE over a set of windows."""
     if not windows:
         raise ConfigError("no windows to evaluate")
-    errs_sq, errs_abs = [], []
+    scores = []
     for w in windows:
-        truth = np.asarray(w.target, dtype=np.float64)
-        if truth.shape[0] < horizon:
-            raise ShapeError(f"window future has {truth.shape[0]} values < horizon {horizon}")
+        if len(w.target) < horizon:
+            raise ShapeError(f"window future has {len(w.target)} values < horizon {horizon}")
         pred = rolling_forecast(params, config, w.context, w.start, freq, horizon,
                                 text_source, decimals)
-        diff = pred - truth[:horizon]
-        errs_sq.append((diff * diff).mean())
-        errs_abs.append(np.abs(diff).mean())
-    return float(np.mean(errs_sq)), float(np.mean(errs_abs))
+        scores.append(metrics(pred, w.target[:horizon]))
+    mse, mae = zip(*scores)
+    return float(np.mean(mse)), float(np.mean(mae))
 
 
-@dataclass(frozen=True)
-class ForecastReport:
-    dataset: str
-    horizons: dict  # horizon -> {"mse": float, "mae": float}
-    avg_mse: float
-    avg_mae: float
-    config: dict
-    seeds: tuple
-
-
-def forecast_report(dataset: str, per_horizon: dict, config: dict, seeds) -> ForecastReport:
+def forecast_report(dataset: str, per_horizon: dict, config: dict, seeds) -> dict:
     """Assemble the per-horizon table; averages are plain arithmetic means."""
     if not per_horizon:
         raise ConfigError("no horizons evaluated")
-    return ForecastReport(
-        dataset=dataset,
-        horizons=dict(sorted(per_horizon.items())),
-        avg_mse=float(np.mean([v["mse"] for v in per_horizon.values()])),
-        avg_mae=float(np.mean([v["mae"] for v in per_horizon.values()])),
-        config=config,
-        seeds=tuple(seeds),
-    )
+    return {
+        "dataset": dataset,
+        "horizons": dict(sorted(per_horizon.items())),
+        "avg_mse": float(np.mean([v["mse"] for v in per_horizon.values()])),
+        "avg_mae": float(np.mean([v["mae"] for v in per_horizon.values()])),
+        "config": config,
+        "seeds": list(seeds),
+    }
 
 
 def promotion_percent(mse_original: float, mse_new: float) -> float:
@@ -194,7 +182,7 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
             result = train_model(init_params(seeded), seeded,
                                  replace(tconfig, seed=seed), tr, va)
             per_mse.append(result.best_val_mse)
-            per_mae.append(result.curve[result.best_epoch]["val_mae"])
+            per_mae.append(result.best_val_mae)
         rows[row] = {
             "per_seed_mse": per_mse,
             "per_seed_mae": per_mae,
@@ -229,10 +217,7 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
             ("moe", replace(base, experts=experts, gated=True)),
         ):
             result = train_model(init_params(variant), variant, tconfig, train_data, val_data)
-            results[label] = {
-                "mse": result.best_val_mse,
-                "mae": result.curve[result.best_epoch]["val_mae"],
-            }
+            results[label] = {"mse": result.best_val_mse, "mae": result.best_val_mae}
         table.append({
             "size": dim,
             "original": results["original"],
@@ -298,7 +283,7 @@ def render_promotion_table(report: dict) -> str:
     )
 
 
-def render_forecast_table(report: ForecastReport) -> str:
-    rows = [[h, f"{v['mse']:.4f}", f"{v['mae']:.4f}"] for h, v in report.horizons.items()]
-    rows.append(["avg", f"{report.avg_mse:.4f}", f"{report.avg_mae:.4f}"])
+def render_forecast_table(report: dict) -> str:
+    rows = [[h, f"{v['mse']:.4f}", f"{v['mae']:.4f}"] for h, v in report["horizons"].items()]
+    rows.append(["avg", f"{report['avg_mse']:.4f}", f"{report['avg_mae']:.4f}"])
     return render_table(["horizon", "MSE", "MAE"], rows)

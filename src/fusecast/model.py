@@ -403,20 +403,25 @@ def save_checkpoint(params: dict, config: ModelConfig, path) -> None:
 
 
 def load_checkpoint(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format") != _CHECKPOINT_FORMAT:
-        raise ConfigError(f"unrecognized checkpoint format: {blob.get('format')!r}")
-    config = ModelConfig(**blob["config"])
-    expected = param_shapes(config)
-    params = {}
-    for name, entry in blob["params"].items():
-        if name not in expected:
-            raise ConfigError(f"unexpected parameter block {name!r}")
-        value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if value.shape != expected[name]:
-            raise ShapeError(f"{name}: shape {value.shape}, config implies {expected[name]}")
-        params[name] = value
+    """Inverse of save_checkpoint; malformed content raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            blob = json.load(fh)
+        if blob.get("format") != _CHECKPOINT_FORMAT:
+            raise ConfigError(f"unrecognized checkpoint format: {blob.get('format')!r}")
+        config = ModelConfig(**blob["config"])
+        expected = param_shapes(config)
+        params = {}
+        for name, entry in blob["params"].items():
+            if name not in expected:
+                raise ConfigError(f"unexpected parameter block {name!r}")
+            value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            if value.shape != expected[name]:
+                raise ShapeError(f"{name}: shape {value.shape}, config implies {expected[name]}")
+            params[name] = value
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise ConfigError(f"malformed checkpoint {path}: {type(exc).__name__}: {exc}") from None
     missing = sorted(set(expected) - set(params))
     if missing:
         raise ConfigError(f"checkpoint missing parameter blocks: {missing}")

@@ -140,7 +140,7 @@ def window_segments(values, start, freq, segment_len: int, decimals: int = 4):
         raise ConfigError(f"context of {values.shape[0]} values < one segment of {segment_len}")
     trim = values.shape[0] - n * segment_len
     segments = segment_series(values[trim:], start + trim * freq, segment_len, freq)
-    prompts = [render_prompt(seg, decimals).prompt for seg in segments]
+    prompts = [render_prompt(seg, decimals) for seg in segments]
     return np.stack([seg.values for seg in segments]), prompts
 
 
@@ -221,6 +221,7 @@ class TrainResult:
     curve: list = field(default_factory=list)  # per-epoch stat dicts
     best_epoch: int = -1
     best_val_mse: float = np.inf
+    best_val_mae: float = np.inf
     steps: int = 0
 
 
@@ -262,6 +263,7 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
         })
         if val_mse < result.best_val_mse:
             result.best_val_mse = val_mse
+            result.best_val_mae = val_mae
             result.best_epoch = epoch
             result.params = {k: v.copy() for k, v in params.items()}
         if done:

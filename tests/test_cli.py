@@ -1,7 +1,11 @@
 """End-to-end command tests, run in process through main(argv)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,17 @@ def trained(tmp_path_factory, data_csv):
     assert rc == 0
     (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
     return run_dir
+
+
+def test_cli_import_loads_every_module():
+    # perfbench/probe.py imports fusecast.cli alone, then traces these modules
+    modules = {f"fusecast.{name}" for name in ("cli", "data", "descriptors", "textenc",
+                                               "model", "train", "evaluation", "synth")}
+    code = "import sys, fusecast.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(evaluation.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert modules <= set(out.split())
 
 
 class TestConfigResolution:
@@ -181,6 +196,18 @@ class TestTrainCommand:
         assert err["error"] == "ConfigError"
         assert "cache dim" in err["message"]
 
+    def test_embedding_cache_needs_builtin_text(self, tmp_path, data_csv, capsys):
+        # the cache holds builtin-encoder vectors, so a zero-text run must not use it
+        cache = tmp_path / "emb.jsonl"
+        argv = ["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs"),
+                "--emb-cache", str(cache), "--text-mode", "zero"] + BASE
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not cache.exists()
+        cache.write_text("not a cache\n")  # refused before the file is read
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
 
 class TestErrorReporting:
     def test_bad_config_key_is_json_on_stderr(self, tmp_path, data_csv, capsys):
@@ -252,6 +279,31 @@ class TestEvaluateCommand:
         showcase = (run_dir / "showcase.csv").read_text().splitlines()
         assert showcase[0] == "t,truth,prediction"
         assert len(showcase) == 1 + 8
+
+    def _evaluate(self, out_root, data_csv, trained, *extra):
+        return main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(data_csv), "--horizons", "4",
+                     "--out-root", str(out_root), *extra] + BASE)
+
+    def test_negative_max_windows_rejected(self, tmp_path, data_csv, trained, capsys):
+        assert self._evaluate(tmp_path / "runs", data_csv, trained, "--max-windows", "-1") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "max_windows" in err["message"]
+
+    def test_max_windows_names_the_run_dir(self, tmp_path, data_csv, trained):
+        out_root = tmp_path / "runs"
+        for n in ("1", "2"):
+            assert self._evaluate(out_root, data_csv, trained, "--max-windows", n) == 0
+        assert len([p for p in out_root.iterdir() if p.is_dir()]) == 2
+
+    def test_malformed_checkpoint_is_json_error(self, tmp_path, data_csv, trained, capsys):
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text((trained / "checkpoint.json").read_text()[:100])
+        rc = main(["evaluate", "--checkpoint", str(bad), "--data", str(data_csv),
+                   "--horizons", "4", "--out-root", str(tmp_path / "runs")] + BASE)
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 class TestHarnessCommands:

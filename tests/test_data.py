@@ -154,8 +154,6 @@ class TestSplits:
         assert ranges.train == (0, 240)
         assert ranges.val == (240, 320)
         assert ranges.test == (320, 400)
-        # train loses a context worth of positions, val/test borrow leftward
-        assert ranges.samples == {"train": 240 - 48 - 24 + 1, "val": 80 - 24 + 1, "test": 80 - 24 + 1}
 
     def test_unused_tail_is_allowed(self):
         frame = make_frame(500)

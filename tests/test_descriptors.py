@@ -36,10 +36,6 @@ class TestSegmentation:
         assert len(segs) == 3
         np.testing.assert_array_equal(np.concatenate([s.values for s in segs]), np.arange(12.0))
 
-    def test_indices_one_based(self):
-        segs = segment_series(np.arange(8.0), T0, 2, HOURLY)
-        assert [s.index for s in segs] == [1, 2, 3, 4]
-
     def test_time_ranges(self):
         segs = segment_series(np.arange(6.0), T0, 3, HOURLY)
         assert segs[0].start == T0
@@ -64,22 +60,22 @@ class TestSegmentation:
 
 class TestStats:
     def test_hand_computed(self):
-        seg = Segment(np.array([1.0, 2.0, 4.0, 8.0]), T0, T0 + 3 * HOURLY, 1)
+        seg = Segment(np.array([1.0, 2.0, 4.0, 8.0]), T0, T0 + 3 * HOURLY)
         d = stat_descriptor(seg)
         assert d.mean == 3.75
         assert d.std == pytest.approx(2.680951323690902, abs=1e-15)  # population, not sample
         assert d.change == 7.0
 
     def test_change_is_net_not_absolute(self):
-        seg = Segment(np.array([5.0, 9.0, 2.0]), T0, T0 + 2 * HOURLY, 1)
+        seg = Segment(np.array([5.0, 9.0, 2.0]), T0, T0 + 2 * HOURLY)
         assert stat_descriptor(seg).change == -3.0
 
     @given(shift=st.floats(-50, 50), seed=st.integers(0, 999))
     def test_translation_covariance(self, shift, seed):
         """Shifting every value moves the mean only; spread and change hold."""
         v = np.random.default_rng(seed).normal(size=9)
-        a = stat_descriptor(Segment(v, T0, T0 + 8 * HOURLY, 1))
-        b = stat_descriptor(Segment(v + shift, T0, T0 + 8 * HOURLY, 1))
+        a = stat_descriptor(Segment(v, T0, T0 + 8 * HOURLY))
+        b = stat_descriptor(Segment(v + shift, T0, T0 + 8 * HOURLY))
         assert b.mean == pytest.approx(a.mean + shift, abs=1e-12)
         assert b.std == pytest.approx(a.std, abs=1e-12)
         assert b.change == pytest.approx(a.change, abs=1e-12)
@@ -92,14 +88,14 @@ class TestRendering:
         assert format_instant(datetime(2016, 12, 31, 5, 30)) == "31-Dec-2016 05:30"
 
     def test_timestamp_phrase(self):
-        seg = Segment(np.zeros(3), datetime(2020, 3, 7, 8), datetime(2020, 3, 7, 10), 1)
+        seg = Segment(np.zeros(3), datetime(2020, 3, 7, 8), datetime(2020, 3, 7, 10))
         assert (
             render_timestamp_descriptor(seg)
             == "The time range of this sequence is from 07-Mar-2020 08:00 to 07-Mar-2020 10:00"
         )
 
     def test_stat_phrase(self):
-        seg = Segment(np.array([1.0, 2.0, 4.0, 8.0]), T0, T0 + 3 * HOURLY, 1)
+        seg = Segment(np.array([1.0, 2.0, 4.0, 8.0]), T0, T0 + 3 * HOURLY)
         assert (
             render_stat_text(stat_descriptor(seg))
             == "Mean is 3.7500, standard deviation is 2.6810, change is 7.0000."
@@ -107,25 +103,26 @@ class TestRendering:
 
     def test_full_prompt_single_space_join(self):
         seg = segment_series(np.array([1.0, 2.0, 4.0, 8.0]), datetime(2020, 1, 4, 20), 4, HOURLY)[0]
-        record = render_prompt(seg)
-        assert record.prompt == (
+        prompt = render_prompt(seg)
+        assert prompt == (
             "The time range of this sequence is from 04-Jan-2020 20:00 to 04-Jan-2020 23:00 "
             "Mean is 3.7500, standard deviation is 2.6810, change is 7.0000."
         )
-        assert record.prompt == f"{record.timestamp_text} {record.stat_text}"
-        assert record.segment_index == 1
+        assert prompt == (
+            render_timestamp_descriptor(seg) + " " + render_stat_text(stat_descriptor(seg))
+        )
 
     def test_decimals_parameter(self):
-        seg = Segment(np.array([0.12345, 0.12345]), T0, T0 + HOURLY, 2)
+        seg = Segment(np.array([0.12345, 0.12345]), T0, T0 + HOURLY)
         assert "Mean is 0.12" in render_stat_text(stat_descriptor(seg), decimals=2)
         assert "change is 0.00." in render_stat_text(stat_descriptor(seg), decimals=2)
 
     def test_negative_values_render_with_sign(self):
-        seg = Segment(np.array([-1.5, -0.5]), T0, T0 + HOURLY, 1)
+        seg = Segment(np.array([-1.5, -0.5]), T0, T0 + HOURLY)
         text = render_stat_text(stat_descriptor(seg))
         assert "Mean is -1.0000" in text
         assert "change is 1.0000." in text
 
     def test_prompt_is_deterministic(self):
         seg = segment_series(np.linspace(-3, 11, 24), T0, 24, HOURLY)[0]
-        assert render_prompt(seg).prompt == render_prompt(seg).prompt
+        assert render_prompt(seg) == render_prompt(seg)

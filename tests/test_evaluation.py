@@ -211,9 +211,10 @@ class TestForecastReport:
             96: {"mse": 0.2, "mae": 0.3},
         }
         report = forecast_report("sine", per, config={}, seeds=(0,))
-        assert list(report.horizons) == [96, 192]
-        assert report.avg_mse == pytest.approx(0.3)
-        assert report.avg_mae == pytest.approx(0.4)
+        assert list(report["horizons"]) == [96, 192]
+        assert report["avg_mse"] == pytest.approx(0.3)
+        assert report["avg_mae"] == pytest.approx(0.4)
+        assert report["seeds"] == [0]
         text = render_forecast_table(report)
         assert "avg" in text and "0.3000" in text
 

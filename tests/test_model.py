@@ -1,5 +1,7 @@
 """Forward-pass semantics: fusion, causality, routing, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +339,20 @@ class TestCheckpoint:
         save_checkpoint(params, TINY, tmp_path / "m.json")
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("mangle", [
+        lambda text: text[: len(text) // 2],
+        lambda text: "[]",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
+        lambda text: json.dumps({**json.loads(text),
+                                 "config": {**json.loads(text)["config"], "bogus": 1}}),
+    ], ids=["truncated", "not-an-object", "no-config", "unknown-config-field"])
+    def test_malformed_file(self, tmp_path, mangle):
+        path = tmp_path / "m.json"
+        save_checkpoint(init_params(TINY), TINY, path)
+        path.write_text(mangle(path.read_text()))
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
 
     def test_wrong_shape(self, tmp_path):
         params = init_params(TINY)

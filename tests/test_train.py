@@ -168,7 +168,7 @@ class TestWindowAssembly:
         values = np.arange(10.0)
         _, prompts = window_segments(values, T0, HOURLY, segment_len=3)
         segs = segment_series(values[1:], T0 + HOURLY, 3, HOURLY)
-        assert prompts == [render_prompt(s).prompt for s in segs]
+        assert prompts == [render_prompt(s) for s in segs]
 
     def test_aligned_context_untouched(self):
         values = np.arange(12.0)
@@ -257,6 +257,7 @@ class TestTrainingLoop:
         curve_mse = [row["val_mse"] for row in result.curve]
         assert result.best_val_mse == min(curve_mse)
         assert result.best_epoch == int(np.argmin(curve_mse))
+        assert result.best_val_mae == result.curve[result.best_epoch]["val_mae"]
         assert len(result.curve) == 5
         for row in result.curve:
             assert set(row) == {
