@@ -86,6 +86,10 @@ _SCHEMA = {
     "decimals": (int, 4),
 }
 
+# key -> smallest accepted value (max_steps 0 means no cap)
+_MINIMUMS = {"context_len": 1, "segment_len": 1, "stride": 1, "horizon": 1,
+             "decimals": 0, "max_steps": 0}
+
 
 def parse_config_file(path) -> dict:
     """Flat key=value lines; blank lines and # comments are skipped."""
@@ -120,6 +124,9 @@ def resolve_config(config_path, overrides: dict) -> dict:
                 raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
     if resolved["text_mode"] not in ("builtin", "zero"):
         raise ConfigError(f"text_mode must be builtin or zero, got {resolved['text_mode']!r}")
+    for key, low in _MINIMUMS.items():
+        if resolved[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {resolved[key]}")
     return resolved
 
 
@@ -333,7 +340,7 @@ def cmd_promote(args) -> int:
     sizes = _int_list(args.sizes, "sizes")
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
     report = promotion_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
-                           sizes, experts=cfg["experts"], text_seed=cfg["text_seed"],
+                           sizes, text_seed=cfg["text_seed"],
                            text_mode=cfg["text_mode"], decimals=cfg["decimals"])
     report["resolved_config"] = cfg
     report["data"] = str(args.data)
@@ -389,6 +396,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_dump_prompts(args) -> int:
     cfg = _config_from(args)
+    if args.windows < 0:
+        raise ConfigError(f"windows must be >= 0, got {args.windows}")
     freq, (windows,) = prepare(cfg, args.data, cfg["horizon"], (args.split,))
     for i, w in enumerate(windows[: args.windows]):
         _, prompts = window_segments(w.context, w.start, freq,

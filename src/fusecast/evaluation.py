@@ -19,20 +19,10 @@ import numpy as np
 from .errors import ConfigError, InvalidHorizon, ShapeError
 from .model import ModelConfig, forward, init_params
 from .textenc import text_source
-from .train import TrainConfig, assemble_windows, train_model, window_tensors
+from .train import TrainConfig, assemble_windows, metrics, train_model, window_tensors
 
 HORIZONS = (96, 192, 336, 720)
 ABLATION_ROWS = ("Original", "w/o Context", "w/o Fusion", "w/o MoE")
-
-
-def metrics(pred, truth):
-    """(mean squared error, mean absolute error) over aligned arrays."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ShapeError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
-    diff = pred - truth
-    return float((diff * diff).mean()), float(np.abs(diff).mean())
 
 
 def persistence_baseline(context, horizon: int):
@@ -73,25 +63,22 @@ def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon:
                      text_source, decimals: int = 4):
     """Forecast `horizon` values by repeated next-segment prediction.
 
-    Each roll re-renders prompts for the current tail window with arithmetic
+    Each roll re-renders prompts for the context-length tail window with arithmetic
     timestamps, predicts one segment from the final position, and appends it.
     ceil(horizon / segment_len) rolls run; the output is truncated exactly.
     """
     if horizon < 1:
         raise InvalidHorizon(f"horizon must be >= 1, got {horizon}")
     context = np.asarray(context, dtype=np.float64)
-    seg_len = config.segment_len
-    n = context.shape[0] // seg_len
-    if n < 1:
-        raise ConfigError(f"context of {context.shape[0]} values < one segment of {seg_len}")
-    keep = n * seg_len
+    width = context.shape[0]
     buf = context.copy()
-    for _ in range(math.ceil(horizon / seg_len)):
-        tail_start = start + (buf.shape[0] - keep) * freq
-        x, te, _ = window_tensors(buf[-keep:], tail_start, freq, seg_len, text_source, decimals)
+    for _ in range(math.ceil(horizon / config.segment_len)):
+        tail_start = start + (buf.shape[0] - width) * freq
+        x, te, _ = window_tensors(buf[-width:], tail_start, freq, config.segment_len,
+                                  text_source, decimals)
         trace = forward(params, config, x[None], te[None])
         buf = np.concatenate([buf, trace.pred[0, -1]])
-    return buf[context.shape[0] : context.shape[0] + horizon]
+    return buf[width : width + horizon]
 
 
 def forecast_windows(params, config: ModelConfig, windows, freq, horizon: int,
@@ -166,13 +153,11 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
     Returns {"rows": {row: {"per_seed_mse", "per_seed_mae", "mean_mse",
     "std_mse", "mean_mae", "std_mae"}}, "seeds", "config"}.
     """
-    datasets = {}
-    for text_mode in ("builtin", "zero"):
-        source = text_source(text_mode, config.dim, text_seed)
-        datasets[text_mode] = (
-            assemble_windows(train_windows, freq, config.segment_len, source, decimals),
-            assemble_windows(val_windows, freq, config.segment_len, source, decimals),
-        )
+    source = text_source("builtin", config.dim, text_seed)
+    builtin = (assemble_windows(train_windows, freq, config.segment_len, source, decimals),
+               assemble_windows(val_windows, freq, config.segment_len, source, decimals))
+    datasets = {"builtin": builtin,
+                "zero": tuple(replace(data, te=np.zeros_like(data.te)) for data in builtin)}
     rows = {}
     for row, (variant, text_mode) in ablation_variants(config).items():
         per_mse, per_mae = [], []
@@ -195,13 +180,13 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
 
 
 def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
-                  tconfig: TrainConfig, sizes, experts: int = 4,
-                  text_seed: int = 0, text_mode: str = "builtin", decimals: int = 4) -> dict:
+                  tconfig: TrainConfig, sizes, text_seed: int = 0,
+                  text_mode: str = "builtin", decimals: int = 4) -> dict:
     """Single-expert vs routed-experts comparison across backbone widths.
 
     For each hidden size, trains a one-expert ungated model and a gated
-    model with `experts` experts, everything else identical, and reports the
-    relative MSE/MAE reduction.
+    model with config.experts experts, everything else identical, and
+    reports the relative MSE/MAE reduction.
     """
     if not sizes:
         raise ConfigError("promotion needs at least one backbone size")
@@ -214,7 +199,7 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
         results = {}
         for label, variant in (
             ("original", replace(base, experts=1, gated=False)),
-            ("moe", replace(base, experts=experts, gated=True)),
+            ("moe", replace(base, gated=True)),
         ):
             result = train_model(init_params(variant), variant, tconfig, train_data, val_data)
             results[label] = {"mse": result.best_val_mse, "mae": result.best_val_mae}
@@ -226,7 +211,7 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
             "promotion_mae": format_promotion(results["original"]["mae"], results["moe"]["mae"]),
             "promotion_mse_raw": promotion_percent(results["original"]["mse"], results["moe"]["mse"]),
         })
-    return {"rows": table, "experts": experts, "config": asdict(config)}
+    return {"rows": table, "experts": config.experts, "config": asdict(config)}
 
 
 def sweep_run(values, run_one) -> dict:

@@ -48,45 +48,54 @@ class TrainConfig:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
         if self.sparsity_mode not in SPARSITY_MODES:
             raise ConfigError(f"sparsity_mode must be one of {SPARSITY_MODES}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ConfigError(f"max_steps must be >= 1 (None = no cap), got {self.max_steps}")
+
+
+def _gate_log(gate_weights):
+    """Log of the gate weights, floored so a saturated (exactly 0) weight stays finite."""
+    return np.log(np.maximum(gate_weights, 1e-300))
 
 
 def compute_loss(targets, predictions, gate_weights, lam: float, mode: str):
-    """Mean squared error plus the gate sparsity penalty.
+    """Mean squared error plus the gate sparsity penalty, with its own gradients.
 
-    targets, predictions: (B, S); gate_weights: (B, K), one row per scored
-    position. Returns (total, mse_part, exp_part).
+    targets, predictions: (..., S); gate_weights: (..., K), one row per scored
+    position. Returns (total, mse_part, exp_part, d(total)/d(predictions),
+    d(exp_part)/d(gate_weights)).
     """
     targets = np.asarray(targets, dtype=np.float64)
     predictions = np.asarray(predictions, dtype=np.float64)
     gate_weights = np.asarray(gate_weights, dtype=np.float64)
-    if targets.ndim != 2 or targets.shape != predictions.shape:
+    if targets.ndim < 2 or targets.shape != predictions.shape:
         raise ShapeError(f"targets {targets.shape} vs predictions {predictions.shape}")
-    if gate_weights.ndim != 2 or gate_weights.shape[0] != targets.shape[0]:
-        raise ShapeError(f"gate rows {gate_weights.shape} vs {targets.shape[0]} target rows")
-    rows, seg_len = targets.shape
+    if gate_weights.shape[:-1] != targets.shape[:-1]:
+        raise ShapeError(f"gate rows {gate_weights.shape} vs target rows {targets.shape}")
     diff = predictions - targets
-    mse_part = float((diff * diff).sum() / (rows * seg_len))
+    mse_part = float((diff * diff).sum() / targets.size)
     if mode == "literal":
         exp_part = lam * float(np.abs(gate_weights).sum())
+        d_gate = lam * np.sign(gate_weights)
     elif mode == "entropy":
-        exp_part = lam * float(-(gate_weights * np.log(gate_weights)).sum())
+        log_w = _gate_log(gate_weights)
+        exp_part = lam * float(-(gate_weights * log_w).sum())
+        d_gate = lam * (-(log_w + 1.0))
     elif mode == "none":
         exp_part = 0.0
+        d_gate = np.zeros_like(gate_weights)
     else:
         raise ConfigError(f"unknown sparsity mode {mode!r}")
-    return mse_part + exp_part, mse_part, exp_part
+    return mse_part + exp_part, mse_part, exp_part, 2.0 * diff / targets.size, d_gate
 
 
-def penalty_gate_grad(gate_weights, lam: float, mode: str):
-    """d(exp_part)/d(gate weights), same shape as the gate matrix."""
-    gate_weights = np.asarray(gate_weights, dtype=np.float64)
-    if mode == "literal":
-        return lam * np.sign(gate_weights)
-    if mode == "entropy":
-        return lam * (-(np.log(gate_weights) + 1.0))
-    if mode == "none":
-        return np.zeros_like(gate_weights)
-    raise ConfigError(f"unknown sparsity mode {mode!r}")
+def metrics(pred, truth):
+    """(mean squared error, mean absolute error) over aligned arrays."""
+    pred = np.asarray(pred, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if pred.shape != truth.shape:
+        raise ShapeError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
+    diff = pred - truth
+    return float((diff * diff).mean()), float(np.abs(diff).mean())
 
 
 @dataclass
@@ -173,25 +182,17 @@ def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int
 
 
 def _batch_step(params, mconfig, tconfig, x, te):
-    """Forward, loss, backward, update on one batch. Returns the total loss."""
+    """Forward and loss on one batch; returns (trace, total, d_pred, d_gate) for backward."""
     trace = forward(params, mconfig, x, te)
-    batch, n = x.shape[0], x.shape[1]
-    rows = batch * (n - 1)
-    seg_len = mconfig.segment_len
-    targets = x[:, 1:, :]
-    scored_pred = trace.pred[:, :-1, :]
-    scored_gate = trace.gate.weights[:, :-1, :]
-    total, _, _ = compute_loss(
-        targets.reshape(rows, seg_len),
-        scored_pred.reshape(rows, seg_len),
-        scored_gate.reshape(rows, -1),
-        tconfig.lam,
-        tconfig.sparsity_mode,
+    # position i predicts segment i + 1, so the final position is not scored
+    total, _, _, d_scored_pred, d_scored_gate = compute_loss(
+        x[:, 1:, :], trace.pred[:, :-1, :], trace.gate.weights[:, :-1, :],
+        tconfig.lam, tconfig.sparsity_mode,
     )
     d_pred = np.zeros_like(trace.pred)
-    d_pred[:, :-1, :] = 2.0 * (scored_pred - targets) / (rows * seg_len)
+    d_pred[:, :-1, :] = d_scored_pred
     d_gate = np.zeros_like(trace.gate.weights)
-    d_gate[:, :-1, :] = penalty_gate_grad(scored_gate, tconfig.lam, tconfig.sparsity_mode)
+    d_gate[:, :-1, :] = d_scored_gate
     return trace, total, d_pred, d_gate
 
 
@@ -204,13 +205,9 @@ def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors):
     """
     trace = forward(params, mconfig, data.x, data.te)
     horizon = min(mconfig.segment_len, data.future.shape[1])
-    pred = trace.pred[:, -1, :horizon]
-    truth = data.future[:, :horizon]
-    diff = pred - truth
-    mse = float((diff * diff).mean())
-    mae = float(np.abs(diff).mean())
+    mse, mae = metrics(trace.pred[:, -1, :horizon], data.future[:, :horizon])
     weights = trace.gate.weights
-    entropy = float(-(weights * np.log(np.maximum(weights, 1e-300))).sum(axis=-1).mean())
+    entropy = float(-(weights * _gate_log(weights)).sum(axis=-1).mean())
     return mse, mae, entropy, trace.alpha
 
 

@@ -259,6 +259,28 @@ class TestErrorReporting:
         assert err["error"] == "ConfigError"
         assert "integers" in err["message"]
 
+    @pytest.mark.parametrize("command,bad,key", [
+        ("train", ["--stride", "0"], "stride"),
+        ("train", ["--stride", "-1"], "stride"),
+        ("train", ["--context-len", "-5"], "context_len"),
+        ("train", ["--horizon", "0"], "horizon"),
+        ("train", ["--horizon", "-3"], "horizon"),
+        ("train", ["--decimals", "-1"], "decimals"),
+        ("train", ["--max-steps", "-1"], "max_steps"),
+        ("dump-prompts", ["--decimals", "-1"], "decimals"),
+        ("dump-prompts", ["--segment-len", "0"], "segment_len"),
+        ("dump-prompts", ["--windows", "-1"], "windows"),
+    ], ids=["stride-0", "stride-neg", "context-len-neg", "horizon-0", "horizon-neg",
+            "train-decimals-neg", "max-steps-neg", "dump-decimals-neg", "dump-segment-len-0",
+            "dump-windows-neg"])
+    def test_out_of_range_integer(self, tmp_path, data_csv, capsys, command, bad, key):
+        argv = [command, "--data", str(data_csv), "--out-root", str(tmp_path / "runs")]
+        assert main(argv + BASE + bad) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert key in err["message"]
+        assert not (tmp_path / "runs").exists()
+
 
 class TestEvaluateCommand:
     def test_report_and_table(self, tmp_path, data_csv, trained, capsys):
@@ -330,7 +352,7 @@ class TestHarnessCommands:
         assert report["rows"][0]["promotion_mse"].endswith("%")
 
     @pytest.mark.parametrize("command,extra,sources", [
-        ("ablate", ["--seeds", "0"], {"PromptEncoder", "ZeroTextSource"}),
+        ("ablate", ["--seeds", "0"], {"PromptEncoder"}),
         ("promote", ["--sizes", "8", "--text-mode", "zero"], {"ZeroTextSource"}),
     ], ids=["ablate", "promote"])
     def test_harness_renders_with_configured_text(self, tmp_path, data_csv, monkeypatch,

@@ -263,7 +263,7 @@ class TestHarnesses:
     def test_promotion_run_structure(self):
         windows = tiny_windows()
         report = promotion_run(windows[:8], windows[8:], HOURLY, self.CONFIG,
-                               self.TCONFIG, sizes=(8,), experts=2)
+                               self.TCONFIG, sizes=(8,))
         (row,) = report["rows"]
         assert row["size"] == 8
         assert set(row["original"]) == {"mse", "mae"}

@@ -7,18 +7,18 @@ from datetime import datetime, timedelta
 from fusecast.data import TimeSeriesFrame, sample_windows
 from fusecast.descriptors import render_prompt, segment_series
 from fusecast.errors import ConfigError, NonFiniteGradient, ShapeError
-from fusecast.model import ModelConfig, forward, init_params
+from fusecast.model import ModelConfig, backward, forward, init_params
 from fusecast.textenc import PromptEncoder, ZeroTextSource
 from fusecast.train import (
     OptState,
     TrainConfig,
     WindowTensors,
+    _batch_step,
     adamw_step,
     assemble_windows,
     compute_loss,
     evaluate_windows,
     init_opt_state,
-    penalty_gate_grad,
     train_model,
     window_segments,
     window_tensors,
@@ -33,7 +33,7 @@ class TestLoss:
         targets = np.array([[1.0, 2.0], [3.0, 4.0]])
         preds = np.array([[1.5, 2.0], [3.0, 2.0]])
         gate = np.full((2, 2), 0.5)
-        total, mse, exp = compute_loss(targets, preds, gate, lam=0.0, mode="none")
+        total, mse, exp, _, _ = compute_loss(targets, preds, gate, lam=0.0, mode="none")
         # squared errors: 0.25 + 0 + 0 + 4 over B*S = 4 cells
         assert mse == pytest.approx(4.25 / 4, abs=1e-15)
         assert exp == 0.0 and total == mse
@@ -41,7 +41,7 @@ class TestLoss:
     def test_literal_penalty_is_lambda_times_rows(self):
         gate = np.array([[0.25, 0.75], [0.9, 0.1], [0.5, 0.5]])
         zeros = np.zeros((3, 2))
-        total, mse, exp = compute_loss(zeros, zeros, gate, lam=0.1, mode="literal")
+        total, mse, exp, _, _ = compute_loss(zeros, zeros, gate, lam=0.1, mode="literal")
         assert mse == 0.0
         assert exp == pytest.approx(0.1 * 3, abs=1e-12)  # row-stochastic: sum |G| = rows
         assert total == exp
@@ -49,7 +49,7 @@ class TestLoss:
     def test_entropy_penalty_by_hand(self):
         gate = np.array([[0.5, 0.5]])
         zeros = np.zeros((1, 2))
-        _, _, exp = compute_loss(zeros, zeros, gate, lam=2.0, mode="entropy")
+        exp = compute_loss(zeros, zeros, gate, lam=2.0, mode="entropy")[2]
         assert exp == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
 
     def test_shape_validation(self):
@@ -66,22 +66,47 @@ class TestLoss:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(4, 3))
         gate = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        zeros = np.zeros((4, 2))
+        targets, preds = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
         h = 1e-7
+
+        def numeric(point, loss_of):
+            # treat the entries as free variables and difference one at a time
+            fd = np.zeros_like(point)
+            for idx in np.ndindex(point.shape):
+                bumped = point.copy()
+                bumped[idx] += h
+                up = loss_of(bumped)
+                bumped[idx] -= 2 * h
+                fd[idx] = (up - loss_of(bumped)) / (2 * h)
+            return fd
+
         for mode in ("literal", "entropy", "none"):
-            grad = penalty_gate_grad(gate, lam=0.3, mode=mode)
-            assert grad.shape == gate.shape
-            # treat the gate entries as free variables and difference one of them
-            fd = np.zeros_like(gate)
-            for i in range(gate.shape[0]):
-                for j in range(gate.shape[1]):
-                    bumped = gate.copy()
-                    bumped[i, j] += h
-                    up = compute_loss(zeros, zeros, bumped, 0.3, mode)[2]
-                    bumped[i, j] -= 2 * h
-                    down = compute_loss(zeros, zeros, bumped, 0.3, mode)[2]
-                    fd[i, j] = (up - down) / (2 * h)
-            np.testing.assert_allclose(grad, fd, atol=1e-5)
+            _, _, _, d_pred, d_gate = compute_loss(targets, preds, gate, 0.3, mode)
+            assert d_pred.shape == preds.shape and d_gate.shape == gate.shape
+            fd_gate = numeric(gate, lambda g: compute_loss(targets, preds, g, 0.3, mode)[2])
+            fd_pred = numeric(preds, lambda p: compute_loss(targets, p, gate, 0.3, mode)[0])
+            np.testing.assert_allclose(d_gate, fd_gate, atol=1e-5)
+            np.testing.assert_allclose(d_pred, fd_pred, atol=1e-5)
+
+    def test_saturated_gate_entropy_is_finite(self):
+        # a one-hot gate row holds an exact 0, whose entropy term is 0 * log 0 = 0
+        zeros = np.zeros((1, 2))
+        out = compute_loss(zeros, zeros, np.array([[1.0, 0.0]]), 0.1, "entropy")
+        assert out[2] == 0.0
+        assert all(np.all(np.isfinite(part)) for part in out)
+
+    def test_saturated_gate_trains_finite(self):
+        config = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, seed=0)
+        params = init_params(config)
+        params["gate_b"] = np.array([800.0, -800.0])  # softmax underflows to [1, 0]
+        rng = np.random.default_rng(7)
+        x, te = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 8))
+        tconfig = TrainConfig(lam=0.05, sparsity_mode="entropy")
+        trace, total, d_pred, d_gate = _batch_step(params, config, tconfig, x, te)
+        assert np.isfinite(total)
+        grads = backward(params, config, trace, d_pred, d_gate)
+        for name, grad in grads.items():
+            assert np.all(np.isfinite(grad)), name
 
 
 class TestAdamW:
@@ -147,6 +172,8 @@ class TestTrainConfig:
             dict(epochs=0),
             dict(batch=0),
             dict(sparsity_mode="l1"),
+            dict(max_steps=0),
+            dict(max_steps=-1),
         ],
     )
     def test_rejects(self, kwargs):
