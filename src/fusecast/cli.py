@@ -156,6 +156,17 @@ def make_run_dir(out_root, command: str, payload: dict) -> Path:
     return run_dir
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _run_dir(args, cfg, **inputs) -> Path:
+    """Run directory named by the command, config, data path and bytes, and `inputs`."""
+    payload = {"config": cfg, "data": str(args.data), "data_sha256": _sha256(args.data),
+               **inputs}
+    return make_run_dir(args.out_root, args.command, payload)
+
+
 def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -267,7 +278,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_from(args)
     mconfig, tconfig, result = _fit(cfg, args.data, args.emb_cache)
-    run_dir = make_run_dir(args.out_root, "train", {"config": cfg, "data": str(args.data)})
+    run_dir = _run_dir(args, cfg)
     save_checkpoint(result.params, mconfig, run_dir / "checkpoint.json")
     record = run_record(mconfig, tconfig, result)
     record["resolved_config"] = cfg
@@ -300,9 +311,8 @@ def cmd_evaluate(args) -> int:
         Path(args.data).stem, per_horizon,
         config={"resolved": cfg, "model": asdict(mconfig)}, seeds=(mconfig.seed,),
     )
-    run_dir = make_run_dir(args.out_root, "evaluate",
-                           {"config": cfg, "data": str(args.data), "horizons": horizons,
-                            "max_windows": args.max_windows})
+    run_dir = _run_dir(args, cfg, horizons=horizons, max_windows=args.max_windows,
+                       checkpoint_sha256=_sha256(args.checkpoint))
     write_json(run_dir / "report.json", report)
     if args.table:
         print(render_forecast_table(report))
@@ -326,8 +336,7 @@ def cmd_ablate(args) -> int:
                           seeds=seeds, text_seed=cfg["text_seed"], decimals=cfg["decimals"])
     report["resolved_config"] = cfg
     report["data"] = str(args.data)
-    run_dir = make_run_dir(args.out_root, "ablate", {"config": cfg, "data": str(args.data),
-                                                     "seeds": seeds})
+    run_dir = _run_dir(args, cfg, seeds=seeds)
     write_json(run_dir / "ablation.json", report)
     if args.table:
         print(render_ablation_table(report))
@@ -344,8 +353,7 @@ def cmd_promote(args) -> int:
                            text_mode=cfg["text_mode"], decimals=cfg["decimals"])
     report["resolved_config"] = cfg
     report["data"] = str(args.data)
-    run_dir = make_run_dir(args.out_root, "promote", {"config": cfg, "data": str(args.data),
-                                                      "sizes": sizes})
+    run_dir = _run_dir(args, cfg, sizes=sizes)
     write_json(run_dir / "promotion.json", report)
     if args.table:
         print(render_promotion_table(report))
@@ -370,8 +378,7 @@ def cmd_sweep(args) -> int:
     report["axis"] = args.axis
     report["resolved_config"] = cfg
     report["data"] = str(args.data)
-    run_dir = make_run_dir(args.out_root, "sweep", {"config": cfg, "data": str(args.data),
-                                                    "axis": args.axis, "values": values})
+    run_dir = _run_dir(args, cfg, axis=args.axis, values=values)
     write_json(run_dir / "sweep.json", report)
     if args.plot_data:
         with open(run_dir / "sweep.csv", "w", encoding="utf-8") as fh:

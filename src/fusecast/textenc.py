@@ -4,11 +4,15 @@ The encoder stands in for a frozen language model: each token hashes to a
 fixed random sign vector, a causal exponential moving average contextualizes
 the token stream, and the final state is the prompt embedding. It is a pure
 function of (prompt bytes, dim, seed), so embeddings can be precomputed once
-and cached.
+and cached. `encode_prompt` is the one encoder. Token vectors are memoized
+once per process, keyed by (token, dim, seed). `PromptEncoder` is the
+text-source adapter the commands embed through, and `precompute_cache` builds
+the offline cache by calling `encode_prompt` directly.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -34,64 +38,49 @@ def _prompt_sha(prompt: str) -> str:
 @dataclass(frozen=True)
 class TextEmbedding:
     vector: np.ndarray
-    key: str
+    sha: str  # SHA-256 of the prompt bytes, which tells a key collision from a hit
 
 
+@functools.lru_cache(maxsize=None)
 def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
-    """Fixed ±1/√D sign vector for a token, keyed by (token, seed)."""
+    """Fixed ±1/√D sign vector for a token, keyed by (token, seed); memoized, read-only."""
     digest = hashlib.blake2b(
         token.encode("utf-8"), digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     ).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "little"))
     signs = rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
-    return signs / np.sqrt(dim)
+    vector = signs / np.sqrt(dim)
+    vector.flags.writeable = False  # shared by every caller through the memo
+    return vector
 
 
-def _ema_encode(prompt: str, dim: int, token_vector) -> np.ndarray:
-    """Causal EMA over token vectors; the final bias-corrected state is returned.
+def encode_prompt(prompt: str, dim: int, seed: int) -> np.ndarray:
+    """Embed a prompt: hash tokens to sign vectors, causal EMA, take the final state.
 
     Zero-init EMA with bias correction, so a single-token prompt returns that
     token's base vector exactly and the corrected state is always a convex
     combination of token vectors (norm never exceeds 1).
     """
+    if dim < 1:
+        raise ShapeError(f"embedding dim must be >= 1, got {dim}")
     tokens = re.findall(r"\w+", prompt)
     if not tokens:
         raise EmptyPrompt("prompt has no tokens")
     state = np.zeros(dim, dtype=np.float64)
     for step, token in enumerate(tokens, start=1):
-        state = (1.0 - _EMA_DECAY) * token_vector(token) + _EMA_DECAY * state
+        state = (1.0 - _EMA_DECAY) * _token_vector(token, dim, seed) + _EMA_DECAY * state
     return state / (1.0 - _EMA_DECAY**step)
 
 
-def encode_prompt(prompt: str, dim: int, seed: int) -> TextEmbedding:
-    """Embed a prompt: hash tokens to sign vectors, causal EMA, take the final state."""
-    if dim < 1:
-        raise ShapeError(f"embedding dim must be >= 1, got {dim}")
-    vector = _ema_encode(prompt, dim, lambda token: _token_vector(token, dim, seed))
-    return TextEmbedding(vector=vector, key=prompt_key(prompt))
-
-
 class PromptEncoder:
-    """On-the-fly text source backed by the builtin encoder.
-
-    Token vectors are memoized; prompts share a small vocabulary, so this cuts
-    encoding cost without changing any output.
-    """
+    """On-the-fly text source backed by the builtin encoder."""
 
     def __init__(self, dim: int, seed: int):
         self.dim = dim
         self.seed = seed
-        self._tokens: dict[str, np.ndarray] = {}
-
-    def _token(self, token: str) -> np.ndarray:
-        vector = self._tokens.get(token)
-        if vector is None:
-            vector = _token_vector(token, self.dim, self.seed)
-            self._tokens[token] = vector
-        return vector
 
     def embed(self, prompt: str) -> np.ndarray:
-        return _ema_encode(prompt, self.dim, self._token)
+        return encode_prompt(prompt, self.dim, self.seed)
 
 
 class ZeroTextSource:
@@ -121,7 +110,6 @@ class EmbeddingCache:
     def __init__(self, dim: int):
         self.dim = dim
         self._entries: dict[str, TextEmbedding] = {}
-        self._shas: dict[str, str] = {}
 
     def __len__(self):
         return len(self._entries)
@@ -133,17 +121,14 @@ class EmbeddingCache:
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.dim,):
             raise ShapeError(f"embedding shape {vector.shape} != ({self.dim},)")
-        key = prompt_key(prompt)
-        self._entries[key] = TextEmbedding(vector=vector, key=key)
-        self._shas[key] = _prompt_sha(prompt)
+        self._entries[prompt_key(prompt)] = TextEmbedding(vector=vector, sha=_prompt_sha(prompt))
 
     def lookup(self, prompt: str) -> TextEmbedding:
         key = prompt_key(prompt)
         entry = self._entries.get(key)
         if entry is None:
             raise CacheMiss(f"prompt not cached (key {key}): {prompt[:80]!r}")
-        sha = self._shas.get(key)
-        if sha is not None and sha != _prompt_sha(prompt):
+        if entry.sha != _prompt_sha(prompt):
             raise CorruptCache(f"key {key} maps to a different prompt (hash collision or drift)")
         return entry
 
@@ -156,7 +141,7 @@ def precompute_cache(prompts, dim: int, seed: int) -> EmbeddingCache:
     cache = EmbeddingCache(dim=dim)
     for prompt in prompts:
         if prompt not in cache:
-            cache.add(prompt, encode_prompt(prompt, dim, seed).vector)
+            cache.add(prompt, encode_prompt(prompt, dim, seed))
     return cache
 
 
@@ -169,7 +154,7 @@ def save_cache(cache: EmbeddingCache, path) -> None:
             json.dumps(
                 {
                     "key": key,
-                    "prompt_sha256": cache._shas[key],
+                    "prompt_sha256": entry.sha,
                     "values": entry.vector.tolist(),
                 },
                 separators=(",", ":"),
@@ -201,6 +186,5 @@ def load_cache(path) -> EmbeddingCache:
                 raise CorruptCache(f"line {lineno}: values shape {vector.shape}, header dim={dim}")
             if key in cache._entries and not np.array_equal(cache._entries[key].vector, vector):
                 raise CorruptCache(f"line {lineno}: duplicate key {key} with different values")
-            cache._entries[key] = TextEmbedding(vector=vector, key=key)
-            cache._shas[key] = sha
+            cache._entries[key] = TextEmbedding(vector=vector, sha=sha)
     return cache

@@ -214,7 +214,6 @@ def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors):
 @dataclass
 class TrainResult:
     params: dict  # best-validation parameters
-    final_params: dict
     curve: list = field(default_factory=list)  # per-epoch stat dicts
     best_epoch: int = -1
     best_val_mse: float = np.inf
@@ -233,7 +232,7 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
     if train_data.x.shape[1] < 2:
         raise ConfigError("teacher-forced training needs at least 2 segments per window")
     state = init_opt_state(params)
-    result = TrainResult(params={k: v.copy() for k, v in params.items()}, final_params=params)
+    result = TrainResult(params={k: v.copy() for k, v in params.items()})
     n_windows = train_data.x.shape[0]
     done = False
     for epoch in range(tconfig.epochs):

@@ -165,6 +165,21 @@ class TestTrainCommand:
         assert (run_dir / "checkpoint.json").read_bytes() == first
         assert (run_dir / "record.json").read_bytes() == record_first
 
+    def test_data_bytes_name_the_run_dir(self, tmp_path):
+        # editing the CSV in place must not overwrite the run trained on the old bytes
+        data = tmp_path / "series.csv"
+        out_root = tmp_path / "runs"
+        argv = ["train", "--data", str(data), "--out-root", str(out_root)] + BASE
+        assert main(["synth", "--kind", "sine", "--length", "120", "--out", str(data)]) == 0
+        assert main(argv) == 0
+        (first_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+        first = (first_dir / "checkpoint.json").read_bytes()
+        assert main(["synth", "--kind", "sine", "--length", "120", "--noise", "0.1",
+                     "--out", str(data)]) == 0
+        assert main(argv) == 0
+        assert len([p for p in out_root.iterdir() if p.is_dir()]) == 2
+        assert (first_dir / "checkpoint.json").read_bytes() == first
+
     def test_config_file_layer_lands_in_record(self, tmp_path, data_csv):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("epochs=3\nlambda=0.02\n")
@@ -317,6 +332,17 @@ class TestEvaluateCommand:
         out_root = tmp_path / "runs"
         for n in ("1", "2"):
             assert self._evaluate(out_root, data_csv, trained, "--max-windows", n) == 0
+        assert len([p for p in out_root.iterdir() if p.is_dir()]) == 2
+
+    def test_checkpoint_names_the_run_dir(self, tmp_path, data_csv):
+        # two checkpoints evaluated with the same flags get one report each
+        out_root = tmp_path / "runs"
+        for seed in ("0", "1"):
+            train_root = tmp_path / f"train-{seed}"
+            assert main(["train", "--data", str(data_csv), "--out-root", str(train_root),
+                         "--seed", seed] + BASE) == 0
+            (run_dir,) = [p for p in train_root.iterdir() if p.is_dir()]
+            assert self._evaluate(out_root, data_csv, run_dir) == 0
         assert len([p for p in out_root.iterdir() if p.is_dir()]) == 2
 
     def test_malformed_checkpoint_is_json_error(self, tmp_path, data_csv, trained, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fusecast.errors import CacheMiss, CorruptCache, EmptyPrompt, ShapeError
+from fusecast.synth import SynthSpec, generate
 from fusecast.textenc import (
     EmbeddingCache,
     PromptEncoder,
@@ -17,64 +18,71 @@ from fusecast.textenc import (
     prompt_key,
     save_cache,
 )
+from fusecast.train import window_segments
 
 WORDS = st.text(alphabet="abcdefgh0123456789", min_size=1, max_size=8)
 
 
 class TestEncoder:
     def test_deterministic(self):
-        a = encode_prompt("Mean is 3.7500", 16, seed=0).vector
-        b = encode_prompt("Mean is 3.7500", 16, seed=0).vector
+        a = encode_prompt("Mean is 3.7500", 16, seed=0)
+        b = encode_prompt("Mean is 3.7500", 16, seed=0)
         np.testing.assert_array_equal(a, b)
 
     def test_seed_and_dim_change_output(self):
-        base = encode_prompt("Mean is 3.7500", 16, seed=0).vector
-        other = encode_prompt("Mean is 3.7500", 16, seed=1).vector
+        base = encode_prompt("Mean is 3.7500", 16, seed=0)
+        other = encode_prompt("Mean is 3.7500", 16, seed=1)
         assert not np.array_equal(base, other)
-        assert encode_prompt("Mean is 3.7500", 8, seed=0).vector.shape == (8,)
+        assert encode_prompt("Mean is 3.7500", 8, seed=0).shape == (8,)
 
     def test_single_token_is_base_sign_vector(self):
         # bias correction makes a one-token prompt return its token vector exactly
-        v = encode_prompt("Mean", 32, seed=0).vector
+        v = encode_prompt("Mean", 32, seed=0)
         np.testing.assert_allclose(np.abs(v), 1.0 / np.sqrt(32), atol=0)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_frozen_values(self):
         # drift detector: any change to hashing or the moving average shows up here
         np.testing.assert_array_equal(
-            encode_prompt("Mean", 4, seed=0).vector, [-0.5, 0.5, 0.5, -0.5]
+            encode_prompt("Mean", 4, seed=0), [-0.5, 0.5, 0.5, -0.5]
         )
         r = 0.4082482904638631
         np.testing.assert_allclose(
-            encode_prompt("Mean", 6, seed=1).vector, [-r, -r, -r, r, r, -r], atol=1e-16
+            encode_prompt("Mean", 6, seed=1), [-r, -r, -r, r, r, -r], atol=1e-16
         )
+
+    def test_result_does_not_alias_the_memo(self):
+        # token vectors are memoized per process; writing to a result must not reach them
+        v = encode_prompt("Mean", 4, seed=0)
+        v[:] = 0.0
+        np.testing.assert_array_equal(encode_prompt("Mean", 4, seed=0), [-0.5, 0.5, 0.5, -0.5])
 
     def test_two_token_closed_form(self):
         # decay 0.5, zero init, bias corrected: state = (v1 + 2 v2) / 3
-        v1 = encode_prompt("alpha", 16, seed=3).vector
-        v2 = encode_prompt("beta", 16, seed=3).vector
-        both = encode_prompt("alpha beta", 16, seed=3).vector
+        v1 = encode_prompt("alpha", 16, seed=3)
+        v2 = encode_prompt("beta", 16, seed=3)
+        both = encode_prompt("alpha beta", 16, seed=3)
         np.testing.assert_allclose(both, (v1 + 2 * v2) / 3, atol=1e-15)
 
     def test_three_token_closed_form(self):
-        v = [encode_prompt(t, 8, seed=0).vector for t in ("a", "b", "c")]
-        got = encode_prompt("a b c", 8, seed=0).vector
+        v = [encode_prompt(t, 8, seed=0) for t in ("a", "b", "c")]
+        got = encode_prompt("a b c", 8, seed=0)
         np.testing.assert_allclose(got, (v[0] + 2 * v[1] + 4 * v[2]) / 7, atol=1e-15)
 
     def test_order_sensitive(self):
-        a = encode_prompt("mean change", 16, seed=0).vector
-        b = encode_prompt("change mean", 16, seed=0).vector
+        a = encode_prompt("mean change", 16, seed=0)
+        b = encode_prompt("change mean", 16, seed=0)
         assert not np.allclose(a, b)
 
     def test_tokenization_splits_on_punctuation(self):
         # "3.7500" tokenizes as ("3", "7500"); commas and periods vanish
-        a = encode_prompt("Mean is 3.7500, done.", 16, seed=0).vector
-        b = encode_prompt("Mean is 3 7500 done", 16, seed=0).vector
+        a = encode_prompt("Mean is 3.7500, done.", 16, seed=0)
+        b = encode_prompt("Mean is 3 7500 done", 16, seed=0)
         np.testing.assert_array_equal(a, b)
 
     @given(tokens=st.lists(WORDS, min_size=1, max_size=12))
     def test_norm_never_exceeds_one(self, tokens):
-        v = encode_prompt(" ".join(tokens), 12, seed=0).vector
+        v = encode_prompt(" ".join(tokens), 12, seed=0)
         assert np.linalg.norm(v) <= 1.0 + 1e-12
 
     def test_empty_prompt_rejected(self):
@@ -90,7 +98,7 @@ class TestEncoder:
         enc = PromptEncoder(dim=16, seed=5)
         for prompt in ("one", "one two", "two one", "one two three four"):
             np.testing.assert_array_equal(
-                enc.embed(prompt), encode_prompt(prompt, 16, seed=5).vector
+                enc.embed(prompt), encode_prompt(prompt, 16, seed=5)
             )
 
     def test_zero_source(self):
@@ -116,7 +124,7 @@ class TestCache:
         assert len(cache) == 5
         for p in prompts:
             assert p in cache
-            np.testing.assert_array_equal(cache.embed(p), encode_prompt(p, 6, 0).vector)
+            np.testing.assert_array_equal(cache.embed(p), encode_prompt(p, 6, 0))
 
     def test_miss(self):
         cache, _ = self.build()
@@ -153,6 +161,22 @@ class TestCache:
         save_cache(a, pa)
         save_cache(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize("dim,seed,digest", [
+        (8, 0, "1e42fe852337e52b9d5d52686b7e629943cf901492e01fea2d6c674f5bf03bfe"),
+        (16, 7, "8ccf6a984536494e6a66eb9de888ce0cbea6553704dec9168089f791f642200f"),
+    ])
+    def test_file_bytes_pinned(self, tmp_path, dim, seed, digest):
+        # drift detector for the whole file: 68 prompts of overlapping windows, 20 distinct
+        frame = generate(SynthSpec(kind="two-regime", length=240, noise=0.1))
+        values = frame.values[:, 0]
+        prompts = []
+        for lo in range(0, 240 - 48 + 1, 12):
+            prompts += window_segments(values[lo:lo + 48], frame.timestamps[lo],
+                                       frame.freq, 12)[1]
+        path = tmp_path / "emb.cache"
+        save_cache(precompute_cache(prompts, dim, seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad"
