@@ -278,7 +278,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_from(args)
     mconfig, tconfig, result = _fit(cfg, args.data, args.emb_cache)
-    run_dir = _run_dir(args, cfg)
+    cache_input = {"emb_cache_sha256": _sha256(args.emb_cache)} if args.emb_cache else {}
+    run_dir = _run_dir(args, cfg, **cache_input)
     save_checkpoint(result.params, mconfig, run_dir / "checkpoint.json")
     record = run_record(mconfig, tconfig, result)
     record["resolved_config"] = cfg
@@ -293,7 +294,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _config_from(args)
     params, mconfig = load_checkpoint(args.checkpoint)
-    horizons = sorted(_int_list(args.horizons, "horizons"))
+    horizons = sorted(set(_int_list(args.horizons, "horizons")))
     if horizons[0] < 1:
         raise ConfigError(f"horizons must be >= 1, got {horizons}")
     if args.max_windows < 0:
@@ -392,10 +393,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     report = gradient_check(seed=args.seed, h=args.h)
-    worst = 0.0
     for name in sorted(report):
         print(f"{name:16s} max rel err {report[name]:.3e}")
-        worst = max(worst, report[name])
+    worst = max(report.values(), key=lambda err: err if err == err else float("inf"))  # NaN worst
     ok = worst <= 1e-4
     print(f"{'PASS' if ok else 'FAIL'}: worst {worst:.3e} (tolerance 1e-4)")
     return 0 if ok else 1

@@ -136,9 +136,8 @@ def init_params(config: ModelConfig) -> dict:
 
 @dataclass(frozen=True)
 class GateMatrix:
-    """Row-stochastic expert weights and the logits they came from."""
+    """Row-stochastic expert weights, one row per position."""
 
-    logits: np.ndarray
     weights: np.ndarray
 
 
@@ -213,6 +212,11 @@ def _layer_norm_backward(d_out, scale, xhat, inv):
     return inv * (d_xhat - mean_d - xhat * mean_dx), d_scale
 
 
+def _weight_grad(x, d_y):
+    """Gradient of W in y = x @ W, summed over every leading axis: one 2-D GEMM."""
+    return x.reshape(-1, x.shape[-1]).T @ d_y.reshape(-1, d_y.shape[-1])
+
+
 def _block_forward(x, params, config, layer):
     h = config.heads
     scale = 1.0 / np.sqrt(config.dim // h)
@@ -244,17 +248,17 @@ def _block_backward(d_out, params, config, layer, cache, grads):
     scale = 1.0 / np.sqrt(config.dim // h)
     # feed-forward sublayer
     grads[f"ff_b2_{layer}"] = d_out.sum(axis=(0, 1))
-    grads[f"ff_W2_{layer}"] = np.einsum("bnf,bnd->fd", cache["ff_act"], d_out)
+    grads[f"ff_W2_{layer}"] = _weight_grad(cache["ff_act"], d_out)
     d_ff_pre = (d_out @ params[f"ff_W2_{layer}"].T) * _gelu_grad(cache["ff_pre"])
     grads[f"ff_b1_{layer}"] = d_ff_pre.sum(axis=(0, 1))
-    grads[f"ff_W1_{layer}"] = np.einsum("bnd,bnf->df", cache["y2"], d_ff_pre)
+    grads[f"ff_W1_{layer}"] = _weight_grad(cache["y2"], d_ff_pre)
     d_y2 = d_ff_pre @ params[f"ff_W1_{layer}"].T
     d_x_mid, grads[f"ln2_{layer}"] = _layer_norm_backward(
         d_y2, params[f"ln2_{layer}"], cache["xhat2"], cache["inv2"]
     )
     d_x_mid = d_x_mid + d_out  # residual
     # attention sublayer
-    grads[f"attn_Wo_{layer}"] = np.einsum("bnd,bne->de", cache["ctx"], d_x_mid)
+    grads[f"attn_Wo_{layer}"] = _weight_grad(cache["ctx"], d_x_mid)
     d_ctx = _split_heads(d_x_mid @ params[f"attn_Wo_{layer}"].T, h)
     d_attn = d_ctx @ cache["v"].transpose(0, 1, 3, 2)
     d_v = cache["attn"].transpose(0, 1, 3, 2) @ d_ctx
@@ -264,7 +268,7 @@ def _block_backward(d_out, params, config, layer, cache, grads):
     d_y1 = np.zeros_like(cache["y1"])
     for name, d_proj in (("attn_Wq", d_q), ("attn_Wk", d_k), ("attn_Wv", d_v)):
         merged = _merge_heads(d_proj)
-        grads[f"{name}_{layer}"] = np.einsum("bnd,bne->de", cache["y1"], merged)
+        grads[f"{name}_{layer}"] = _weight_grad(cache["y1"], merged)
         d_y1 += merged @ params[f"{name}_{layer}"].T
     d_x, grads[f"ln1_{layer}"] = _layer_norm_backward(
         d_y1, params[f"ln1_{layer}"], cache["xhat1"], cache["inv1"]
@@ -296,15 +300,15 @@ def moe_forward(e_hat, params, config: ModelConfig):
     gate weights are identically 1 and s_hat is a plain linear map.
     """
     e_hat = np.asarray(e_hat, dtype=np.float64)
-    experts_out = np.einsum("...d,kde->...ke", e_hat, params["experts_W"])
+    k, d, _ = params["experts_W"].shape
+    experts = params["experts_W"].transpose(1, 0, 2).reshape(d, k * d)  # column k*D+e is W[k,:,e]
+    experts_out = (e_hat @ experts).reshape(e_hat.shape[:-1] + (k, d))
     if config.gated:
-        logits = e_hat @ params["gate_W"] + params["gate_b"]
-        weights = _softmax(logits, axis=-1)
+        weights = _softmax(e_hat @ params["gate_W"] + params["gate_b"], axis=-1)
     else:
-        logits = np.zeros(e_hat.shape[:-1] + (1,))
-        weights = np.ones_like(logits)
-    s_hat = np.einsum("...k,...kd->...d", weights, experts_out)
-    return s_hat, GateMatrix(logits=logits, weights=weights), experts_out
+        weights = np.ones(e_hat.shape[:-1] + (1,))
+    s_hat = (weights[..., None, :] @ experts_out)[..., 0, :]
+    return s_hat, GateMatrix(weights=weights), experts_out
 
 
 def predict_segment(s_hat, params):
@@ -351,26 +355,27 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
         raise TraceError(f"d_pred shape {d_pred.shape} != pred shape {trace.pred.shape}")
     grads = {}
     grads["out_b"] = d_pred.sum(axis=(0, 1))
-    grads["out_W"] = np.einsum("bnd,bns->ds", trace.s_hat, d_pred)
+    grads["out_W"] = _weight_grad(trace.s_hat, d_pred)
     d_s_hat = d_pred @ params["out_W"].T
 
     weights = trace.gate.weights
-    d_weights = np.einsum("bnd,bnkd->bnk", d_s_hat, trace.experts_out)
+    d_weights = (trace.experts_out @ d_s_hat[..., None])[..., 0]
     if d_gate is not None:
         d_gate = np.asarray(d_gate, dtype=np.float64)
         if d_gate.shape != weights.shape:
             raise TraceError(f"d_gate shape {d_gate.shape} != gate shape {weights.shape}")
         d_weights = d_weights + d_gate
-    d_experts_out = weights[..., None] * d_s_hat[..., None, :]
-    grads["experts_W"] = np.einsum("bnd,bnke->kde", trace.e_hat, d_experts_out)
-    d_e_hat = np.einsum("bnke,kde->bnd", d_experts_out, params["experts_W"])
+    k, d, _ = params["experts_W"].shape
+    d_experts = (weights[..., None] * d_s_hat[..., None, :]).reshape(-1, k * d)
+    grads["experts_W"] = _weight_grad(trace.e_hat, d_experts).reshape(d, k, d).transpose(1, 0, 2)
+    d_h = (d_experts @ params["experts_W"].transpose(0, 2, 1).reshape(k * d, d)).reshape(
+        d_s_hat.shape)
     if config.gated:
         d_logits = _softmax_grad(d_weights, weights)
         grads["gate_b"] = d_logits.sum(axis=(0, 1))
-        grads["gate_W"] = np.einsum("bnd,bnk->dk", trace.e_hat, d_logits)
-        d_e_hat = d_e_hat + d_logits @ params["gate_W"].T
+        grads["gate_W"] = _weight_grad(trace.e_hat, d_logits)
+        d_h = d_h + d_logits @ params["gate_W"].T
 
-    d_h = d_e_hat
     for layer in range(config.layers - 1, -1, -1):
         d_h = _block_backward(d_h, params, config, layer, trace.layers[layer], grads)
 
@@ -383,7 +388,7 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
         d_se = d_h
     d_se_pre = d_se * _gelu_grad(trace.se_pre)
     grads["seg_b"] = d_se_pre.sum(axis=(0, 1))
-    grads["seg_W"] = np.einsum("bns,bnd->sd", trace.x, d_se_pre)
+    grads["seg_W"] = _weight_grad(trace.x, d_se_pre)
     return grads
 
 

@@ -4,10 +4,10 @@ The encoder stands in for a frozen language model: each token hashes to a
 fixed random sign vector, a causal exponential moving average contextualizes
 the token stream, and the final state is the prompt embedding. It is a pure
 function of (prompt bytes, dim, seed), so embeddings can be precomputed once
-and cached. `encode_prompt` is the one encoder. Token vectors are memoized
-once per process, keyed by (token, dim, seed). `PromptEncoder` is the
-text-source adapter the commands embed through, and `precompute_cache` builds
-the offline cache by calling `encode_prompt` directly.
+and cached. `encode_prompt` is the one encoder: with decay 0.5 its moving
+average is an exact running sum, so no per-token loop runs. Token vectors are
+memoized per process, keyed by (token, dim, seed). `PromptEncoder` is the text
+source the commands embed through; `precompute_cache` builds the offline cache.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 from .errors import CacheMiss, CorruptCache, EmptyPrompt, ShapeError
 
 CACHE_HEADER_RE = re.compile(r"^SMET-EMB v1 dim=(\d+)$")
-_EMA_DECAY = 0.5
+_EMA_DECAY = 0.5  # encode_prompt's running sum is exact only for this decay
+_POW2 = np.ldexp(1.0, np.arange(512))[:, None]  # 2^(t-1) for token t of a block
 
 
 def prompt_key(prompt: str) -> str:
@@ -59,17 +60,23 @@ def encode_prompt(prompt: str, dim: int, seed: int) -> np.ndarray:
 
     Zero-init EMA with bias correction, so a single-token prompt returns that
     token's base vector exactly and the corrected state is always a convex
-    combination of token vectors (norm never exceeds 1).
+    combination of token vectors (norm never exceeds 1). Because the decay is
+    0.5, s_t = 0.5*v_t + 0.5*s_{t-1} rounds like (v_t + s_{t-1}) / 2, so 2^t*s_t
+    is the running sum of 2^(t-1)*v_t: a sequential np.add.accumulate per
+    512-token block (2^t cannot overflow) and an exact ldexp give the loop's bits.
     """
     if dim < 1:
         raise ShapeError(f"embedding dim must be >= 1, got {dim}")
     tokens = re.findall(r"\w+", prompt)
     if not tokens:
         raise EmptyPrompt("prompt has no tokens")
+    vectors = np.array([_token_vector(token, dim, seed) for token in tokens])
     state = np.zeros(dim, dtype=np.float64)
-    for step, token in enumerate(tokens, start=1):
-        state = (1.0 - _EMA_DECAY) * _token_vector(token, dim, seed) + _EMA_DECAY * state
-    return state / (1.0 - _EMA_DECAY**step)
+    for lo in range(0, len(tokens), len(_POW2)):
+        block = vectors[lo:lo + len(_POW2)] * _POW2[: len(tokens) - lo]
+        block[0] += state
+        state = np.ldexp(np.add.accumulate(block, out=block)[-1], -len(block))
+    return state / (1.0 - _EMA_DECAY ** len(tokens))
 
 
 class PromptEncoder:

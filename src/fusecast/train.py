@@ -279,6 +279,8 @@ def gradient_check(seed: int = 0, h: float = 1e-5, sparsity_mode: str = "entropy
     carries a real gradient). Returns {parameter block: max relative error};
     anything above 1e-4 indicates a backward-pass bug.
     """
+    if not 0.0 < h < float("inf"):
+        raise ConfigError(f"finite-difference step h must be finite and > 0, got {h}")
     mconfig = ModelConfig(seed=seed, **GRADCHECK_CONFIG)
     tconfig = TrainConfig(lam=lam, sparsity_mode=sparsity_mode, seed=seed)
     rng = np.random.default_rng([seed, 2718281828])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusecast import evaluation
+from fusecast import cli, evaluation
 from fusecast.cli import (
     _bool,
     main,
@@ -211,6 +211,17 @@ class TestTrainCommand:
         assert err["error"] == "ConfigError"
         assert "cache dim" in err["message"]
 
+    def test_embedding_cache_names_the_run_dir(self, tmp_path, data_csv, capsys):
+        # a seed-0 cache read at --text-seed 7 must not overwrite the plain seed-7 run
+        cache = tmp_path / "emb.jsonl"
+        out_root = tmp_path / "runs"
+        argv = ["train", "--data", str(data_csv), "--out-root", str(out_root)] + BASE
+        assert main(argv + ["--emb-cache", str(cache)]) == 0
+        assert main(argv + ["--text-seed", "7"]) == 0
+        assert main(argv + ["--text-seed", "7", "--emb-cache", str(cache)]) == 0
+        dirs = re.findall(r"run dir: (\S+)", capsys.readouterr().out)
+        assert len(set(dirs)) == 3
+
     def test_embedding_cache_needs_builtin_text(self, tmp_path, data_csv, capsys):
         # the cache holds builtin-encoder vectors, so a zero-text run must not use it
         cache = tmp_path / "emb.jsonl"
@@ -345,6 +356,20 @@ class TestEvaluateCommand:
             assert self._evaluate(out_root, data_csv, run_dir) == 0
         assert len([p for p in out_root.iterdir() if p.is_dir()]) == 2
 
+    def test_duplicate_horizons_roll_once(self, tmp_path, data_csv, trained, monkeypatch):
+        rolled, real = [], cli.forecast_windows
+
+        def spy(params, mconfig, windows, freq, horizon, *rest):
+            rolled.append(horizon)
+            return real(params, mconfig, windows, freq, horizon, *rest)
+
+        monkeypatch.setattr(cli, "forecast_windows", spy)
+        out_root = tmp_path / "runs"
+        for horizons in ("4,8,8", "8,4"):
+            assert self._evaluate(out_root, data_csv, trained, "--horizons", horizons) == 0
+        assert rolled == [4, 8, 4, 8]
+        assert len([p for p in out_root.iterdir() if p.is_dir()]) == 1
+
     def test_malformed_checkpoint_is_json_error(self, tmp_path, data_csv, trained, capsys):
         bad = tmp_path / "checkpoint.json"
         bad.write_text((trained / "checkpoint.json").read_text()[:100])
@@ -415,6 +440,19 @@ class TestInspectionCommands:
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "tolerance 1e-4" in out
+
+    def test_gradcheck_fails_on_a_nan_block(self, monkeypatch, capsys):
+        # a NaN block error must fail; max(worst, nan) would keep worst and pass
+        monkeypatch.setattr(cli, "gradient_check",
+                            lambda seed, h: {"a": 1e-7, "b": float("nan"), "c": 1e-8})
+        assert main(["gradcheck"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("h", ["nan", "0", "inf", "-0.001"])
+    def test_gradcheck_step_must_be_finite_and_positive(self, h, capsys):
+        assert main(["gradcheck", "--h", h]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "h must be" in err["message"]
 
     def test_dump_prompts(self, data_csv, capsys):
         rc = main(["dump-prompts", "--data", str(data_csv), "--windows", "1"] + BASE)

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from fusecast.errors import TraceError
+from fusecast.errors import ConfigError, TraceError
 from fusecast.model import (
     ModelConfig,
+    _gelu_grad,
+    _layer_norm_backward,
+    _merge_heads,
+    _softmax_grad,
+    _split_heads,
     backward,
     forward,
     init_params,
@@ -27,6 +32,11 @@ class TestGradientCheck:
         report = gradient_check(seed=1, h=1e-5)
         config = ModelConfig(seed=1, segment_len=4, dim=8, experts=2, layers=1, heads=1)
         assert set(report) == set(param_shapes(config))
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ConfigError, match="h must be"):
+            gradient_check(seed=0, h=h)
 
     def test_plain_mse_path_too(self):
         report = gradient_check(seed=0, h=1e-5, sparsity_mode="none", lam=0.0)
@@ -132,3 +142,106 @@ class TestBackwardValidation:
         trace = forward(params, config, rng.normal(size=(1, 2, 4)), rng.normal(size=(1, 2, 8)))
         with pytest.raises(TraceError):
             backward(params, config, trace, np.zeros((1, 2, 4)), d_gate=np.zeros((1, 2, 3)))
+
+
+# The einsum formulas the GEMM-based forward and backward replaced, kept as
+# their oracle: same math, summed in a different order.
+def _oracle_moe(e_hat, params, config):
+    experts_out = np.einsum("...d,kde->...ke", e_hat, params["experts_W"])
+    if config.gated:
+        logits = e_hat @ params["gate_W"] + params["gate_b"]
+        ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        weights = ex / ex.sum(axis=-1, keepdims=True)
+    else:
+        weights = np.ones(e_hat.shape[:-1] + (1,))
+    s_hat = np.einsum("...k,...kd->...d", weights, experts_out)
+    return experts_out, s_hat, s_hat @ params["out_W"] + params["out_b"]
+
+
+def _oracle_block_backward(d_out, params, config, layer, cache, grads):
+    h = config.heads
+    scale = 1.0 / np.sqrt(config.dim // h)
+    grads[f"ff_b2_{layer}"] = d_out.sum(axis=(0, 1))
+    grads[f"ff_W2_{layer}"] = np.einsum("bnf,bnd->fd", cache["ff_act"], d_out)
+    d_ff_pre = (d_out @ params[f"ff_W2_{layer}"].T) * _gelu_grad(cache["ff_pre"])
+    grads[f"ff_b1_{layer}"] = d_ff_pre.sum(axis=(0, 1))
+    grads[f"ff_W1_{layer}"] = np.einsum("bnd,bnf->df", cache["y2"], d_ff_pre)
+    d_x_mid, grads[f"ln2_{layer}"] = _layer_norm_backward(
+        d_ff_pre @ params[f"ff_W1_{layer}"].T, params[f"ln2_{layer}"],
+        cache["xhat2"], cache["inv2"])
+    d_x_mid = d_x_mid + d_out
+    grads[f"attn_Wo_{layer}"] = np.einsum("bnd,bne->de", cache["ctx"], d_x_mid)
+    d_ctx = _split_heads(d_x_mid @ params[f"attn_Wo_{layer}"].T, h)
+    d_scores = _softmax_grad(d_ctx @ cache["v"].transpose(0, 1, 3, 2), cache["attn"])
+    d_v = cache["attn"].transpose(0, 1, 3, 2) @ d_ctx
+    d_q = (d_scores @ cache["k"]) * scale
+    d_k = (d_scores.transpose(0, 1, 3, 2) @ cache["q"]) * scale
+    d_y1 = np.zeros_like(cache["y1"])
+    for name, d_proj in (("attn_Wq", d_q), ("attn_Wk", d_k), ("attn_Wv", d_v)):
+        merged = _merge_heads(d_proj)
+        grads[f"{name}_{layer}"] = np.einsum("bnd,bne->de", cache["y1"], merged)
+        d_y1 += merged @ params[f"{name}_{layer}"].T
+    d_x, grads[f"ln1_{layer}"] = _layer_norm_backward(
+        d_y1, params[f"ln1_{layer}"], cache["xhat1"], cache["inv1"])
+    return d_x + d_x_mid
+
+
+def _oracle_backward(params, config, trace, d_pred, d_gate):
+    grads = {"out_b": d_pred.sum(axis=(0, 1)),
+             "out_W": np.einsum("bnd,bns->ds", trace.s_hat, d_pred)}
+    d_s_hat = d_pred @ params["out_W"].T
+    weights = trace.gate.weights
+    d_weights = np.einsum("bnd,bnkd->bnk", d_s_hat, trace.experts_out) + d_gate
+    d_experts_out = weights[..., None] * d_s_hat[..., None, :]
+    grads["experts_W"] = np.einsum("bnd,bnke->kde", trace.e_hat, d_experts_out)
+    d_h = np.einsum("bnke,kde->bnd", d_experts_out, params["experts_W"])
+    if config.gated:
+        d_logits = _softmax_grad(d_weights, weights)
+        grads["gate_b"] = d_logits.sum(axis=(0, 1))
+        grads["gate_W"] = np.einsum("bnd,bnk->dk", trace.e_hat, d_logits)
+        d_h = d_h + d_logits @ params["gate_W"].T
+    for layer in range(config.layers - 1, -1, -1):
+        d_h = _oracle_block_backward(d_h, params, config, layer, trace.layers[layer], grads)
+    d_se = d_h
+    if config.fused:
+        grads["theta"] = np.asarray(
+            trace.alpha * (1.0 - trace.alpha) * (d_h * (trace.se - trace.te)).sum())
+        d_se = trace.alpha * d_h
+    d_se_pre = d_se * _gelu_grad(trace.se_pre)
+    grads["seg_b"] = d_se_pre.sum(axis=(0, 1))
+    grads["seg_W"] = np.einsum("bns,bnd->sd", trace.x, d_se_pre)
+    return grads
+
+
+def _assert_close(got, want, what):
+    err = np.abs(got - want).max()
+    assert err <= 1e-12 * np.abs(want).max(), f"{what}: max abs diff {err}"
+
+
+class TestEinsumOracle:
+    @pytest.mark.parametrize("overrides", [
+        {},  # the default CLI model
+        {"experts": 1, "gated": False},
+        {"layers": 0},
+        {"fused": False},
+    ], ids=["default", "ungated", "layers0", "unfused"])
+    def test_forward_and_backward_match_the_einsums(self, overrides):
+        config = ModelConfig(**{"segment_len": 24, "dim": 64, "experts": 4, "layers": 2,
+                                "heads": 2, "seed": 3, **overrides})
+        params = init_params(config)
+        if config.fused:
+            params["theta"] = np.asarray(0.3)
+        tconfig = TrainConfig(lam=0.1, sparsity_mode="entropy")
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(32, 7, 24))
+        te = rng.normal(size=(32, 7, 64)) / 8.0
+        trace, _, d_pred, d_gate = _batch_step(params, config, tconfig, x, te)
+        for name, want in zip(("experts_out", "s_hat", "pred"),
+                              _oracle_moe(trace.e_hat, params, config)):
+            _assert_close(getattr(trace, name), want, name)
+        grads = backward(params, config, trace, d_pred, d_gate)
+        want = _oracle_backward(params, config, trace, d_pred, d_gate)
+        assert set(grads) == set(want) == set(param_shapes(config))
+        for name in want:
+            assert grads[name].shape == want[name].shape, name
+            _assert_close(grads[name], want[name], name)

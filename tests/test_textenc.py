@@ -1,6 +1,7 @@
 """Deterministic prompt encoder and the embedding cache file format."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fusecast.textenc import (
     prompt_key,
     save_cache,
 )
+from fusecast.textenc import _token_vector  # shared by the reference loop below
 from fusecast.train import window_segments
 
 WORDS = st.text(alphabet="abcdefgh0123456789", min_size=1, max_size=8)
@@ -104,6 +106,32 @@ class TestEncoder:
     def test_zero_source(self):
         z = ZeroTextSource(dim=7)
         np.testing.assert_array_equal(z.embed("anything"), np.zeros(7))
+
+
+def _ema_loop(prompt, dim, seed):
+    """The EMA one token at a time, the reference encode_prompt must match bit for bit."""
+    state = np.zeros(dim)
+    for step, token in enumerate(re.findall(r"\w+", prompt), start=1):
+        state = 0.5 * _token_vector(token, dim, seed) + 0.5 * state
+    return state / (1.0 - 0.5**step)
+
+
+class TestRunningSum:
+    @pytest.mark.parametrize("dim", [1, 6, 64, 100])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_token_loop_bytes(self, dim, seed):
+        # lengths straddle the 512-token block, whose state carries into the next block
+        rng = np.random.default_rng([dim, seed])
+        vocab = ["Mean", "is", "3", "7500", "trend", "up", "from", "2016", "07", "01", "x"]
+        for n in (1, 2, 511, 512, 513, 1100):
+            prompt = " ".join(rng.choice(vocab, size=n))
+            assert encode_prompt(prompt, dim, seed).tobytes() == _ema_loop(prompt, dim, seed).tobytes()
+
+    def test_matches_the_token_loop_on_rendered_prompts(self):
+        frame = generate(SynthSpec(kind="two-regime", length=240, noise=0.1))
+        _, prompts = window_segments(frame.values[:168, 0], frame.timestamps[0], frame.freq, 24)
+        for prompt in prompts:
+            assert encode_prompt(prompt, 64, 0).tobytes() == _ema_loop(prompt, 64, 0).tobytes()
 
 
 class TestPromptKey:
