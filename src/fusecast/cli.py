@@ -30,7 +30,6 @@ from .evaluation import (
     render_ablation_table,
     render_forecast_table,
     render_promotion_table,
-    rolling_forecast,
     sweep_run,
 )
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
@@ -50,9 +49,7 @@ _FALSE = {"0", "false", "no", "off"}
 
 
 def _bool(text):
-    if isinstance(text, bool):
-        return text
-    lowered = str(text).strip().lower()
+    lowered = text.strip().lower()
     if lowered in _TRUE:
         return True
     if lowered in _FALSE:
@@ -171,6 +168,18 @@ def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _publish(args, cfg, report: dict, name: str, render=None, **inputs) -> Path:
+    """Stamp config and data into a harness report, write it, print it (--table) and its path."""
+    report["resolved_config"] = cfg
+    report["data"] = str(args.data)
+    run_dir = _run_dir(args, cfg, **inputs)
+    write_json(run_dir / name, report)
+    if render is not None and args.table:
+        print(render(report))
+    print(f"report: {run_dir / name}")
+    return run_dir
 
 
 def _int_list(text, name: str) -> list:
@@ -305,8 +314,9 @@ def cmd_evaluate(args) -> int:
         test_w = test_w[: args.max_windows]
     source = text_source(cfg["text_mode"], mconfig.dim, cfg["text_seed"])
     per_horizon = {}
-    for h in horizons:
-        mse, mae = forecast_windows(params, mconfig, test_w, freq, h, source, cfg["decimals"])
+    for h in horizons:  # ascending, so `preds` ends as the forecasts at the top horizon
+        mse, mae, preds = forecast_windows(params, mconfig, test_w, freq, h, source,
+                                           cfg["decimals"])
         per_horizon[h] = {"mse": mse, "mae": mae}
     report = forecast_report(
         Path(args.data).stem, per_horizon,
@@ -318,9 +328,7 @@ def cmd_evaluate(args) -> int:
     if args.table:
         print(render_forecast_table(report))
     if args.plot_data:
-        w = test_w[0]
-        pred = rolling_forecast(params, mconfig, w.context, w.start, freq, top,
-                                source, cfg["decimals"])
+        w, pred = test_w[0], preds[0]
         with open(run_dir / "showcase.csv", "w", encoding="utf-8") as fh:
             fh.write("t,truth,prediction\n")
             for i in range(top):
@@ -335,13 +343,7 @@ def cmd_ablate(args) -> int:
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
     report = ablation_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
                           seeds=seeds, text_seed=cfg["text_seed"], decimals=cfg["decimals"])
-    report["resolved_config"] = cfg
-    report["data"] = str(args.data)
-    run_dir = _run_dir(args, cfg, seeds=seeds)
-    write_json(run_dir / "ablation.json", report)
-    if args.table:
-        print(render_ablation_table(report))
-    print(f"report: {run_dir / 'ablation.json'}")
+    _publish(args, cfg, report, "ablation.json", render_ablation_table, seeds=seeds)
     return 0
 
 
@@ -352,13 +354,7 @@ def cmd_promote(args) -> int:
     report = promotion_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
                            sizes, text_seed=cfg["text_seed"],
                            text_mode=cfg["text_mode"], decimals=cfg["decimals"])
-    report["resolved_config"] = cfg
-    report["data"] = str(args.data)
-    run_dir = _run_dir(args, cfg, sizes=sizes)
-    write_json(run_dir / "promotion.json", report)
-    if args.table:
-        print(render_promotion_table(report))
-    print(f"report: {run_dir / 'promotion.json'}")
+    _publish(args, cfg, report, "promotion.json", render_promotion_table, sizes=sizes)
     return 0
 
 
@@ -377,17 +373,13 @@ def cmd_sweep(args) -> int:
 
     report = sweep_run(values, run_one)
     report["axis"] = args.axis
-    report["resolved_config"] = cfg
-    report["data"] = str(args.data)
-    run_dir = _run_dir(args, cfg, axis=args.axis, values=values)
-    write_json(run_dir / "sweep.json", report)
+    print(f"best {args.axis}: {report['best_value']} (val MSE {report['best_mse']:.6f})")
+    run_dir = _publish(args, cfg, report, "sweep.json", axis=args.axis, values=values)
     if args.plot_data:
         with open(run_dir / "sweep.csv", "w", encoding="utf-8") as fh:
             fh.write(f"{args.axis},mse,mae\n")
             for row in report["curve"]:
                 fh.write(f"{row['value']},{repr(row['mse'])},{repr(row['mae'])}\n")
-    print(f"best {args.axis}: {report['best_value']} (val MSE {report['best_mse']:.6f})")
-    print(f"report: {run_dir / 'sweep.json'}")
     return 0
 
 

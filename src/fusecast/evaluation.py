@@ -74,8 +74,8 @@ def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon:
     buf = context.copy()
     for _ in range(math.ceil(horizon / config.segment_len)):
         tail_start = start + (buf.shape[0] - width) * freq
-        x, te, _ = window_tensors(buf[-width:], tail_start, freq, config.segment_len,
-                                  text_source, decimals)
+        x, te = window_tensors(buf[-width:], tail_start, freq, config.segment_len,
+                               text_source, decimals)
         trace = forward(params, config, x[None], te[None])
         buf = np.concatenate([buf, trace.pred[0, -1]])
     return buf[width : width + horizon]
@@ -83,18 +83,18 @@ def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon:
 
 def forecast_windows(params, config: ModelConfig, windows, freq, horizon: int,
                      text_source, decimals: int = 4):
-    """Average rolling-forecast MSE/MAE over a set of windows."""
+    """Roll every window to `horizon`; returns (mean MSE, mean MAE, per-window forecasts)."""
     if not windows:
         raise ConfigError("no windows to evaluate")
-    scores = []
+    preds, scores = [], []
     for w in windows:
         if len(w.target) < horizon:
             raise ShapeError(f"window future has {len(w.target)} values < horizon {horizon}")
-        pred = rolling_forecast(params, config, w.context, w.start, freq, horizon,
-                                text_source, decimals)
-        scores.append(metrics(pred, w.target[:horizon]))
+        preds.append(rolling_forecast(params, config, w.context, w.start, freq, horizon,
+                                      text_source, decimals))
+        scores.append(metrics(preds[-1], w.target[:horizon]))
     mse, mae = zip(*scores)
-    return float(np.mean(mse)), float(np.mean(mae))
+    return float(np.mean(mse)), float(np.mean(mae)), preds
 
 
 def forecast_report(dataset: str, per_horizon: dict, config: dict, seeds) -> dict:

@@ -64,14 +64,12 @@ def _gelu_grad(x):
     return phi + x * density
 
 
-def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
+def sigmoid(x: float) -> float:
+    """Logistic of a scalar; exp only ever sees a non-positive argument."""
+    if x >= 0:
+        return float(1.0 / (1.0 + np.exp(-x)))
+    ex = np.exp(x)
+    return float(ex / (1.0 + ex))
 
 
 def _softmax(x, axis=-1):
@@ -119,7 +117,6 @@ def init_params(config: ModelConfig) -> dict:
     reproducible.
     """
     rng = np.random.default_rng(config.seed)
-    fan_in = {2: lambda shape: shape[0], 3: lambda shape: shape[1]}
     params = {}
     for name, shape in param_shapes(config).items():
         if name == "theta":
@@ -129,7 +126,7 @@ def init_params(config: ModelConfig) -> dict:
         elif len(shape) <= 1:
             params[name] = np.zeros(shape)
         else:
-            bound = 1.0 / np.sqrt(fan_in[len(shape)](shape))
+            bound = 1.0 / np.sqrt(shape[-2])  # fan-in: (in, out) and (K, in, out)
             params[name] = rng.uniform(-bound, bound, size=shape)
     return params
 
@@ -151,7 +148,6 @@ class ForwardTrace:
     se_pre: np.ndarray
     se: np.ndarray
     alpha: float
-    fused: np.ndarray  # E
     layers: tuple  # per-block intermediates
     e_hat: np.ndarray
     gate: GateMatrix
@@ -161,18 +157,13 @@ class ForwardTrace:
 
 
 def _segment_embed(values, params):
-    """segment_embed's (pre-activation, SE); backward needs the pre-activation."""
+    """SE = GeLU(values @ seg_W + seg_b); returns (pre-activation, SE) for backward."""
     values = np.asarray(values, dtype=np.float64)
     seg_w = params["seg_W"]
     if values.shape[-1] != seg_w.shape[0]:
         raise ShapeError(f"segment length {values.shape[-1]} != seg_W rows {seg_w.shape[0]}")
     pre = values @ seg_w + params["seg_b"]
     return pre, gelu(pre)
-
-
-def segment_embed(values, params):
-    """SE = GeLU(values @ seg_W + seg_b) over the trailing axis."""
-    return _segment_embed(values, params)[1]
 
 
 def fuse(se, te, theta):
@@ -286,11 +277,8 @@ def _backbone(x, params, config: ModelConfig):
 
 
 def backbone_forward(e, params, config: ModelConfig):
-    """Contextualize the fused sequence; position i sees only positions <= i."""
-    e = np.asarray(e, dtype=np.float64)
-    squeeze = e.ndim == 2
-    h, _ = _backbone(e[None] if squeeze else e, params, config)
-    return h[0] if squeeze else h
+    """Contextualize a fused (B, N, D) batch; position i sees only positions <= i."""
+    return _backbone(np.asarray(e, dtype=np.float64), params, config)[0]
 
 
 def moe_forward(e_hat, params, config: ModelConfig):
@@ -333,9 +321,9 @@ def forward(params: dict, config: ModelConfig, x, te) -> ForwardTrace:
     h, layer_caches = _backbone(fused_e, params, config)
     s_hat, gate, experts_out = moe_forward(h, params, config)
     return ForwardTrace(
-        config=config, x=x, te=te, se_pre=se_pre, se=se, alpha=alpha, fused=fused_e,
-        layers=layer_caches, e_hat=h, gate=gate, experts_out=experts_out,
-        s_hat=s_hat, pred=predict_segment(s_hat, params),
+        config=config, x=x, te=te, se_pre=se_pre, se=se, alpha=alpha, layers=layer_caches,
+        e_hat=h, gate=gate, experts_out=experts_out, s_hat=s_hat,
+        pred=predict_segment(s_hat, params),
     )
 
 

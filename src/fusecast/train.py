@@ -133,7 +133,6 @@ def adamw_step(params: dict, grads: dict, state: OptState, config: TrainConfig):
         if config.weight_decay and name != "theta":
             params[name] *= 1.0 - config.lr * config.weight_decay
         params[name] -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
-    return params, state
 
 
 def window_segments(values, start, freq, segment_len: int, decimals: int = 4):
@@ -154,10 +153,9 @@ def window_segments(values, start, freq, segment_len: int, decimals: int = 4):
 
 
 def window_tensors(values, start, freq, segment_len: int, text_source, decimals: int = 4):
-    """window_segments plus embedded prompts: (x (N, S), te (N, D), prompts)."""
+    """window_segments with its prompts embedded: (x (N, S), te (N, D))."""
     x, prompts = window_segments(values, start, freq, segment_len, decimals)
-    te = np.stack([text_source.embed(p) for p in prompts])
-    return x, te, prompts
+    return x, np.stack([text_source.embed(p) for p in prompts])
 
 
 @dataclass
@@ -174,7 +172,7 @@ def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int
         raise ConfigError("no windows to assemble")
     xs, tes, futures = [], [], []
     for w in windows:
-        x, te, _ = window_tensors(w.context, w.start, freq, segment_len, text_source, decimals)
+        x, te = window_tensors(w.context, w.start, freq, segment_len, text_source, decimals)
         xs.append(x)
         tes.append(te)
         futures.append(np.asarray(w.target, dtype=np.float64))

@@ -154,7 +154,7 @@ class TestRollingForecast:
     def test_single_roll_matches_direct_forward(self):
         context = make_context(12)  # exact multiple of segment_len
         params = init_params(CONFIG)
-        x, te, _ = window_tensors(context, T0, HOURLY, 4, self.ENC)
+        x, te = window_tensors(context, T0, HOURLY, 4, self.ENC)
         direct = forward(params, CONFIG, x[None], te[None]).pred[0, -1]
         for horizon in (1, 2, 4):
             got = rolling_forecast(params, CONFIG, context, T0, HOURLY, horizon, self.ENC)
@@ -183,10 +183,12 @@ class TestForecastWindows:
         windows = list(sample_windows(frame, (0, 60), context_len=8, horizon=6, stride=10))
         params = init_params(CONFIG)
         enc = PromptEncoder(8, 0)
-        mse, mae = forecast_windows(params, CONFIG, windows, HOURLY, 6, enc)
+        mse, mae, preds = forecast_windows(params, CONFIG, windows, HOURLY, 6, enc)
+        assert len(preds) == len(windows)
         per_sq, per_abs = [], []
-        for w in windows:
+        for w, got in zip(windows, preds):
             pred = rolling_forecast(params, CONFIG, w.context, w.start, HOURLY, 6, enc)
+            np.testing.assert_array_equal(got, pred)
             diff = pred - w.target[:6]
             per_sq.append((diff**2).mean())
             per_abs.append(np.abs(diff).mean())

@@ -15,7 +15,6 @@ from fusecast.model import (
     forward,
     init_params,
     param_shapes,
-    segment_embed,
     sigmoid,
 )
 from fusecast.train import TrainConfig, gradient_check
@@ -67,7 +66,7 @@ class TestThetaClosedForm:
         params = init_params(config)
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 4, 3))
-        te = segment_embed(x, params)  # text pathway mirrors the value pathway
+        te = forward(params, config, x, np.zeros((2, 4, 5))).se  # text mirrors the values
         trace = forward(params, config, x, te)
         grads = backward(params, config, trace, rng.normal(size=trace.pred.shape))
         assert float(grads["theta"]) == 0.0

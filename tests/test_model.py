@@ -19,7 +19,6 @@ from fusecast.model import (
     param_shapes,
     predict_segment,
     save_checkpoint,
-    segment_embed,
     sigmoid,
 )
 
@@ -157,14 +156,6 @@ class TestBackbone:
         e = np.random.default_rng(3).normal(size=(2, 5, 8))
         np.testing.assert_array_equal(backbone_forward(e, params, config), e)
 
-    def test_accepts_single_sequence(self):
-        params = init_params(TINY)
-        e = np.random.default_rng(4).normal(size=(5, 8))
-        single = backbone_forward(e, params, TINY)
-        batched = backbone_forward(e[None], params, TINY)
-        assert single.shape == (5, 8)
-        np.testing.assert_array_equal(single, batched[0])
-
     def test_causal_exactly(self):
         """Changing segment j must not move any output at positions < j."""
         config = ModelConfig(segment_len=4, dim=8, experts=2, layers=2, heads=2, seed=0)
@@ -252,12 +243,6 @@ class TestForward:
             trace.pred, predict_segment(trace.s_hat, params), atol=0
         )
 
-    def test_segment_embed_matches_trace(self):
-        params = init_params(TINY)
-        x, te = make_inputs(TINY)
-        trace = forward(params, TINY, x, te)
-        np.testing.assert_array_equal(trace.se, segment_embed(x, params))
-
     def test_fusion_and_backbone_match_trace(self):
         params = init_params(TINY)
         params["theta"] = np.asarray(0.4)
@@ -265,7 +250,6 @@ class TestForward:
         trace = forward(params, TINY, x, te)
         fused, alpha = fuse(trace.se, te, params["theta"])
         assert alpha == trace.alpha
-        np.testing.assert_array_equal(trace.fused, fused)
         np.testing.assert_array_equal(trace.e_hat, backbone_forward(fused, params, TINY))
 
     def test_unfused_ignores_text(self):

@@ -209,7 +209,8 @@ class TestWindowAssembly:
     def test_window_tensors_embed_prompts(self):
         enc = PromptEncoder(dim=6, seed=0)
         values = np.arange(8.0)
-        x, te, prompts = window_tensors(values, T0, HOURLY, 4, enc)
+        x, te = window_tensors(values, T0, HOURLY, 4, enc)
+        _, prompts = window_segments(values, T0, HOURLY, 4)
         assert x.shape == (2, 4) and te.shape == (2, 6)
         np.testing.assert_array_equal(te[0], enc.embed(prompts[0]))
 
