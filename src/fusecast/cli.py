@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -170,7 +171,7 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _publish(args, cfg, report: dict, name: str, render=None, **inputs) -> Path:
+def _publish(args, cfg, report: dict, name: str, render, **inputs) -> Path:
     """Stamp config and data into a harness report, write it, print it (--table) and its path."""
     report["resolved_config"] = cfg
     report["data"] = str(args.data)
@@ -368,13 +369,13 @@ def cmd_sweep(args) -> int:
     values = _int_list(args.values, "values")
 
     def run_one(value):
-        _, _, result = _fit({**cfg, key: value}, args.data)
+        _, _, result = _fit(resolve_config(None, {**cfg, key: value}), args.data)
         return result.best_val_mse, result.best_val_mae
 
     report = sweep_run(values, run_one)
     report["axis"] = args.axis
     print(f"best {args.axis}: {report['best_value']} (val MSE {report['best_mse']:.6f})")
-    run_dir = _publish(args, cfg, report, "sweep.json", axis=args.axis, values=values)
+    run_dir = _publish(args, cfg, report, "sweep.json", None, axis=args.axis, values=values)
     if args.plot_data:
         with open(run_dir / "sweep.csv", "w", encoding="utf-8") as fh:
             fh.write(f"{args.axis},mse,mae\n")
@@ -476,6 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_dump_prompts)
 
+    # argparse takes only -5 and -0.5 forms as negative numbers; read anything that
+    # starts with a minus and a digit (-1e-3, -.5e1, -4,8) as a value, not a flag
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -321,9 +321,9 @@ def forward(params: dict, config: ModelConfig, x, te) -> ForwardTrace:
     h, layer_caches = _backbone(fused_e, params, config)
     s_hat, gate, experts_out = moe_forward(h, params, config)
     return ForwardTrace(
-        config=config, x=x, te=te, se_pre=se_pre, se=se, alpha=alpha, layers=layer_caches,
-        e_hat=h, gate=gate, experts_out=experts_out, s_hat=s_hat,
-        pred=predict_segment(s_hat, params),
+        config=config, x=x, te=te, se_pre=se_pre, se=se, alpha=alpha,
+        layers=layer_caches, e_hat=h, gate=gate, experts_out=experts_out,
+        s_hat=s_hat, pred=predict_segment(s_hat, params),
     )
 
 
@@ -333,8 +333,8 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
 
     d_pred: loss gradient w.r.t. trace.pred, shape (B, N, S). d_gate: optional
     loss gradient w.r.t. the gate weights (sparsity penalties enter here); it
-    flows through the gate softmax, so a constant-sum penalty yields exact
-    zeros at the logits.
+    flows through the gate softmax, so a constant-sum penalty yields zeros at
+    the logits up to rounding.
     """
     if trace.config != config:
         raise TraceError("trace was produced under a different model config")

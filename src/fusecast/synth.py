@@ -24,6 +24,7 @@ regime switches that a values-only model cannot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from datetime import datetime, timedelta
 
@@ -65,6 +66,11 @@ class SynthSpec:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.period < 1:
             raise ConfigError(f"period must be >= 1, got {self.period}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
+        for name in ("amplitude", "level", "slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _is_regime_a(ts: datetime) -> bool:

@@ -4,13 +4,14 @@ Each window is a sequence of N segments; position i is trained to predict
 segment i+1, so N-1 positions per window carry a loss. The loss adds a
 sparsity penalty on the gate matrix. In literal mode the penalty is the
 entrywise L1 norm of the row-stochastic gate, which is constant (it always
-equals the number of rows) and therefore contributes exactly zero gradient;
+equals the number of rows) and therefore contributes zero gradient up to rounding;
 it is kept as a selectable mode so the constancy is demonstrable. Entropy
 mode actually pushes gate rows toward one-hot.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
@@ -38,10 +39,12 @@ class TrainConfig:
     max_steps: Optional[int] = None
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be > 0, got {self.lr}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch < 1:

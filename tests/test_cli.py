@@ -21,6 +21,7 @@ from fusecast.cli import (
 )
 from fusecast.errors import ConfigError
 from fusecast.model import load_checkpoint
+from fusecast.synth import SynthSpec, generate
 from fusecast.train import assemble_windows
 
 BASE = [
@@ -76,6 +77,11 @@ class TestConfigResolution:
     def test_unknown_key(self):
         with pytest.raises(ConfigError):
             resolve_config(None, {"bogus": "1"})
+
+    @pytest.mark.parametrize("rows,expected", [(1000, (600, 200, 200)), (1001, (600, 200, 201))])
+    def test_default_split_is_60_20_20(self, rows, expected):
+        frame = generate(SynthSpec(kind="constant", length=rows))
+        assert cli._split_counts(resolve_config(None, {}), frame) == expected
 
     def test_unparseable_value(self):
         with pytest.raises(ConfigError):
@@ -263,6 +269,64 @@ class TestErrorReporting:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "OSError"
 
+    def test_negative_exponent_is_a_value(self, tmp_path, data_csv, capsys):
+        # argparse's own pattern reads -1e-3 as an unknown flag and exits 2 with usage text
+        train = ["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs")] + BASE
+        for argv, message in ((train + ["--lr", "-1e-3"], "lr must be"),
+                              (["gradcheck", "--h", "-1e-5"], "h must be")):
+            assert main(argv) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError" and message in err["message"]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+4", "-.5e1"])
+    def test_every_subcommand_reads_negative_exponents(self, value):
+        parser = cli.build_parser()
+        for argv in (["train"], ["evaluate", "--checkpoint", "c"], ["ablate"],
+                     ["promote", "--sizes", "8"], ["sweep", "--axis", "hidden_dim",
+                     "--values", "8"], ["dump-prompts"]):
+            assert parser.parse_args(argv + ["--data", "d", "--lr", value]).cfg_lr == value
+        assert parser.parse_args(["gradcheck", "--h", value]).h == float(value)
+        assert parser.parse_args(["synth", "--kind", "sine", "--length", "9", "--out", "o",
+                                  "--slope", value]).slope == float(value)
+
+    @pytest.mark.parametrize("bad,message", [
+        (["--lr", "inf"], "lr must be"),
+        (["--lr", "nan"], "lr must be"),
+        (["--lambda", "nan"], "lambda must be"),
+        (["--weight-decay", "-5"], "weight_decay must be"),
+        (["--weight-decay", "inf"], "weight_decay must be"),
+    ], ids=["lr-inf", "lr-nan", "lambda-nan", "weight-decay-neg", "weight-decay-inf"])
+    def test_non_finite_or_negative_float(self, tmp_path, data_csv, capsys, bad, message):
+        argv = ["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs")]
+        assert main(argv + BASE + bad) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and message in err["message"]
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("bad,message", [
+        ("--noise=-0.5", "noise must be"),
+        ("--noise=nan", "noise must be"),
+        ("--amplitude=inf", "amplitude must be"),
+        ("--level=-inf", "level must be"),
+        ("--slope=nan", "slope must be"),
+    ], ids=["noise-neg", "noise-nan", "amplitude-inf", "level-inf", "slope-nan"])
+    def test_synth_rejects_bad_float(self, tmp_path, capsys, bad, message):
+        out = tmp_path / "series.csv"
+        assert main(["synth", "--kind", "sine", "--length", "48", bad, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and message in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_sweep_resolves_each_config(self, tmp_path, data_csv, capsys, value):
+        # a swept value meets the same checks as the flag it stands for
+        argv = ["sweep", "--data", str(data_csv), "--axis", "input_len", "--values", value,
+                "--out-root", str(tmp_path / "runs")]
+        assert main(argv + BASE) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert f"context_len must be >= 1, got {value}" in err["message"]
+
     def test_bad_split_counts(self, tmp_path, data_csv, capsys):
         rc = main(["train", "--data", str(data_csv), "--split-counts", "10,10",
                    "--out-root", str(tmp_path / "runs")])
@@ -369,6 +433,13 @@ class TestEvaluateCommand:
             assert self._evaluate(out_root, data_csv, trained, "--horizons", horizons) == 0
         assert rolled == [4, 8, 4, 8]
         assert len([p for p in out_root.iterdir() if p.is_dir()]) == 1
+
+    @pytest.mark.parametrize("horizons", ["0", "-4,8"])
+    def test_horizons_must_be_positive(self, tmp_path, data_csv, trained, capsys, horizons):
+        assert self._evaluate(tmp_path / "runs", data_csv, trained, "--horizons", horizons) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "horizons must be >= 1" in err["message"]
+        assert not (tmp_path / "runs").exists()
 
     def test_malformed_checkpoint_is_json_error(self, tmp_path, data_csv, trained, capsys):
         bad = tmp_path / "checkpoint.json"

@@ -25,6 +25,13 @@ class TestSpec:
             dict(kind="sine", length=1),
             dict(kind="sine", length=10, channels=0),
             dict(kind="sine", length=10, period=0),
+            dict(kind="sine", length=10, noise=-0.5),
+            dict(kind="sine", length=10, noise=float("nan")),
+            dict(kind="sine", length=10, noise=float("inf")),
+            dict(kind="sine", length=10, amplitude=float("inf")),
+            dict(kind="sine", length=10, amplitude=float("nan")),
+            dict(kind="sine", length=10, level=float("-inf")),
+            dict(kind="linear", length=10, slope=float("nan")),
         ],
     )
     def test_rejects(self, kwargs):

@@ -174,6 +174,13 @@ class TestTrainConfig:
             dict(sparsity_mode="l1"),
             dict(max_steps=0),
             dict(max_steps=-1),
+            dict(lr=float("inf")),
+            dict(lr=float("nan")),
+            dict(lam=float("inf")),
+            dict(lam=float("nan")),
+            dict(weight_decay=-5.0),
+            dict(weight_decay=float("inf")),
+            dict(weight_decay=float("nan")),
         ],
     )
     def test_rejects(self, kwargs):
