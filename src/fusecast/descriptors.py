@@ -68,13 +68,11 @@ def segment_series(
 
 
 def stat_descriptor(segment: Segment) -> StatDescriptor:
-    """Mean, population std, and net change of the segment values."""
+    """Mean, population std, and net change; the reductions ndarray.mean and .std run."""
     v = segment.values
-    return StatDescriptor(
-        mean=float(v.mean()),
-        std=float(v.std()),
-        change=float(v[-1] - v[0]),
-    )
+    mean = np.add.reduce(v) / v.size
+    std = np.sqrt(np.add.reduce(np.square(v - mean)) / v.size)
+    return StatDescriptor(mean=float(mean), std=float(std), change=float(v[-1] - v[0]))
 
 
 def format_instant(ts: datetime) -> str:

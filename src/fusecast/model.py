@@ -9,6 +9,7 @@ no autograd framework is involved, which keeps every update auditable and
 lets tests pin each block against finite differences.
 
 All math is float64. Forward passes are pure functions of (params, inputs).
+The GeLU's erf is fdlibm's (glibc's, so math.erf's) ported to NumPy, within 1 ulp.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, ShapeError, TraceError
 
@@ -52,16 +52,86 @@ class ModelConfig:
             raise ConfigError("an ungated head requires exactly one expert")
 
 
+# The erf regions and coefficients are fdlibm's s_erf.c, which carries this notice:
+#   Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved. Developed at SunPro,
+#   a Sun Microsystems, Inc. business. Permission to use, copy, modify, and distribute this
+#   software is freely granted, provided that this notice is preserved.
+_ERX = 0.8450629115104675
+_ERF_SMALL_P = (0.12837916709551256, -0.3250421072470015, -0.02848174957559851,
+                -0.005770270296489442, -2.3763016656650163e-05)
+_ERF_SMALL_Q = (1.0, 0.39791722395915535, 0.0650222499887673, 0.005081306281875766,
+                0.00013249473800432164, -3.960228278775368e-06)
+_ERF_MID_P = (-0.0023621185607526594, 0.41485611868374833, -0.3722078760357013, 0.31834661990116175,
+              -0.11089469428239668, 0.035478304325618236, -0.002166375594868791)
+_ERF_MID_Q = (1.0, 0.10642088040084423, 0.540397917702171, 0.07182865441419627, 0.12617121980876164,
+              0.01363708391202905, 0.011984499846799107)
+_ERF_NEAR_P = (-0.009864944034847148, -0.6938585727071818, -10.558626225323291, -62.375332450326006,
+               -162.39666946257347, -184.60509290671104, -81.2874355063066, -9.814329344169145)
+_ERF_NEAR_Q = (1.0, 19.651271667439257, 137.65775414351904, 434.56587747522923, 645.3872717332679,
+               429.00814002756783, 108.63500554177944, 6.570249770319282, -0.0604244152148581)
+_ERF_FAR_P = (-0.0098649429247001, -0.799283237680523, -17.757954917754752, -160.63638485582192,
+              -637.5664433683896, -1025.0951316110772, -483.5191916086514)
+_ERF_FAR_Q = (1.0, 30.33806074348246, 325.7925129965739, 1536.729586084437, 3199.8582195085955,
+              2553.0504064331644, 474.52854120695537, -22.44095244658582)
+_ERF_SMALL = float.fromhex("0x1.affffffffffffp-1")  # the largest double below 0.84375
+_ERF_SPLIT = float.fromhex("0x1.6db6ep+1")  # fdlibm's 1/0.35 bound, high word 0x4006DB6E
+_ERF_CHUNK = 8192  # values per pass, which bounds the temporaries
+
+
+def _horner(t, coefs):
+    """sum(coefs[i] * t**i), nested from the top power down as fdlibm writes it, in place."""
+    p = t * coefs[-1]
+    for c in coefs[-2:0:-1]:
+        p += c
+        p *= t
+    return p + coefs[0]
+
+
+def _erf(x):
+    """Float64 erf of any shape, in flat chunks of fdlibm's four |x| regions."""
+    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    out = np.empty(flat.shape)
+    rest = [np.empty(0, dtype=np.intp)]
+    for lo in range(0, flat.size, _ERF_CHUNK):  # the |x| < 0.84375 formula on every value
+        chunk = flat[lo:lo + _ERF_CHUNK]
+        head = np.clip(chunk, -_ERF_SMALL, _ERF_SMALL)  # moves every |x| >= 0.84375, and nan
+        z = head * head
+        y = _horner(z, _ERF_SMALL_P)
+        y /= _horner(z, _ERF_SMALL_Q)
+        np.add(head, np.multiply(head, y, out=y), out=out[lo:lo + _ERF_CHUNK])
+        rest.append(lo + np.flatnonzero(head != chunk))
+    rest = np.concatenate(rest)
+    for lo in range(0, rest.size, _ERF_CHUNK):  # each region redoes the values past its bound
+        idx = rest[lo:lo + _ERF_CHUNK]
+        u = flat[idx]
+        v = np.minimum(np.abs(u), 6.0)  # erf rounds to 1 from 6 on, so inf takes 6's value
+        s = v - 1.0
+        res = _ERX + _horner(s, _ERF_MID_P) / _horner(s, _ERF_MID_Q)
+        for bound, p, q in ((1.25, _ERF_NEAR_P, _ERF_NEAR_Q), (_ERF_SPLIT, _ERF_FAR_P, _ERF_FAR_Q)):
+            sel = np.flatnonzero(v >= bound)
+            if sel.size:  # exp(-t*t) splits at z, t's high word, so that z*z is exact
+                t = v[sel]
+                s = 1.0 / (t * t)
+                z = (t.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(np.float64)
+                r = np.exp((z - t) * (z + t) + _horner(s, p) / _horner(s, q))
+                res[sel] = 1.0 - np.exp(-0.5625 - z * z) * r / t
+        out[idx] = np.copysign(res, u)
+    return out.reshape(np.shape(x))[()]
+
+
+def _gelu(x):
+    """(GeLU(x), phi) with phi = Phi(x) the Gaussian CDF factor, which backward reuses."""
+    phi = 0.5 * (1.0 + _erf(x / np.sqrt(2.0)))
+    return x * phi, phi
+
+
 def gelu(x):
     """Exact erf-based GeLU, not the tanh approximation."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    return _gelu(np.asarray(x, dtype=np.float64))[0]
 
 
-def _gelu_grad(x):
-    phi = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-    density = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return phi + x * density
+def _gelu_grad(x, phi):
+    return phi + x * (np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi))
 
 
 def sigmoid(x: float) -> float:
@@ -147,6 +217,7 @@ class ForwardTrace:
     te: np.ndarray  # (B, N, D) text embeddings
     se_pre: np.ndarray
     se: np.ndarray
+    se_phi: np.ndarray  # GeLU's Gaussian CDF factor at se_pre
     alpha: float
     layers: tuple  # per-block intermediates
     e_hat: np.ndarray
@@ -157,13 +228,13 @@ class ForwardTrace:
 
 
 def _segment_embed(values, params):
-    """SE = GeLU(values @ seg_W + seg_b); returns (pre-activation, SE) for backward."""
+    """SE = GeLU(values @ seg_W + seg_b); returns (pre-activation, SE, phi) for backward."""
     values = np.asarray(values, dtype=np.float64)
     seg_w = params["seg_W"]
     if values.shape[-1] != seg_w.shape[0]:
         raise ShapeError(f"segment length {values.shape[-1]} != seg_W rows {seg_w.shape[0]}")
     pre = values @ seg_w + params["seg_b"]
-    return pre, gelu(pre)
+    return (pre, *_gelu(pre))
 
 
 def fuse(se, te, theta):
@@ -224,12 +295,12 @@ def _block_forward(x, params, config, layer):
     x_mid = x + ctx @ params[f"attn_Wo_{layer}"]
     y2, xhat2, inv2 = _layer_norm(x_mid, params[f"ln2_{layer}"])
     ff_pre = y2 @ params[f"ff_W1_{layer}"] + params[f"ff_b1_{layer}"]
-    ff_act = gelu(ff_pre)
+    ff_act, ff_phi = _gelu(ff_pre)
     out = x_mid + ff_act @ params[f"ff_W2_{layer}"] + params[f"ff_b2_{layer}"]
     cache = {
         "xhat1": xhat1, "inv1": inv1, "y1": y1, "q": q, "k": k, "v": v,
         "attn": attn, "ctx": ctx, "xhat2": xhat2, "inv2": inv2, "y2": y2,
-        "ff_pre": ff_pre, "ff_act": ff_act,
+        "ff_pre": ff_pre, "ff_phi": ff_phi,
     }
     return out, cache
 
@@ -239,8 +310,8 @@ def _block_backward(d_out, params, config, layer, cache, grads):
     scale = 1.0 / np.sqrt(config.dim // h)
     # feed-forward sublayer
     grads[f"ff_b2_{layer}"] = d_out.sum(axis=(0, 1))
-    grads[f"ff_W2_{layer}"] = _weight_grad(cache["ff_act"], d_out)
-    d_ff_pre = (d_out @ params[f"ff_W2_{layer}"].T) * _gelu_grad(cache["ff_pre"])
+    grads[f"ff_W2_{layer}"] = _weight_grad(cache["ff_pre"] * cache["ff_phi"], d_out)  # ff_act
+    d_ff_pre = (d_out @ params[f"ff_W2_{layer}"].T) * _gelu_grad(cache["ff_pre"], cache["ff_phi"])
     grads[f"ff_b1_{layer}"] = d_ff_pre.sum(axis=(0, 1))
     grads[f"ff_W1_{layer}"] = _weight_grad(cache["y2"], d_ff_pre)
     d_y2 = d_ff_pre @ params[f"ff_W1_{layer}"].T
@@ -316,12 +387,12 @@ def forward(params: dict, config: ModelConfig, x, te) -> ForwardTrace:
         raise ShapeError(f"segment batch shape {x.shape}, want (B, N, {config.segment_len})")
     if te.shape != x.shape[:2] + (config.dim,):
         raise ShapeError(f"text batch shape {te.shape}, want {x.shape[:2] + (config.dim,)}")
-    se_pre, se = _segment_embed(x, params)
+    se_pre, se, se_phi = _segment_embed(x, params)
     fused_e, alpha = fuse(se, te, params["theta"]) if config.fused else (se, 1.0)
     h, layer_caches = _backbone(fused_e, params, config)
     s_hat, gate, experts_out = moe_forward(h, params, config)
     return ForwardTrace(
-        config=config, x=x, te=te, se_pre=se_pre, se=se, alpha=alpha,
+        config=config, x=x, te=te, se_pre=se_pre, se=se, se_phi=se_phi, alpha=alpha,
         layers=layer_caches, e_hat=h, gate=gate, experts_out=experts_out,
         s_hat=s_hat, pred=predict_segment(s_hat, params),
     )
@@ -374,7 +445,7 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
         d_se = trace.alpha * d_h
     else:
         d_se = d_h
-    d_se_pre = d_se * _gelu_grad(trace.se_pre)
+    d_se_pre = d_se * _gelu_grad(trace.se_pre, trace.se_phi)
     grads["seg_b"] = d_se_pre.sum(axis=(0, 1))
     grads["seg_W"] = _weight_grad(trace.x, d_se_pre)
     return grads

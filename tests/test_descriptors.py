@@ -80,6 +80,16 @@ class TestStats:
         assert b.std == pytest.approx(a.std, abs=1e-12)
         assert b.change == pytest.approx(a.change, abs=1e-12)
 
+    @given(n=st.integers(1, 300), exponent=st.floats(-6, 6), offset=st.sampled_from(
+        [0.0, 1.0, -1e3, 1e6, -1e9]), step=st.sampled_from([1, 2, 3, -1]),
+        seed=st.integers(0, 2**32 - 1))
+    def test_matches_ndarray_mean_and_std_bitwise(self, n, exponent, offset, step, seed):
+        """Prompt bytes hang on these floats, so they must be ndarray.mean/.std's own bits."""
+        base = np.random.default_rng(seed).normal(offset, 10.0**exponent, 3 * n)
+        v = base[::step][:n]  # contiguous, strided and reversed views
+        d = stat_descriptor(Segment(v, T0, T0 + (n - 1) * HOURLY))
+        assert d.mean == float(v.mean()) and d.std == float(v.std())
+
 
 class TestRendering:
     def test_instant_format(self):

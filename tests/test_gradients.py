@@ -161,8 +161,9 @@ def _oracle_block_backward(d_out, params, config, layer, cache, grads):
     h = config.heads
     scale = 1.0 / np.sqrt(config.dim // h)
     grads[f"ff_b2_{layer}"] = d_out.sum(axis=(0, 1))
-    grads[f"ff_W2_{layer}"] = np.einsum("bnf,bnd->fd", cache["ff_act"], d_out)
-    d_ff_pre = (d_out @ params[f"ff_W2_{layer}"].T) * _gelu_grad(cache["ff_pre"])
+    ff_act = cache["ff_pre"] * cache["ff_phi"]
+    grads[f"ff_W2_{layer}"] = np.einsum("bnf,bnd->fd", ff_act, d_out)
+    d_ff_pre = (d_out @ params[f"ff_W2_{layer}"].T) * _gelu_grad(cache["ff_pre"], cache["ff_phi"])
     grads[f"ff_b1_{layer}"] = d_ff_pre.sum(axis=(0, 1))
     grads[f"ff_W1_{layer}"] = np.einsum("bnd,bnf->df", cache["y2"], d_ff_pre)
     d_x_mid, grads[f"ln2_{layer}"] = _layer_norm_backward(
@@ -206,7 +207,7 @@ def _oracle_backward(params, config, trace, d_pred, d_gate):
         grads["theta"] = np.asarray(
             trace.alpha * (1.0 - trace.alpha) * (d_h * (trace.se - trace.te)).sum())
         d_se = trace.alpha * d_h
-    d_se_pre = d_se * _gelu_grad(trace.se_pre)
+    d_se_pre = d_se * _gelu_grad(trace.se_pre, trace.se_phi)
     grads["seg_b"] = d_se_pre.sum(axis=(0, 1))
     grads["seg_W"] = np.einsum("bns,bnd->sd", trace.x, d_se_pre)
     return grads

@@ -1,6 +1,7 @@
 """Forward-pass semantics: fusion, causality, routing, checkpoints."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,11 @@ from hypothesis import given, settings, strategies as st
 from fusecast.errors import ConfigError, ShapeError
 from fusecast.model import (
     ModelConfig,
+    _ERF_CHUNK,
+    _ERF_SPLIT,
+    _erf,
+    _gelu,
+    _gelu_grad,
     backbone_forward,
     forward,
     fuse,
@@ -107,6 +113,15 @@ class TestActivations:
 
         x = np.linspace(-3, 3, 31)
         np.testing.assert_allclose(gelu(x), 0.5 * x * (1 + erf(x / np.sqrt(2))), atol=0)
+
+    def test_gelu_keeps_phi_for_backward(self):
+        x = np.random.default_rng(2).normal(0, 3, 100_000)
+        act, phi = _gelu(x)
+        recomputed = 0.5 * (1.0 + _erf(x / np.sqrt(2.0)))
+        assert np.array_equal(phi, recomputed)
+        assert np.array_equal(act, 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0))))
+        density = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        assert np.array_equal(_gelu_grad(x, phi), recomputed + x * density)
 
     def test_sigmoid_stable_at_extremes(self):
         assert sigmoid(1000.0) == 1.0
@@ -352,3 +367,54 @@ class TestCheckpoint:
         save_checkpoint(init_params(config), config, tmp_path / "m.json")
         blob = json.loads((tmp_path / "m.json").read_text())
         assert not any(name.startswith("gate") for name in blob["params"])
+
+
+def _ulps(a, b):
+    """Distance in units in the last place, through the ordered integer view of float64."""
+    def ordered(v):
+        i = np.asarray(v, dtype=np.float64).view(np.int64)
+        return np.where(i < 0, np.int64(-2**63) - i, i)
+    return np.abs(ordered(a) - ordered(b))
+
+
+def _erf_grid():
+    """A dense grid, Gaussian draws, tiny values, and each region boundary with its neighbours."""
+    bounds = np.array([2.0**-28, 0.84375, 1.25, _ERF_SPLIT, 6.0])
+    edges = np.concatenate([bounds, np.nextafter(bounds, 0), np.nextafter(bounds, 7)])
+    tiny = np.array([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-20])
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.linspace(-10, 10, 400_001), rng.normal(0, 2, 100_000), edges, tiny])
+    return np.concatenate([x, -x])
+
+
+class TestErf:
+    def test_within_one_ulp_of_math_erf(self):
+        x = _erf_grid()
+        want = np.array([math.erf(v) for v in x.tolist()])
+        assert _ulps(_erf(x), want).max() <= 1
+
+    def test_within_four_ulp_of_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        x = _erf_grid()
+        assert _ulps(_erf(x), special.erf(x)).max() <= 4
+
+    def test_saturates_exactly_and_keeps_special_values(self):
+        big = np.array([6.0, 6.5, 27.0, 1e300, np.inf])
+        assert np.array_equal(_erf(big), np.ones(5))
+        assert np.array_equal(_erf(-big), -np.ones(5))
+        assert np.isnan(_erf(np.nan))
+        assert _erf(-0.0) == 0.0 and np.signbit(_erf(-0.0))
+        assert _erf(0.0) == 0.0 and not np.signbit(_erf(0.0))
+
+    def test_shapes(self):
+        assert isinstance(_erf(0.5), float) and _erf(0.5) == _erf(np.array([0.5]))[0]
+        assert np.shape(_erf(np.asarray(0.5))) == ()
+        assert _erf(np.zeros(0)).shape == (0,)
+        x = np.random.default_rng(1).normal(size=(2, 3, 4))
+        assert np.array_equal(_erf(x), _erf(x.ravel()).reshape(2, 3, 4))
+        assert np.array_equal(_erf(x[:, ::2, ::-1]), _erf(x[:, ::2, ::-1].copy()))
+
+    @pytest.mark.parametrize("n", [_ERF_CHUNK - 1, _ERF_CHUNK, _ERF_CHUNK + 1])
+    def test_chunks_give_elementwise_results(self, n):
+        x = np.random.default_rng(n).normal(0, 3, n)
+        assert np.array_equal(_erf(x), np.array([_erf(v) for v in x]))
