@@ -477,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(func=cmd_dump_prompts)
 
-    # argparse takes only -5 and -0.5 forms as negative numbers; read anything that
-    # starts with a minus and a digit (-1e-3, -.5e1, -4,8) as a value, not a flag
+    # argparse takes only -5 and -0.5 forms as negative numbers; read anything that starts
+    # with a minus and a digit (-1e-3, -.5e1, -4,8), and -inf or -nan, as a value, not a flag
     for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = re.compile(r"^-\.?\d")
+        each._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
     return parser
 
 

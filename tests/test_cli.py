@@ -59,6 +59,15 @@ def test_cli_import_loads_every_module():
     assert modules <= set(out.split())
 
 
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; SciPy is only a test dependency
+    code = "import sys, fusecast.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(evaluation.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert [m for m in out.split() if m == "scipy" or m.startswith("scipy.")] == []
+
+
 class TestConfigResolution:
     def test_defaults(self):
         cfg = resolve_config(None, {})
@@ -278,6 +287,23 @@ class TestErrorReporting:
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "ConfigError" and message in err["message"]
 
+    @pytest.mark.parametrize("command,value,message", [
+        ("gradcheck", "-inf", "h must be"),
+        ("train", "-inf", "lr must be"),
+        ("train", "-NaN", "lr must be"),
+    ], ids=["gradcheck-h-inf", "train-lr-inf", "train-lr-nan"])
+    def test_negative_non_finite_is_a_value(self, tmp_path, data_csv, capsys, command, value,
+                                            message):
+        # float() reads -inf and -nan, so argparse must not take them for flags (exit 2)
+        if command == "gradcheck":
+            argv = ["gradcheck", "--h", value]
+        else:
+            argv = ["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs")]
+            argv += BASE + ["--lr", value]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and message in err["message"]
+
     @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+4", "-.5e1"])
     def test_every_subcommand_reads_negative_exponents(self, value):
         parser = cli.build_parser()
@@ -288,6 +314,16 @@ class TestErrorReporting:
         assert parser.parse_args(["gradcheck", "--h", value]).h == float(value)
         assert parser.parse_args(["synth", "--kind", "sine", "--length", "9", "--out", "o",
                                   "--slope", value]).slope == float(value)
+
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    def test_every_subcommand_reads_negative_non_finite(self, value):
+        parser = cli.build_parser()
+        for argv in (["train"], ["evaluate", "--checkpoint", "c"], ["ablate"],
+                     ["promote", "--sizes", "8"], ["sweep", "--axis", "hidden_dim",
+                     "--values", "8"], ["dump-prompts"]):
+            assert parser.parse_args(argv + ["--data", "d", "--lr", value]).cfg_lr == value
+        h = parser.parse_args(["gradcheck", "--h", value]).h
+        assert str(h) == str(float(value))  # nan != nan, so compare the spellings
 
     @pytest.mark.parametrize("bad,message", [
         (["--lr", "inf"], "lr must be"),
