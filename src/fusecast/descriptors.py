@@ -1,10 +1,10 @@
-"""Segment partitioning and the per-segment text descriptors.
+"""Segment partitioning and the per-segment prompt.
 
-A context window is cut into non-overlapping fixed-length segments. Each
-segment is summarized twice: a timestamp phrase covering its time range and
-a statistics phrase (mean, population std, net change). Their concatenation
-is the prompt string that keys the text-embedding cache, so every rendering
-rule here must be byte-deterministic.
+A context window is cut into non-overlapping fixed-length segments. A
+segment's prompt names the time range it covers, then its mean, population
+std and net change at fixed precision, joined by one space. The prompt string
+keys the text-embedding cache, so every rendering rule here must be
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from .errors import SegmentTooLong
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-TIMESTAMP_TEMPLATE = "The time range of this sequence is from {start} to {end}"
-STAT_TEMPLATE = "Mean is {mean}, standard deviation is {std}, change is {change}."
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -32,13 +29,6 @@ class Segment:
     values: np.ndarray
     start: datetime
     end: datetime
-
-
-@dataclass(frozen=True)
-class StatDescriptor:
-    mean: float
-    std: float  # population convention
-    change: float  # last value minus first value
 
 
 def segment_series(
@@ -67,38 +57,21 @@ def segment_series(
     return segments
 
 
-def stat_descriptor(segment: Segment) -> StatDescriptor:
-    """Mean, population std, and net change; the reductions ndarray.mean and .std run."""
-    v = segment.values
+def _stats(v: np.ndarray) -> tuple[float, float, float]:
+    """Mean, population std and net change; the reductions ndarray.mean and .std run."""
     mean = np.add.reduce(v) / v.size
     std = np.sqrt(np.add.reduce(np.square(v - mean)) / v.size)
-    return StatDescriptor(mean=float(mean), std=float(std), change=float(v[-1] - v[0]))
+    return float(mean), float(std), float(v[-1] - v[0])
 
 
-def format_instant(ts: datetime) -> str:
+def _instant(ts: datetime) -> str:
     """Render an instant as ``DD-Mon-YYYY HH:MM``, locale-independent."""
     return f"{ts.day:02d}-{_MONTHS[ts.month - 1]}-{ts.year:04d} {ts.hour:02d}:{ts.minute:02d}"
 
 
-def render_timestamp_descriptor(segment: Segment) -> str:
-    return TIMESTAMP_TEMPLATE.format(
-        start=format_instant(segment.start), end=format_instant(segment.end)
-    )
-
-
-def render_stat_text(stats: StatDescriptor, decimals: int = 4) -> str:
-    """Fixed-precision statistics phrase."""
-    return STAT_TEMPLATE.format(
-        mean=f"{stats.mean:.{decimals}f}",
-        std=f"{stats.std:.{decimals}f}",
-        change=f"{stats.change:.{decimals}f}",
-    )
-
-
 def render_prompt(segment: Segment, decimals: int = 4) -> str:
-    """Full descriptor pipeline for one segment.
-
-    The prompt is the timestamp phrase and stats phrase joined by one space.
-    """
-    stat_text = render_stat_text(stat_descriptor(segment), decimals)
-    return f"{render_timestamp_descriptor(segment)} {stat_text}"
+    """The segment's prompt: its time range, then its statistics at ``decimals``."""
+    mean, std, change = _stats(segment.values)
+    return (f"The time range of this sequence is from {_instant(segment.start)} to "
+            f"{_instant(segment.end)} Mean is {mean:.{decimals}f}, standard deviation is "
+            f"{std:.{decimals}f}, change is {change:.{decimals}f}.")

@@ -9,15 +9,7 @@ import pytest
 from datetime import datetime, timedelta
 from hypothesis import given, strategies as st
 
-from fusecast.descriptors import (
-    Segment,
-    format_instant,
-    render_prompt,
-    render_stat_text,
-    render_timestamp_descriptor,
-    segment_series,
-    stat_descriptor,
-)
+from fusecast.descriptors import Segment, _instant, _stats, render_prompt, segment_series
 from fusecast.errors import SegmentTooLong
 
 HOURLY = timedelta(hours=1)
@@ -60,25 +52,23 @@ class TestSegmentation:
 
 class TestStats:
     def test_hand_computed(self):
-        seg = Segment(np.array([1.0, 2.0, 4.0, 8.0]), T0, T0 + 3 * HOURLY)
-        d = stat_descriptor(seg)
-        assert d.mean == 3.75
-        assert d.std == pytest.approx(2.680951323690902, abs=1e-15)  # population, not sample
-        assert d.change == 7.0
+        mean, std, change = _stats(np.array([1.0, 2.0, 4.0, 8.0]))
+        assert mean == 3.75
+        assert std == pytest.approx(2.680951323690902, abs=1e-15)  # population, not sample
+        assert change == 7.0
 
     def test_change_is_net_not_absolute(self):
-        seg = Segment(np.array([5.0, 9.0, 2.0]), T0, T0 + 2 * HOURLY)
-        assert stat_descriptor(seg).change == -3.0
+        assert _stats(np.array([5.0, 9.0, 2.0]))[2] == -3.0
 
     @given(shift=st.floats(-50, 50), seed=st.integers(0, 999))
     def test_translation_covariance(self, shift, seed):
         """Shifting every value moves the mean only; spread and change hold."""
         v = np.random.default_rng(seed).normal(size=9)
-        a = stat_descriptor(Segment(v, T0, T0 + 8 * HOURLY))
-        b = stat_descriptor(Segment(v + shift, T0, T0 + 8 * HOURLY))
-        assert b.mean == pytest.approx(a.mean + shift, abs=1e-12)
-        assert b.std == pytest.approx(a.std, abs=1e-12)
-        assert b.change == pytest.approx(a.change, abs=1e-12)
+        a_mean, a_std, a_change = _stats(v)
+        b_mean, b_std, b_change = _stats(v + shift)
+        assert b_mean == pytest.approx(a_mean + shift, abs=1e-12)
+        assert b_std == pytest.approx(a_std, abs=1e-12)
+        assert b_change == pytest.approx(a_change, abs=1e-12)
 
     @given(n=st.integers(1, 300), exponent=st.floats(-6, 6), offset=st.sampled_from(
         [0.0, 1.0, -1e3, 1e6, -1e9]), step=st.sampled_from([1, 2, 3, -1]),
@@ -87,28 +77,26 @@ class TestStats:
         """Prompt bytes hang on these floats, so they must be ndarray.mean/.std's own bits."""
         base = np.random.default_rng(seed).normal(offset, 10.0**exponent, 3 * n)
         v = base[::step][:n]  # contiguous, strided and reversed views
-        d = stat_descriptor(Segment(v, T0, T0 + (n - 1) * HOURLY))
-        assert d.mean == float(v.mean()) and d.std == float(v.std())
+        mean, std, _ = _stats(v)
+        assert mean == float(v.mean()) and std == float(v.std())
 
 
 class TestRendering:
     def test_instant_format(self):
-        assert format_instant(datetime(2023, 1, 3, 8, 0)) == "03-Jan-2023 08:00"
-        assert format_instant(datetime(2020, 1, 4, 23, 0)) == "04-Jan-2020 23:00"
-        assert format_instant(datetime(2016, 12, 31, 5, 30)) == "31-Dec-2016 05:30"
+        assert _instant(datetime(2023, 1, 3, 8, 0)) == "03-Jan-2023 08:00"
+        assert _instant(datetime(2020, 1, 4, 23, 0)) == "04-Jan-2020 23:00"
+        assert _instant(datetime(2016, 12, 31, 5, 30)) == "31-Dec-2016 05:30"
 
     def test_timestamp_phrase(self):
         seg = Segment(np.zeros(3), datetime(2020, 3, 7, 8), datetime(2020, 3, 7, 10))
-        assert (
-            render_timestamp_descriptor(seg)
-            == "The time range of this sequence is from 07-Mar-2020 08:00 to 07-Mar-2020 10:00"
+        assert render_prompt(seg).startswith(
+            "The time range of this sequence is from 07-Mar-2020 08:00 to 07-Mar-2020 10:00 "
         )
 
     def test_stat_phrase(self):
         seg = Segment(np.array([1.0, 2.0, 4.0, 8.0]), T0, T0 + 3 * HOURLY)
-        assert (
-            render_stat_text(stat_descriptor(seg))
-            == "Mean is 3.7500, standard deviation is 2.6810, change is 7.0000."
+        assert render_prompt(seg).endswith(
+            " Mean is 3.7500, standard deviation is 2.6810, change is 7.0000."
         )
 
     def test_full_prompt_single_space_join(self):
@@ -118,18 +106,15 @@ class TestRendering:
             "The time range of this sequence is from 04-Jan-2020 20:00 to 04-Jan-2020 23:00 "
             "Mean is 3.7500, standard deviation is 2.6810, change is 7.0000."
         )
-        assert prompt == (
-            render_timestamp_descriptor(seg) + " " + render_stat_text(stat_descriptor(seg))
-        )
 
     def test_decimals_parameter(self):
         seg = Segment(np.array([0.12345, 0.12345]), T0, T0 + HOURLY)
-        assert "Mean is 0.12" in render_stat_text(stat_descriptor(seg), decimals=2)
-        assert "change is 0.00." in render_stat_text(stat_descriptor(seg), decimals=2)
+        assert "Mean is 0.12," in render_prompt(seg, decimals=2)
+        assert render_prompt(seg, decimals=2).endswith("change is 0.00.")
 
     def test_negative_values_render_with_sign(self):
         seg = Segment(np.array([-1.5, -0.5]), T0, T0 + HOURLY)
-        text = render_stat_text(stat_descriptor(seg))
+        text = render_prompt(seg)
         assert "Mean is -1.0000" in text
         assert "change is 1.0000." in text
 
