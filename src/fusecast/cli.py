@@ -31,7 +31,6 @@ from .evaluation import (
     render_ablation_table,
     render_forecast_table,
     render_promotion_table,
-    sweep_run,
 )
 from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate, save_csv, spec_comment
@@ -92,15 +91,19 @@ _MINIMUMS = {"context_len": 1, "segment_len": 1, "stride": 1, "horizon": 1,
 def parse_config_file(path) -> dict:
     """Flat key=value lines; blank lines and # comments are skipped."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -367,13 +370,14 @@ def cmd_sweep(args) -> int:
     cfg = _config_from(args)
     key = _SWEEP_AXES[args.axis]
     values = _int_list(args.values, "values")
-
-    def run_one(value):
+    curve = []
+    for value in values:
         _, _, result = _fit(resolve_config(None, {**cfg, key: value}), args.data)
-        return result.best_val_mse, result.best_val_mae
-
-    report = sweep_run(values, run_one)
-    report["axis"] = args.axis
+        curve.append({"value": value, "mse": float(result.best_val_mse),
+                      "mae": float(result.best_val_mae)})
+    best = min(curve, key=lambda row: row["mse"])
+    report = {"curve": curve, "best_value": best["value"], "best_mse": best["mse"],
+              "axis": args.axis}
     print(f"best {args.axis}: {report['best_value']} (val MSE {report['best_mse']:.6f})")
     run_dir = _publish(args, cfg, report, "sweep.json", None, axis=args.axis, values=values)
     if args.plot_data:

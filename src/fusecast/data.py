@@ -107,8 +107,13 @@ def _parse_timestamp(text: str, row: int) -> datetime:
 
 def load_csv(path) -> TimeSeriesFrame:
     """Load an ETT-format CSV into a frame, validating the uniform grid."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not rows:
         raise TooShort(f"{path}: empty file")
     header = rows[0]

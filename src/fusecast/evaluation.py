@@ -214,18 +214,6 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
     return {"rows": table, "experts": config.experts, "config": asdict(config)}
 
 
-def sweep_run(values, run_one) -> dict:
-    """One full train+eval per value; run_one(value) returns (mse, mae)."""
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    curve = []
-    for value in values:
-        mse, mae = run_one(value)
-        curve.append({"value": value, "mse": float(mse), "mae": float(mae)})
-    best = min(curve, key=lambda row: row["mse"])
-    return {"curve": curve, "best_value": best["value"], "best_mse": best["mse"]}
-
-
 def render_table(headers, rows) -> str:
     """Fixed-width text table."""
     cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]

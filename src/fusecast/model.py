@@ -50,6 +50,8 @@ class ModelConfig:
             raise ConfigError(f"heads must divide dim, got dim={self.dim} heads={self.heads}")
         if not self.gated and self.experts != 1:
             raise ConfigError("an ungated head requires exactly one expert")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # The erf regions and coefficients are fdlibm's s_erf.c, which carries this notice:
@@ -123,11 +125,6 @@ def _gelu(x):
     """(GeLU(x), phi) with phi = Phi(x) the Gaussian CDF factor, which backward reuses."""
     phi = 0.5 * (1.0 + _erf(x / np.sqrt(2.0)))
     return x * phi, phi
-
-
-def gelu(x):
-    """Exact erf-based GeLU, not the tanh approximation."""
-    return _gelu(np.asarray(x, dtype=np.float64))[0]
 
 
 def _gelu_grad(x, phi):

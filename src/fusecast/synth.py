@@ -66,6 +66,8 @@ class SynthSpec:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.period < 1:
             raise ConfigError(f"period must be >= 1, got {self.period}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.noise < math.inf:
             raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
         for name in ("amplitude", "level", "slope"):

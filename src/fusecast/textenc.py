@@ -173,25 +173,29 @@ def save_cache(cache: EmbeddingCache, path) -> None:
 
 def load_cache(path) -> EmbeddingCache:
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        match = CACHE_HEADER_RE.match(header)
-        if not match:
-            raise CorruptCache(f"bad cache header: {header!r}")
-        dim = int(match.group(1))
-        cache = EmbeddingCache(dim=dim)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                key, sha, values = obj["key"], obj["prompt_sha256"], obj["values"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CorruptCache(f"line {lineno}: {exc}") from exc
-            vector = np.asarray(values, dtype=np.float64)
-            if vector.shape != (dim,):
-                raise CorruptCache(f"line {lineno}: values shape {vector.shape}, header dim={dim}")
-            if key in cache._entries and not np.array_equal(cache._entries[key].vector, vector):
-                raise CorruptCache(f"line {lineno}: duplicate key {key} with different values")
-            cache._entries[key] = TextEmbedding(vector=vector, sha=sha)
+        try:
+            header = fh.readline().rstrip("\n")
+            match = CACHE_HEADER_RE.match(header)
+            if not match:
+                raise CorruptCache(f"bad cache header: {header!r}")
+            dim = int(match.group(1))
+            cache = EmbeddingCache(dim=dim)
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    key, sha = obj["key"], obj["prompt_sha256"]
+                    vector = np.asarray(obj["values"], dtype=np.float64)
+                except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+                    raise CorruptCache(f"line {lineno}: {exc}") from exc
+                if vector.shape != (dim,):
+                    raise CorruptCache(f"line {lineno}: values shape {vector.shape}, "
+                                       f"header dim={dim}")
+                if key in cache._entries and not np.array_equal(cache._entries[key].vector, vector):
+                    raise CorruptCache(f"line {lineno}: duplicate key {key} with different values")
+                cache._entries[key] = TextEmbedding(vector=vector, sha=sha)
+        except UnicodeDecodeError:  # the text layer decodes ahead of the line it hands out
+            raise CorruptCache(f"{path}: not UTF-8 text") from None
     return cache

@@ -49,6 +49,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sparsity_mode not in SPARSITY_MODES:
             raise ConfigError(f"sparsity_mode must be one of {SPARSITY_MODES}")
         if self.max_steps is not None and self.max_steps < 1:

@@ -278,6 +278,42 @@ class TestErrorReporting:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "OSError"
 
+    @pytest.mark.parametrize("flag,body,error", [
+        ("--data", b"date,OT\n2020-01-01 00:00:00,1.0\n2020-01-01 01:00:00,\xff\n", "ParseError"),
+        ("--data", b"date,OT\n2020-01-01 00:00:00," + b"1" * 200_000 + b"\n", "ParseError"),
+        ("--config", b"epochs=2\n\xff\n", "ConfigError"),
+        ("--emb-cache", b"SMET-EMB v1 dim=8\n\xff\n", "CorruptCache"),
+    ], ids=["csv-not-utf8", "csv-huge-cell", "config-not-utf8", "cache-not-utf8"])
+    def test_unreadable_input_file(self, tmp_path, data_csv, capsys, flag, body, error):
+        bad = tmp_path / "bad-input"
+        bad.write_bytes(body)
+        argv = ["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs")] + BASE
+        if flag == "--data":
+            argv[2] = str(bad)
+        else:
+            argv += [flag, str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == error and "bad-input" in payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--seed", "-1"],
+        ["ablate", "--seeds", "-1"],
+        ["gradcheck", "--seed", "-1"],
+        ["synth", "--kind", "sine", "--length", "48", "--seed", "-1"],
+    ], ids=["train", "ablate", "gradcheck", "synth"])
+    def test_negative_seed(self, tmp_path, data_csv, capsys, argv):
+        if argv[0] == "synth":
+            argv = argv + ["--out", str(tmp_path / "series.csv")]
+        elif argv[0] != "gradcheck":
+            argv = argv + ["--data", str(data_csv), "--out-root", str(tmp_path / "runs")] + BASE
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "seed must be >= 0" in err["message"]
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "series.csv").exists()
+
     def test_negative_exponent_is_a_value(self, tmp_path, data_csv, capsys):
         # argparse's own pattern reads -1e-3 as an unknown flag and exits 2 with usage text
         train = ["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs")] + BASE
@@ -375,7 +411,8 @@ class TestErrorReporting:
         ("ablate", ["--seeds", "x"]),
         ("promote", ["--sizes", "x"]),
         ("sweep", ["--axis", "hidden_dim", "--values", "x"]),
-    ], ids=["split-counts", "horizons", "seeds", "sizes", "values"])
+        ("sweep", ["--axis", "hidden_dim", "--values", ""]),
+    ], ids=["split-counts", "horizons", "seeds", "sizes", "values", "values-empty"])
     def test_bad_integer_list(self, tmp_path, data_csv, trained, capsys, command, bad):
         argv = [command, "--data", str(data_csv), "--out-root", str(tmp_path / "runs")] + bad
         if command == "evaluate":
@@ -540,6 +577,18 @@ class TestHarnessCommands:
         sweep_csv = (run_dir / "sweep.csv").read_text().splitlines()
         assert sweep_csv[0] == "hidden_dim,mse,mae"
         assert len(sweep_csv) == 2
+
+    def test_sweep_best_is_the_lowest_mse_row(self, tmp_path, data_csv):
+        out_root = tmp_path / "runs"
+        rc = main(["sweep", "--data", str(data_csv), "--axis", "hidden_dim",
+                   "--values", "8,4", "--out-root", str(out_root)] + BASE)
+        assert rc == 0
+        (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+        report = json.loads((run_dir / "sweep.json").read_text())
+        assert [row["value"] for row in report["curve"]] == [8, 4]
+        best = min(report["curve"], key=lambda row: row["mse"])
+        assert (report["best_value"], report["best_mse"]) == (best["value"], best["mse"])
+        assert report["curve"][0]["mse"] != report["curve"][1]["mse"]
 
 
 class TestInspectionCommands:

@@ -25,7 +25,6 @@ from fusecast.evaluation import (
     render_promotion_table,
     render_table,
     rolling_forecast,
-    sweep_run,
 )
 from fusecast.model import ModelConfig, forward, init_params
 from fusecast.textenc import PromptEncoder
@@ -278,19 +277,6 @@ class TestHarnesses:
     def test_promotion_needs_sizes(self):
         with pytest.raises(ConfigError):
             promotion_run([], [], HOURLY, self.CONFIG, self.TCONFIG, sizes=())
-
-
-class TestSweep:
-    def test_best_by_mse(self):
-        table = {0.01: (0.5, 0.4), 0.1: (0.2, 0.3), 0.5: (0.9, 0.7)}
-        report = sweep_run((0.01, 0.1, 0.5), lambda v: table[v])
-        assert report["best_value"] == 0.1
-        assert report["best_mse"] == 0.2
-        assert [row["value"] for row in report["curve"]] == [0.01, 0.1, 0.5]
-
-    def test_empty(self):
-        with pytest.raises(ConfigError):
-            sweep_run((), lambda v: (0, 0))
 
 
 class TestRenderTable:

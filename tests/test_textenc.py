@@ -233,6 +233,16 @@ class TestCache:
         with pytest.raises(CorruptCache):
             load_cache(path)
 
+    def test_non_numeric_values(self, tmp_path):
+        path = tmp_path / "bad"
+        path.write_text(
+            'SMET-EMB v1 dim=2\n'
+            '{"key": "00", "prompt_sha256": "aa", "values": [0.0, 1.0]}\n'
+            '{"key": "01", "prompt_sha256": "bb", "values": ["a", 1.0]}\n'
+        )
+        with pytest.raises(CorruptCache, match="^line 3: "):
+            load_cache(path)
+
     def test_duplicate_key_conflicting_values(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text(
