@@ -17,8 +17,9 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import data as dataio
 from .errors import ConfigError, FusecastError
@@ -62,21 +63,21 @@ _SCHEMA = {
     "context_len": (int, 168),
     "segment_len": (int, 24),
     "hidden_dim": (int, 64),
-    "experts": (int, 4),
-    "layers": (int, 2),
-    "heads": (int, 2),
-    "gated": (_bool, True),
-    "fused": (_bool, True),
-    "lr": (float, 1e-3),
-    "lambda": (float, 0.1),
-    "sparsity_mode": (str, "literal"),
-    "epochs": (int, 10),
-    "batch": (int, 32),
-    "seed": (int, 0),
+    "experts": (int, ModelConfig.experts),
+    "layers": (int, ModelConfig.layers),
+    "heads": (int, ModelConfig.heads),
+    "gated": (_bool, ModelConfig.gated),
+    "fused": (_bool, ModelConfig.fused),
+    "lr": (float, TrainConfig.lr),
+    "lambda": (float, TrainConfig.lam),
+    "sparsity_mode": (str, TrainConfig.sparsity_mode),
+    "epochs": (int, TrainConfig.epochs),
+    "batch": (int, TrainConfig.batch),
+    "seed": (int, ModelConfig.seed),
     "split_counts": (str, ""),  # "train,val,test" rows; empty = 60/20/20
     "stride": (int, 1),
     "horizon": (int, 96),
-    "weight_decay": (float, 0.0),
+    "weight_decay": (float, TrainConfig.weight_decay),
     "max_steps": (int, 0),  # 0 = no cap
     "text_seed": (int, 0),
     "text_mode": (str, "builtin"),  # builtin | zero
@@ -277,11 +278,7 @@ def _fit(cfg, data_path, emb_cache=None):
 
 
 def cmd_synth(args) -> int:
-    spec = SynthSpec(
-        kind=args.kind, length=args.length, channels=args.channels, noise=args.noise,
-        seed=args.seed, period=args.period, amplitude=args.amplitude,
-        level=args.level, slope=args.slope,
-    )
+    spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)})
     frame = generate(spec)
     save_csv(frame, args.out, spec_comment(spec))
     print(f"wrote {frame.length}x{frame.channels} {spec.kind} series to {args.out}")
@@ -418,15 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic ETT-format CSV")
-    p.add_argument("--kind", required=True, choices=("sine", "two-regime", "constant", "linear"))
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--channels", type=int, default=1)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--period", type=int, default=24)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--level", type=float, default=0.0)
-    p.add_argument("--slope", type=float, default=0.01)
+    types = get_type_hints(SynthSpec)
+    for f in fields(SynthSpec):  # a field without a default is a required flag
+        p.add_argument(f"--{f.name}", type=types[f.name], required=f.default is MISSING,
+                       default=None if f.default is MISSING else f.default)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -485,14 +477,17 @@ def build_parser() -> argparse.ArgumentParser:
     # with a minus and a digit (-1e-3, -.5e1, -4,8), and -inf or -nan, as a value, not a flag
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
+        each.exit_on_error = False  # a bad flag value raises ArgumentError, for main to report
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except FusecastError as exc:
+    except (FusecastError, argparse.ArgumentError) as exc:
+        if isinstance(exc, argparse.ArgumentError):  # a bad flag value, refused like a config one
+            exc = ConfigError(str(exc))
         payload = {"error": type(exc).__name__, "message": str(exc)}
         for attr in ("row", "column", "param"):
             value = getattr(exc, attr, None)

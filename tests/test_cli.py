@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from fusecast.cli import (
 )
 from fusecast.errors import ConfigError
 from fusecast.model import load_checkpoint
-from fusecast.synth import SynthSpec, generate
+from fusecast.synth import SynthSpec, generate, spec_comment
 from fusecast.train import assemble_windows
 
 BASE = [
@@ -117,6 +118,17 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             _bool("maybe")
 
+    def test_readme_table_matches_schema(self):
+        # the README's table is the one hand-written copy of the schema
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| key | default | meaning |\n")[1].split("\n\n")[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", table, re.M)
+        assert [key for key, _ in rows] == list(cli._SCHEMA)
+        defaults = resolve_config(None, {})
+        for key, text in rows:
+            convert = cli._SCHEMA[key][0]
+            assert convert("" if text == "(60/20/20)" else text) == defaults[key], key
+
 
 class TestRunDir:
     def test_hash_named(self, tmp_path):
@@ -150,6 +162,19 @@ class TestSynthCommand:
         main(["synth", "--kind", "constant", "--length", "5", "--out", str(path)])
         first = path.read_text().splitlines()[0]
         assert first.startswith("# kind=constant length=5")
+
+    def test_flags_follow_the_spec(self):
+        parse = cli.build_parser().parse_args
+        argv = ["synth", "--kind", "sine", "--length", "9", "--out", "o"]
+
+        def spec(args):
+            return SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)})
+
+        assert spec(parse(argv)) == SynthSpec(kind="sine", length=9)
+        # a float field given an integer spelling still prints as a float in the CSV comment
+        floats = ["--noise", "1", "--amplitude", "2", "--level", "3", "--slope", "4"]
+        assert spec_comment(spec(parse(argv + floats))) == spec_comment(
+            SynthSpec(kind="sine", length=9, noise=1.0, amplitude=2.0, level=3.0, slope=4.0))
 
 
 class TestTrainCommand:
@@ -297,6 +322,44 @@ class TestErrorReporting:
         assert err.count("\n") == 1
         payload = json.loads(err)
         assert payload["error"] == error and "bad-input" in payload["message"]
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("synth", "--length", "ten"),
+        ("synth", "--channels", "two"),
+        ("synth", "--noise", "low"),
+        ("synth", "--seed", "1.5"),
+        ("synth", "--period", "day"),
+        ("synth", "--amplitude", "big"),
+        ("synth", "--level", "high"),
+        ("synth", "--slope", "up"),
+        ("synth", "--kind", "bogus"),
+        ("evaluate", "--max-windows", "abc"),
+        ("gradcheck", "--seed", "x"),
+        ("gradcheck", "--h", "abc"),
+        ("dump-prompts", "--windows", "abc"),
+        ("dump-prompts", "--split", "nope"),
+        ("sweep", "--axis", "nope"),
+    ], ids=lambda part: part.lstrip("-"))
+    def test_bad_flag_value_is_json_error(self, tmp_path, data_csv, trained, capsys, command,
+                                          flag, value):
+        # argparse's own error is usage text with exit 2; a bad value is a ConfigError instead
+        runs, out = tmp_path / "runs", tmp_path / "series.csv"
+        argv = {
+            "synth": ["--kind", "sine", "--length", "48", "--out", str(out)],
+            "evaluate": ["--checkpoint", str(trained / "checkpoint.json")],
+            "gradcheck": [],
+            "dump-prompts": [],
+            "sweep": ["--axis", "hidden_dim", "--values", "8"],
+        }[command]
+        if command not in ("synth", "gradcheck"):
+            argv += ["--data", str(data_csv), "--out-root", str(runs)] + BASE
+        assert main([command, *argv, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert re.search(rf"\b{flag[2:]}\b", err["message"])
+        assert not runs.exists() and not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--seed", "-1"],
