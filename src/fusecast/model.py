@@ -479,6 +479,8 @@ def load_checkpoint(path):
             value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
             if value.shape != expected[name]:
                 raise ShapeError(f"{name}: shape {value.shape}, config implies {expected[name]}")
+            if not np.isfinite(value).all():
+                raise ConfigError(f"parameter block {name!r} is not all finite")
             params[name] = value
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # JSONDecodeError and UnicodeDecodeError are ValueErrors

@@ -193,6 +193,8 @@ def load_cache(path) -> EmbeddingCache:
                 if vector.shape != (dim,):
                     raise CorruptCache(f"line {lineno}: values shape {vector.shape}, "
                                        f"header dim={dim}")
+                if not np.isfinite(vector).all():
+                    raise CorruptCache(f"line {lineno}: values are not all finite")
                 if key in cache._entries and not np.array_equal(cache._entries[key].vector, vector):
                     raise CorruptCache(f"line {lineno}: duplicate key {key} with different values")
                 cache._entries[key] = TextEmbedding(vector=vector, sha=sha)

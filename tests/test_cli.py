@@ -262,6 +262,22 @@ class TestTrainCommand:
         dirs = re.findall(r"run dir: (\S+)", capsys.readouterr().out)
         assert len(set(dirs)) == 3
 
+    def test_embedding_cache_refuses_non_finite_vector(self, tmp_path, data_csv, capsys):
+        # the cache line is to blame, not the parameter whose gradient turns NaN
+        cache = tmp_path / "emb.jsonl"
+        argv = ["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs"),
+                "--emb-cache", str(cache)] + BASE
+        assert main(argv) == 0
+        lines = cache.read_text().splitlines()
+        lines[1] = re.sub(r'"values":\[[^,]+', '"values":[NaN', lines[1])
+        cache.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "CorruptCache" and payload["message"].startswith("line 2: ")
+
     def test_embedding_cache_needs_builtin_text(self, tmp_path, data_csv, capsys):
         # the cache holds builtin-encoder vectors, so a zero-text run must not use it
         cache = tmp_path / "emb.jsonl"
@@ -584,6 +600,20 @@ class TestEvaluateCommand:
                    "--horizons", "4", "--out-root", str(tmp_path / "runs")] + BASE)
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_non_finite_checkpoint_is_json_error(self, tmp_path, data_csv, trained, capsys):
+        blob = json.loads((trained / "checkpoint.json").read_text())
+        blob["params"]["out_b"]["data"][0] = float("nan")
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(blob))
+        rc = main(["evaluate", "--checkpoint", str(bad), "--data", str(data_csv),
+                   "--horizons", "4", "--out-root", str(tmp_path / "runs")] + BASE)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError" and "out_b" in payload["message"]
+        assert not (tmp_path / "runs").exists()
 
 
 class TestHarnessCommands:

@@ -30,6 +30,13 @@ from fusecast.model import (
 TINY = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, seed=0)
 
 
+def _first_out_b(text, spelling):
+    """Checkpoint text with the first out_b value written as `spelling`."""
+    blob = json.loads(text)
+    blob["params"]["out_b"]["data"][0] = "@"
+    return json.dumps(blob).replace('"@"', spelling)
+
+
 def make_inputs(config, batch=2, n=3, seed=11):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(batch, n, config.segment_len))
@@ -344,7 +351,11 @@ class TestCheckpoint:
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
         lambda text: json.dumps({**json.loads(text),
                                  "config": {**json.loads(text)["config"], "bogus": 1}}),
-    ], ids=["truncated", "not-an-object", "no-config", "unknown-config-field"])
+        lambda text: _first_out_b(text, "NaN"),
+        lambda text: _first_out_b(text, "Infinity"),
+        lambda text: _first_out_b(text, "1e999"),
+    ], ids=["truncated", "not-an-object", "no-config", "unknown-config-field", "nan",
+            "infinity", "overflow"])
     def test_malformed_file(self, tmp_path, mangle):
         path = tmp_path / "m.json"
         save_checkpoint(init_params(TINY), TINY, path)

@@ -243,6 +243,18 @@ class TestCache:
         with pytest.raises(CorruptCache, match="^line 3: "):
             load_cache(path)
 
+    @pytest.mark.parametrize("spelling", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_values(self, tmp_path, spelling):
+        # a NaN vector would otherwise surface as a NonFiniteGradient naming a parameter
+        path = tmp_path / "bad"
+        path.write_text(
+            'SMET-EMB v1 dim=2\n'
+            '{"key": "00", "prompt_sha256": "aa", "values": [0.0, 1.0]}\n'
+            f'{{"key": "01", "prompt_sha256": "bb", "values": [1.0, {spelling}]}}\n'
+        )
+        with pytest.raises(CorruptCache, match="^line 3: .*finite"):
+            load_cache(path)
+
     def test_duplicate_key_conflicting_values(self, tmp_path):
         path = tmp_path / "bad"
         path.write_text(
