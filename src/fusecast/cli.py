@@ -32,18 +32,12 @@ from .evaluation import (
     render_ablation_table,
     render_forecast_table,
     render_promotion_table,
+    train_variants,
 )
-from .model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate, save_csv, spec_comment
 from .textenc import load_cache, precompute_cache, save_cache, text_source
-from .train import (
-    TrainConfig,
-    assemble_windows,
-    gradient_check,
-    run_record,
-    train_model,
-    window_segments,
-)
+from .train import TrainConfig, gradient_check, run_record, window_segments
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -271,9 +265,8 @@ def _fit(cfg, data_path, emb_cache=None):
             source = precompute_cache(prompts, mconfig.dim, cfg["text_seed"])
             save_cache(source, cache_path)
 
-    train_data = assemble_windows(train_w, freq, mconfig.segment_len, source, cfg["decimals"])
-    val_data = assemble_windows(val_w, freq, mconfig.segment_len, source, cfg["decimals"])
-    result = train_model(init_params(mconfig), mconfig, tconfig, train_data, val_data)
+    (result,) = train_variants(train_w, val_w, freq, [(mconfig, tconfig, source)],
+                               cfg["decimals"])
     return mconfig, tconfig, result
 
 

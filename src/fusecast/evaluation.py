@@ -145,6 +145,21 @@ def ablation_variants(config: ModelConfig) -> dict:
     }
 
 
+def train_variants(train_windows, val_windows, freq, rows, decimals: int) -> list:
+    """Train one model per (ModelConfig, TrainConfig, text source) row; results in row order.
+
+    The windows are assembled once per (segment_len, text source object) among the rows.
+    """
+    assembled, results = {}, []
+    for mconfig, tconfig, source in rows:
+        key = (mconfig.segment_len, source)  # a source is keyed by identity
+        if key not in assembled:
+            assembled[key] = [assemble_windows(w, freq, mconfig.segment_len, source, decimals)
+                              for w in (train_windows, val_windows)]
+        results.append(train_model(init_params(mconfig), mconfig, tconfig, *assembled[key]))
+    return results
+
+
 def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
                  tconfig: TrainConfig, seeds=(0, 1, 2), text_seed: int = 0,
                  decimals: int = 4) -> dict:
@@ -153,21 +168,16 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
     Returns {"rows": {row: {"per_seed_mse", "per_seed_mae", "mean_mse",
     "std_mse", "mean_mae", "std_mae"}}, "seeds", "config"}.
     """
-    source = text_source("builtin", config.dim, text_seed)
-    builtin = (assemble_windows(train_windows, freq, config.segment_len, source, decimals),
-               assemble_windows(val_windows, freq, config.segment_len, source, decimals))
-    datasets = {"builtin": builtin,
-                "zero": tuple(replace(data, te=np.zeros_like(data.te)) for data in builtin)}
+    sources = {mode: text_source(mode, config.dim, text_seed) for mode in ("builtin", "zero")}
+    variants = ablation_variants(config)
+    grid = [(replace(variant, seed=seed), replace(tconfig, seed=seed), sources[mode])
+            for variant, mode in variants.values() for seed in seeds]
+    results = iter(train_variants(train_windows, val_windows, freq, grid, decimals))
     rows = {}
-    for row, (variant, text_mode) in ablation_variants(config).items():
-        per_mse, per_mae = [], []
-        for seed in seeds:
-            seeded = replace(variant, seed=seed)
-            tr, va = datasets[text_mode]
-            result = train_model(init_params(seeded), seeded,
-                                 replace(tconfig, seed=seed), tr, va)
-            per_mse.append(result.best_val_mse)
-            per_mae.append(result.best_val_mae)
+    for row in variants:  # the grid runs row by row, seed by seed
+        scored = [next(results) for _ in seeds]
+        per_mse = [result.best_val_mse for result in scored]
+        per_mae = [result.best_val_mae for result in scored]
         rows[row] = {
             "per_seed_mse": per_mse,
             "per_seed_mae": per_mae,
@@ -191,25 +201,20 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
     if not sizes:
         raise ConfigError("promotion needs at least one backbone size")
     table = []
-    for dim in sizes:
+    for dim in sizes:  # one harness call per size keeps one size's windows in memory
         base = replace(config, dim=dim)
         source = text_source(text_mode, dim, text_seed)
-        train_data = assemble_windows(train_windows, freq, base.segment_len, source, decimals)
-        val_data = assemble_windows(val_windows, freq, base.segment_len, source, decimals)
-        results = {}
-        for label, variant in (
-            ("original", replace(base, experts=1, gated=False)),
-            ("moe", replace(base, gated=True)),
-        ):
-            result = train_model(init_params(variant), variant, tconfig, train_data, val_data)
-            results[label] = {"mse": result.best_val_mse, "mae": result.best_val_mae}
+        pair = [(replace(base, experts=1, gated=False), tconfig, source),
+                (replace(base, gated=True), tconfig, source)]
+        results = train_variants(train_windows, val_windows, freq, pair, decimals)
+        original, moe = ({"mse": r.best_val_mse, "mae": r.best_val_mae} for r in results)
         table.append({
             "size": dim,
-            "original": results["original"],
-            "moe": results["moe"],
-            "promotion_mse": format_promotion(results["original"]["mse"], results["moe"]["mse"]),
-            "promotion_mae": format_promotion(results["original"]["mae"], results["moe"]["mae"]),
-            "promotion_mse_raw": promotion_percent(results["original"]["mse"], results["moe"]["mse"]),
+            "original": original,
+            "moe": moe,
+            "promotion_mse": format_promotion(original["mse"], moe["mse"]),
+            "promotion_mae": format_promotion(original["mae"], moe["mae"]),
+            "promotion_mse_raw": promotion_percent(original["mse"], moe["mse"]),
         })
     return {"rows": table, "experts": config.experts, "config": asdict(config)}
 

@@ -640,7 +640,7 @@ class TestHarnessCommands:
         assert report["rows"][0]["promotion_mse"].endswith("%")
 
     @pytest.mark.parametrize("command,extra,sources", [
-        ("ablate", ["--seeds", "0"], {"PromptEncoder"}),
+        ("ablate", ["--seeds", "0"], {"PromptEncoder", "ZeroTextSource"}),
         ("promote", ["--sizes", "8", "--text-mode", "zero"], {"ZeroTextSource"}),
     ], ids=["ablate", "promote"])
     def test_harness_renders_with_configured_text(self, tmp_path, data_csv, monkeypatch,

@@ -1,10 +1,14 @@
 """Metrics, baselines, rolling forecasts, and the comparison harnesses."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from datetime import datetime, timedelta
 from hypothesis import given, strategies as st
 
+from fusecast import evaluation
 from fusecast.data import sample_windows
 from fusecast.errors import ConfigError, InvalidHorizon, ShapeError
 from fusecast.evaluation import (
@@ -25,10 +29,11 @@ from fusecast.evaluation import (
     render_promotion_table,
     render_table,
     rolling_forecast,
+    train_variants,
 )
 from fusecast.model import ModelConfig, forward, init_params
-from fusecast.textenc import PromptEncoder
-from fusecast.train import TrainConfig, window_tensors
+from fusecast.textenc import PromptEncoder, ZeroTextSource
+from fusecast.train import TrainConfig, assemble_windows, train_model, window_tensors
 from fusecast.synth import SynthSpec, generate
 
 HOURLY = timedelta(hours=1)
@@ -273,6 +278,55 @@ class TestHarnesses:
         )
         text = render_promotion_table(report)
         assert "promotion" in text
+
+    def test_train_variants_match_direct_training(self, monkeypatch):
+        windows = tiny_windows()
+        train_w, val_w = windows[:8], windows[8:]
+        builtin, zero = PromptEncoder(8, 0), ZeroTextSource(8)
+        rows = [
+            (self.CONFIG, self.TCONFIG, builtin),
+            (replace(self.CONFIG, fused=False, seed=1), replace(self.TCONFIG, seed=1), builtin),
+            (self.CONFIG, self.TCONFIG, zero),
+            (replace(self.CONFIG, segment_len=2), self.TCONFIG, builtin),
+        ]
+        calls = []
+
+        def spy(windows, freq, segment_len, text_source, decimals):
+            calls.append((segment_len, type(text_source).__name__))
+            return assemble_windows(windows, freq, segment_len, text_source, decimals)
+
+        monkeypatch.setattr(evaluation, "assemble_windows", spy)
+        results = train_variants(train_w, val_w, HOURLY, rows, 2)
+        # train and val once per distinct (segment_len, source object)
+        assert Counter(calls) == {(4, "PromptEncoder"): 2, (4, "ZeroTextSource"): 2,
+                                  (2, "PromptEncoder"): 2}
+        assert len(results) == len(rows)
+        for (mconfig, tconfig, source), result in zip(rows, results):
+            # each command's own assemble-then-train code, kept as the reference
+            direct = train_model(init_params(mconfig), mconfig, tconfig,
+                                 assemble_windows(train_w, HOURLY, mconfig.segment_len, source, 2),
+                                 assemble_windows(val_w, HOURLY, mconfig.segment_len, source, 2))
+            assert result.best_val_mse == direct.best_val_mse
+            assert result.best_val_mae == direct.best_val_mae
+            assert result.params.keys() == direct.params.keys()
+            for name, value in direct.params.items():
+                assert result.params[name].tobytes() == value.tobytes(), name
+
+    @pytest.mark.parametrize("harness,kwargs,sources", [
+        (ablation_run, {"seeds": (0, 1)}, {"PromptEncoder": 2, "ZeroTextSource": 2}),
+        (promotion_run, {"sizes": (8, 16)}, {"PromptEncoder": 4}),
+    ], ids=["ablation", "promotion"])
+    def test_harness_assembles_once_per_source(self, monkeypatch, harness, kwargs, sources):
+        calls = []
+
+        def spy(windows, freq, segment_len, text_source, decimals):
+            calls.append(type(text_source).__name__)
+            return assemble_windows(windows, freq, segment_len, text_source, decimals)
+
+        monkeypatch.setattr(evaluation, "assemble_windows", spy)
+        windows = tiny_windows()
+        harness(windows[:8], windows[8:], HOURLY, self.CONFIG, self.TCONFIG, **kwargs)
+        assert Counter(calls) == sources
 
     def test_promotion_needs_sizes(self):
         with pytest.raises(ConfigError):
