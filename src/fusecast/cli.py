@@ -333,6 +333,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _config_from(args)
+    if cfg["text_mode"] != "builtin":  # each ablation row sets its own text mode
+        raise ConfigError(f"ablate needs text_mode=builtin, got {cfg['text_mode']!r}")
     seeds = _int_list(args.seeds, "seeds")
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
     report = ablation_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),

@@ -628,6 +628,18 @@ class TestHarnessCommands:
         assert set(report["rows"]) == {"Original", "w/o Context", "w/o Fusion", "w/o MoE"}
         assert report["seeds"] == [0]
 
+    def test_ablate_refuses_text_mode_zero(self, tmp_path, data_csv, capsys):
+        # every ablation row sets its own text mode, so a configured one would go unused
+        out_root = tmp_path / "runs"
+        rc = main(["ablate", "--data", str(data_csv), "--seeds", "0", "--text-mode", "zero",
+                   "--out-root", str(out_root)] + BASE)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError" and "text_mode" in payload["message"]
+        assert not out_root.exists()
+
     def test_promote(self, tmp_path, data_csv, capsys):
         out_root = tmp_path / "runs"
         rc = main(["promote", "--data", str(data_csv), "--sizes", "8", "--table",
