@@ -7,7 +7,10 @@ function of (prompt bytes, dim, seed), so embeddings can be precomputed once
 and cached. `encode_prompt` is the one encoder: with decay 0.5 its moving
 average is an exact running sum, so no per-token loop runs. Token vectors are
 memoized per process, keyed by (token, dim, seed). `PromptEncoder` is the text
-source the commands embed through; `precompute_cache` builds the offline cache.
+source the commands embed through. Each instance memoizes its prompt vectors,
+so a prompt that overlapping windows share is encoded once per source; the
+memo lives and dies with the source, and the vectors it hands out are
+read-only. `precompute_cache` builds the offline cache.
 """
 
 from __future__ import annotations
@@ -80,14 +83,26 @@ def encode_prompt(prompt: str, dim: int, seed: int) -> np.ndarray:
 
 
 class PromptEncoder:
-    """On-the-fly text source backed by the builtin encoder."""
+    """On-the-fly text source backed by the builtin encoder.
+
+    `embed` memoizes by prompt string: a prompt this source has seen returns
+    the vector it encoded the first time, bit-equal to `encode_prompt`, as one
+    shared read-only array. The memo belongs to the instance: it is freed with
+    the source, and no two sources share one.
+    """
 
     def __init__(self, dim: int, seed: int):
         self.dim = dim
         self.seed = seed
+        self._vectors: dict[str, np.ndarray] = {}
 
     def embed(self, prompt: str) -> np.ndarray:
-        return encode_prompt(prompt, self.dim, self.seed)
+        vector = self._vectors.get(prompt)
+        if vector is None:
+            vector = encode_prompt(prompt, self.dim, self.seed)
+            vector.flags.writeable = False  # shared by every later embed of this prompt
+            self._vectors[prompt] = vector
+        return vector
 
 
 class ZeroTextSource:

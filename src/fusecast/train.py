@@ -199,6 +199,17 @@ def _batch_step(params, mconfig, tconfig, x, te):
     return trace, total, d_pred, d_gate
 
 
+def _train_step(params, mconfig, tconfig, state, x, te) -> float:
+    """Forward, backward and one AdamW update on a batch; returns its loss.
+
+    The trace and gradients die with this frame, so validation, which runs
+    the whole val set through forward at once, never holds them as well.
+    """
+    trace, total, d_pred, d_gate = _batch_step(params, mconfig, tconfig, x, te)
+    adamw_step(params, backward(params, mconfig, trace, d_pred, d_gate), state, tconfig)
+    return total
+
+
 def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors):
     """Forecast quality of the final position against each window's true future.
 
@@ -243,11 +254,8 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
         batch_losses = []
         for lo in range(0, n_windows, tconfig.batch):
             idx = order[lo : lo + tconfig.batch]
-            x, te = train_data.x[idx], train_data.te[idx]
-            trace, total, d_pred, d_gate = _batch_step(params, mconfig, tconfig, x, te)
-            grads = backward(params, mconfig, trace, d_pred, d_gate)
-            adamw_step(params, grads, state, tconfig)
-            batch_losses.append(total)
+            batch_losses.append(_train_step(params, mconfig, tconfig, state,
+                                            train_data.x[idx], train_data.te[idx]))
             if tconfig.max_steps is not None and state.step >= tconfig.max_steps:
                 done = True
                 break

@@ -103,6 +103,22 @@ class TestEncoder:
                 enc.embed(prompt), encode_prompt(prompt, 16, seed=5)
             )
 
+    def test_prompt_encoder_memo_is_bit_equal_and_read_only(self):
+        enc = PromptEncoder(dim=16, seed=5)
+        prompts = ("one two", "two one", "one two", "one two three", "two one")
+        vectors = [enc.embed(prompt) for prompt in prompts]
+        for prompt, vector in zip(prompts, vectors):
+            np.testing.assert_array_equal(vector, encode_prompt(prompt, 16, seed=5))
+            assert not vector.flags.writeable
+            with pytest.raises(ValueError):
+                vector[0] = 0.0
+        assert vectors[2] is vectors[0] and vectors[4] is vectors[1]
+
+    def test_prompt_encoder_memo_is_per_source(self):
+        a, b = PromptEncoder(dim=16, seed=5), PromptEncoder(dim=16, seed=6)
+        assert not np.array_equal(a.embed("one two"), b.embed("one two"))
+        assert PromptEncoder(dim=16, seed=5).embed("one two") is not a.embed("one two")
+
     def test_zero_source(self):
         z = ZeroTextSource(dim=7)
         np.testing.assert_array_equal(z.embed("anything"), np.zeros(7))

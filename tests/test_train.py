@@ -1,9 +1,13 @@
 """Loss arithmetic, the optimizer, window assembly, and the training loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 from datetime import datetime, timedelta
 
+import fusecast.textenc
+import fusecast.train
 from fusecast.data import TimeSeriesFrame, sample_windows
 from fusecast.descriptors import render_prompt, segment_series
 from fusecast.errors import ConfigError, NonFiniteGradient, ShapeError
@@ -240,6 +244,25 @@ class TestWindowAssembly:
         with pytest.raises(ConfigError):
             assemble_windows([], HOURLY, 4, ZeroTextSource(6))
 
+    def test_assembly_encodes_each_distinct_prompt_once(self, monkeypatch):
+        frame = self.make_frame()
+        windows = list(sample_windows(frame, (0, 40), context_len=12, horizon=4, stride=1))
+        prompts = [window_segments(w.context, w.start, HOURLY, 4)[1] for w in windows]
+        distinct = {p for window in prompts for p in window}
+        assert len(distinct) < sum(map(len, prompts))  # stride-1 windows share segments
+        encode_prompt = fusecast.textenc.encode_prompt
+        encoded = []
+
+        def spy(prompt, dim, seed):
+            encoded.append(prompt)
+            return encode_prompt(prompt, dim, seed)
+
+        monkeypatch.setattr(fusecast.textenc, "encode_prompt", spy)
+        data = assemble_windows(windows, HOURLY, 4, PromptEncoder(dim=6, seed=0))
+        assert sorted(encoded) == sorted(distinct)
+        direct = np.stack([[encode_prompt(p, 6, 0) for p in window] for window in prompts])
+        np.testing.assert_array_equal(data.te, direct)
+
 
 class TestEvaluateWindows:
     def test_scores_final_position_against_future(self):
@@ -308,6 +331,30 @@ class TestTrainingLoop:
         assert not any(np.shares_memory(result.params[k], params[k]) for k in params)
         assert result.best_epoch < len(result.curve) - 1
         assert any(not np.array_equal(result.params[k], params[k]) for k in params)
+
+    def test_no_step_trace_outlives_its_step(self, monkeypatch):
+        """Validation runs while no training step's trace or gradients are alive."""
+        backward, evaluate = fusecast.train.backward, fusecast.train.evaluate_windows
+        step_refs, alive_at_validation = [], []
+
+        def backward_spy(params, mconfig, trace, d_pred, d_gate):
+            grads = backward(params, mconfig, trace, d_pred, d_gate)
+            step_refs.append(weakref.ref(trace))
+            step_refs.extend(weakref.ref(grad) for grad in grads.values())
+            return grads
+
+        def evaluate_spy(params, mconfig, data):
+            # no gc.collect(): reference counting alone must have freed them
+            alive_at_validation.append(sum(ref() is not None for ref in step_refs))
+            return evaluate(params, mconfig, data)
+
+        monkeypatch.setattr(fusecast.train, "backward", backward_spy)
+        monkeypatch.setattr(fusecast.train, "evaluate_windows", evaluate_spy)
+        train, val = build_training_sets(0), build_training_sets(1, windows=8)
+        train_model(init_params(self.CONFIG), self.CONFIG, TrainConfig(epochs=2, batch=8),
+                    train, val)
+        assert len(step_refs) > 0
+        assert alive_at_validation == [0, 0]
 
     def test_max_steps(self):
         train, val = build_training_sets(0), build_training_sets(1, windows=8)
