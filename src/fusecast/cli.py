@@ -493,6 +493,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
         return 1
+    except MemoryError as exc:  # NumPy's _ArrayMemoryError included
+        print(json.dumps({"error": "MemoryError", "message": str(exc) or "out of memory"}),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

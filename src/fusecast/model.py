@@ -459,8 +459,8 @@ def save_checkpoint(params: dict, config: ModelConfig, path) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, sort_keys=True)
-        fh.write("\n")
+        # json.dumps runs the C encoder; json.dump streams through the Python one
+        fh.write(json.dumps(blob, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path):

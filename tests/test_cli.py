@@ -313,6 +313,23 @@ class TestErrorReporting:
         assert err["error"] == "ParseError"
         assert err["row"] == 2 and err["column"] == 1
 
+    def test_memory_error_is_json_on_stderr(self, tmp_path, monkeypatch, capsys):
+        class ArrayMemoryError(MemoryError):  # how NumPy reports a failed allocation
+            pass
+
+        def exhausted(spec):
+            raise ArrayMemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli, "generate", exhausted)
+        rc = main(["synth", "--kind", "sine", "--length", "100",
+                   "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"error": "MemoryError",
+                                    "message": "Unable to allocate 745. GiB for an array"}
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"),
                    "--out-root", str(tmp_path / "runs")])

@@ -1,5 +1,6 @@
 """Forward-pass semantics: fusion, causality, routing, checkpoints."""
 
+import hashlib
 import json
 import math
 
@@ -316,6 +317,18 @@ class TestCheckpoint:
         for name in params:
             np.testing.assert_array_equal(loaded[name], params[name])
             assert loaded[name].shape == params[name].shape
+
+    @pytest.mark.parametrize("config,digest", [
+        (ModelConfig(segment_len=4, dim=8, experts=3, layers=2, heads=2, seed=9),
+         "e5623597d516344b5587cc12f4cecf172280792e9c76f00d0740c1c6326272e6"),
+        (ModelConfig(segment_len=4, dim=8, experts=1, layers=1, heads=1, seed=3, gated=False),
+         "611a03f2262c3a7b2e5ea5ba9328620e49c52b03cac1fd375a72f6316cc394ca"),
+    ], ids=["gated", "ungated"])
+    def test_file_bytes_pinned(self, tmp_path, config, digest):
+        """The checkpoint text is fixed byte for byte, whichever JSON encoder writes it."""
+        path = tmp_path / "m.json"
+        save_checkpoint(init_params(config), config, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_roundtrip_preserves_predictions(self, tmp_path):
         params = init_params(TINY)
