@@ -127,7 +127,7 @@ def text_source(mode: str, dim: int, seed: int):
 
 
 class EmbeddingCache:
-    """Write-once map from prompt key to embedding, shared read-only afterwards."""
+    """Write-once map from prompt key to embedding; every stored vector is read-only."""
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -140,9 +140,10 @@ class EmbeddingCache:
         return prompt_key(prompt) in self._entries
 
     def add(self, prompt: str, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=np.float64)
+        vector = np.array(vector, dtype=np.float64)  # a copy, so the caller's array stays apart
         if vector.shape != (self.dim,):
             raise ShapeError(f"embedding shape {vector.shape} != ({self.dim},)")
+        vector.flags.writeable = False  # every later lookup hands out this array
         self._entries[prompt_key(prompt)] = TextEmbedding(vector=vector, sha=_prompt_sha(prompt))
 
     def lookup(self, prompt: str) -> TextEmbedding:
@@ -212,6 +213,7 @@ def load_cache(path) -> EmbeddingCache:
                     raise CorruptCache(f"line {lineno}: values are not all finite")
                 if key in cache._entries and not np.array_equal(cache._entries[key].vector, vector):
                     raise CorruptCache(f"line {lineno}: duplicate key {key} with different values")
+                vector.flags.writeable = False
                 cache._entries[key] = TextEmbedding(vector=vector, sha=sha)
         except UnicodeDecodeError:  # the text layer decodes ahead of the line it hands out
             raise CorruptCache(f"{path}: not UTF-8 text") from None

@@ -190,6 +190,23 @@ class TestCache:
         for p in prompts:
             np.testing.assert_array_equal(loaded.embed(p), cache.embed(p))
 
+    def test_stored_vectors_are_read_only(self, tmp_path):
+        cache, prompts = self.build()
+        path = tmp_path / "emb.cache"
+        save_cache(cache, path)
+        for source in (cache, load_cache(path)):
+            vector = source.embed(prompts[0])
+            assert not vector.flags.writeable
+            with pytest.raises(ValueError):
+                vector[0] = 9.0
+            np.testing.assert_array_equal(source.embed(prompts[0]), encode_prompt(prompts[0], 6, 0))
+
+    def test_add_keeps_its_own_copy(self):
+        cache, vector = EmbeddingCache(dim=3), np.arange(3.0)
+        cache.add("p", vector)
+        vector[0] = 9.0  # the caller's array stays writable and apart from the cache
+        np.testing.assert_array_equal(cache.embed("p"), [0.0, 1.0, 2.0])
+
     def test_header_line(self, tmp_path):
         cache, _ = self.build(dim=24)
         path = tmp_path / "emb.cache"
