@@ -10,6 +10,10 @@ lets tests pin each block against finite differences.
 
 All math is float64. Forward passes are pure functions of (params, inputs).
 The GeLU's erf is fdlibm's (glibc's, so math.erf's) ported to NumPy, within 1 ulp.
+
+The forward trace keeps each activation in one form. Values one op away from a
+kept one (GeLU and layer-norm outputs, the attention context, s_hat) are
+rebuilt with forward's own expressions, so gradients stay bit-identical.
 """
 
 from __future__ import annotations
@@ -205,23 +209,40 @@ class GateMatrix:
     weights: np.ndarray
 
 
+def _blend(weights, experts_out):
+    """s_hat: each position's gate-weighted sum of its expert outputs."""
+    return (weights[..., None, :] @ experts_out)[..., 0, :]
+
+
 @dataclass
 class ForwardTrace:
-    """Every intermediate the backward pass consumes."""
+    """Every intermediate the backward pass consumes, each stored once.
+
+    `se` and `s_hat` are rebuilt on read. Each block cache keeps xhat, inv, q,
+    k, v, attn, ff_pre and ff_phi; backward rebuilds y1, y2, ctx and ff_act.
+    """
 
     config: ModelConfig
     x: np.ndarray  # (B, N, S) segment values
     te: np.ndarray  # (B, N, D) text embeddings
     se_pre: np.ndarray
-    se: np.ndarray
     se_phi: np.ndarray  # GeLU's Gaussian CDF factor at se_pre
     alpha: float
     layers: tuple  # per-block intermediates
     e_hat: np.ndarray
     gate: GateMatrix
     experts_out: np.ndarray  # (B, N, K, D)
-    s_hat: np.ndarray
     pred: np.ndarray  # (B, N, S)
+
+    @property
+    def se(self) -> np.ndarray:
+        """The segment embedding GeLU(se_pre), as _gelu computes it."""
+        return self.se_pre * self.se_phi
+
+    @property
+    def s_hat(self) -> np.ndarray:
+        """The gate blend of experts_out, as moe_forward computes it."""
+        return _blend(self.gate.weights, self.experts_out)
 
 
 def _segment_embed(values, params):
@@ -283,21 +304,23 @@ def _block_forward(x, params, config, layer):
     q = _split_heads(y1 @ params[f"attn_Wq_{layer}"], h)
     k = _split_heads(y1 @ params[f"attn_Wk_{layer}"], h)
     v = _split_heads(y1 @ params[f"attn_Wv_{layer}"], h)
+    del y1  # backward rebuilds it from xhat1, as it does y2 and ctx below
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     n = x.shape[1]
     mask = np.triu(np.ones((n, n), dtype=bool), k=1)
     scores = np.where(mask, -np.inf, scores)
     attn = _softmax(scores, axis=-1)
-    ctx = _merge_heads(attn @ v)
-    x_mid = x + ctx @ params[f"attn_Wo_{layer}"]
+    x_mid = x + _merge_heads(attn @ v) @ params[f"attn_Wo_{layer}"]
     y2, xhat2, inv2 = _layer_norm(x_mid, params[f"ln2_{layer}"])
     ff_pre = y2 @ params[f"ff_W1_{layer}"] + params[f"ff_b1_{layer}"]
+    del y2
     ff_act, ff_phi = _gelu(ff_pre)
-    out = x_mid + ff_act @ params[f"ff_W2_{layer}"] + params[f"ff_b2_{layer}"]
+    out = ff_act @ params[f"ff_W2_{layer}"]
+    out += x_mid  # in place, with the operand pairs of x_mid + ff_act @ W2 + b2
+    out += params[f"ff_b2_{layer}"]
     cache = {
-        "xhat1": xhat1, "inv1": inv1, "y1": y1, "q": q, "k": k, "v": v,
-        "attn": attn, "ctx": ctx, "xhat2": xhat2, "inv2": inv2, "y2": y2,
-        "ff_pre": ff_pre, "ff_phi": ff_phi,
+        "xhat1": xhat1, "inv1": inv1, "q": q, "k": k, "v": v, "attn": attn,
+        "xhat2": xhat2, "inv2": inv2, "ff_pre": ff_pre, "ff_phi": ff_phi,
     }
     return out, cache
 
@@ -310,24 +333,27 @@ def _block_backward(d_out, params, config, layer, cache, grads):
     grads[f"ff_W2_{layer}"] = _weight_grad(cache["ff_pre"] * cache["ff_phi"], d_out)  # ff_act
     d_ff_pre = (d_out @ params[f"ff_W2_{layer}"].T) * _gelu_grad(cache["ff_pre"], cache["ff_phi"])
     grads[f"ff_b1_{layer}"] = d_ff_pre.sum(axis=(0, 1))
-    grads[f"ff_W1_{layer}"] = _weight_grad(cache["y2"], d_ff_pre)
+    y2 = params[f"ln2_{layer}"] * cache["xhat2"]
+    grads[f"ff_W1_{layer}"] = _weight_grad(y2, d_ff_pre)
     d_y2 = d_ff_pre @ params[f"ff_W1_{layer}"].T
     d_x_mid, grads[f"ln2_{layer}"] = _layer_norm_backward(
         d_y2, params[f"ln2_{layer}"], cache["xhat2"], cache["inv2"]
     )
     d_x_mid = d_x_mid + d_out  # residual
     # attention sublayer
-    grads[f"attn_Wo_{layer}"] = _weight_grad(cache["ctx"], d_x_mid)
+    ctx = _merge_heads(cache["attn"] @ cache["v"])
+    grads[f"attn_Wo_{layer}"] = _weight_grad(ctx, d_x_mid)
     d_ctx = _split_heads(d_x_mid @ params[f"attn_Wo_{layer}"].T, h)
     d_attn = d_ctx @ cache["v"].transpose(0, 1, 3, 2)
     d_v = cache["attn"].transpose(0, 1, 3, 2) @ d_ctx
     d_scores = _softmax_grad(d_attn, cache["attn"])  # masked cells carry zero weight
     d_q = (d_scores @ cache["k"]) * scale
     d_k = (d_scores.transpose(0, 1, 3, 2) @ cache["q"]) * scale
-    d_y1 = np.zeros_like(cache["y1"])
+    y1 = params[f"ln1_{layer}"] * cache["xhat1"]
+    d_y1 = np.zeros_like(y1)
     for name, d_proj in (("attn_Wq", d_q), ("attn_Wk", d_k), ("attn_Wv", d_v)):
         merged = _merge_heads(d_proj)
-        grads[f"{name}_{layer}"] = _weight_grad(cache["y1"], merged)
+        grads[f"{name}_{layer}"] = _weight_grad(y1, merged)
         d_y1 += merged @ params[f"{name}_{layer}"].T
     d_x, grads[f"ln1_{layer}"] = _layer_norm_backward(
         d_y1, params[f"ln1_{layer}"], cache["xhat1"], cache["inv1"]
@@ -335,18 +361,12 @@ def _block_backward(d_out, params, config, layer, cache, grads):
     return d_x + d_x_mid
 
 
-def _backbone(x, params, config: ModelConfig):
-    """Run the block stack over (B, N, D); returns (output, per-block caches)."""
-    caches = []
-    for layer in range(config.layers):
-        x, cache = _block_forward(x, params, config, layer)
-        caches.append(cache)
-    return x, tuple(caches)
-
-
 def backbone_forward(e, params, config: ModelConfig):
     """Contextualize a fused (B, N, D) batch; position i sees only positions <= i."""
-    return _backbone(np.asarray(e, dtype=np.float64), params, config)[0]
+    h = np.asarray(e, dtype=np.float64)
+    for layer in range(config.layers):
+        h = _block_forward(h, params, config, layer)[0]
+    return h
 
 
 def moe_forward(e_hat, params, config: ModelConfig):
@@ -363,13 +383,14 @@ def moe_forward(e_hat, params, config: ModelConfig):
         weights = _softmax(e_hat @ params["gate_W"] + params["gate_b"], axis=-1)
     else:
         weights = np.ones(e_hat.shape[:-1] + (1,))
-    s_hat = (weights[..., None, :] @ experts_out)[..., 0, :]
-    return s_hat, GateMatrix(weights=weights), experts_out
+    return _blend(weights, experts_out), GateMatrix(weights=weights), experts_out
 
 
 def predict_segment(s_hat, params):
     """Project a gated representation to the next segment's values."""
-    return np.asarray(s_hat, dtype=np.float64) @ params["out_W"] + params["out_b"]
+    pred = np.asarray(s_hat, dtype=np.float64) @ params["out_W"]
+    pred += params["out_b"]  # in place: this runs at the peak of a forward
+    return pred
 
 
 def forward(params: dict, config: ModelConfig, x, te) -> ForwardTrace:
@@ -385,13 +406,17 @@ def forward(params: dict, config: ModelConfig, x, te) -> ForwardTrace:
     if te.shape != x.shape[:2] + (config.dim,):
         raise ShapeError(f"text batch shape {te.shape}, want {x.shape[:2] + (config.dim,)}")
     se_pre, se, se_phi = _segment_embed(x, params)
-    fused_e, alpha = fuse(se, te, params["theta"]) if config.fused else (se, 1.0)
-    h, layer_caches = _backbone(fused_e, params, config)
+    h, alpha = fuse(se, te, params["theta"]) if config.fused else (se, 1.0)
+    del se  # the trace rebuilds it from se_pre and se_phi
+    layer_caches = []
+    for layer in range(config.layers):  # rebinding h lets each block's input go
+        h, cache = _block_forward(h, params, config, layer)
+        layer_caches.append(cache)
     s_hat, gate, experts_out = moe_forward(h, params, config)
     return ForwardTrace(
-        config=config, x=x, te=te, se_pre=se_pre, se=se, se_phi=se_phi, alpha=alpha,
-        layers=layer_caches, e_hat=h, gate=gate, experts_out=experts_out,
-        s_hat=s_hat, pred=predict_segment(s_hat, params),
+        config=config, x=x, te=te, se_pre=se_pre, se_phi=se_phi, alpha=alpha,
+        layers=tuple(layer_caches), e_hat=h, gate=gate, experts_out=experts_out,
+        pred=predict_segment(s_hat, params),
     )
 
 

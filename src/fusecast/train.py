@@ -173,15 +173,19 @@ class WindowTensors:
 
 
 def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int = 4) -> WindowTensors:
+    """Every window's tensors, copied into arrays the first window sizes, so
+    no per-window list is left behind as freed heap before the first forward."""
     if not windows:
         raise ConfigError("no windows to assemble")
-    xs, tes, futures = [], [], []
-    for w in windows:
+    data = None
+    for i, w in enumerate(windows):
         x, te = window_tensors(w.context, w.start, freq, segment_len, text_source, decimals)
-        xs.append(x)
-        tes.append(te)
-        futures.append(np.asarray(w.target, dtype=np.float64))
-    return WindowTensors(x=np.stack(xs), te=np.stack(tes), future=np.stack(futures))
+        if data is None:
+            count = len(windows)
+            data = WindowTensors(x=np.empty((count,) + x.shape), te=np.empty((count,) + te.shape),
+                                 future=np.empty((count,) + np.shape(w.target)))
+        data.x[i], data.te[i], data.future[i] = x, te, w.target
+    return data
 
 
 def _batch_step(params, mconfig, tconfig, x, te):

@@ -165,21 +165,25 @@ def _oracle_block_backward(d_out, params, config, layer, cache, grads):
     grads[f"ff_W2_{layer}"] = np.einsum("bnf,bnd->fd", ff_act, d_out)
     d_ff_pre = (d_out @ params[f"ff_W2_{layer}"].T) * _gelu_grad(cache["ff_pre"], cache["ff_phi"])
     grads[f"ff_b1_{layer}"] = d_ff_pre.sum(axis=(0, 1))
-    grads[f"ff_W1_{layer}"] = np.einsum("bnd,bnf->df", cache["y2"], d_ff_pre)
+    y2 = params[f"ln2_{layer}"] * cache["xhat2"]  # the trace keeps xhat, not the norm output
+    grads[f"ff_W1_{layer}"] = np.einsum("bnd,bnf->df", y2, d_ff_pre)
     d_x_mid, grads[f"ln2_{layer}"] = _layer_norm_backward(
         d_ff_pre @ params[f"ff_W1_{layer}"].T, params[f"ln2_{layer}"],
         cache["xhat2"], cache["inv2"])
     d_x_mid = d_x_mid + d_out
-    grads[f"attn_Wo_{layer}"] = np.einsum("bnd,bne->de", cache["ctx"], d_x_mid)
+    ctx = np.einsum("bhij,bhjd->bhid", cache["attn"], cache["v"]).transpose(0, 2, 1, 3)
+    ctx = ctx.reshape(d_x_mid.shape)
+    grads[f"attn_Wo_{layer}"] = np.einsum("bnd,bne->de", ctx, d_x_mid)
     d_ctx = _split_heads(d_x_mid @ params[f"attn_Wo_{layer}"].T, h)
     d_scores = _softmax_grad(d_ctx @ cache["v"].transpose(0, 1, 3, 2), cache["attn"])
     d_v = cache["attn"].transpose(0, 1, 3, 2) @ d_ctx
     d_q = (d_scores @ cache["k"]) * scale
     d_k = (d_scores.transpose(0, 1, 3, 2) @ cache["q"]) * scale
-    d_y1 = np.zeros_like(cache["y1"])
+    y1 = params[f"ln1_{layer}"] * cache["xhat1"]
+    d_y1 = np.zeros_like(y1)
     for name, d_proj in (("attn_Wq", d_q), ("attn_Wk", d_k), ("attn_Wv", d_v)):
         merged = _merge_heads(d_proj)
-        grads[f"{name}_{layer}"] = np.einsum("bnd,bne->de", cache["y1"], merged)
+        grads[f"{name}_{layer}"] = np.einsum("bnd,bne->de", y1, merged)
         d_y1 += merged @ params[f"{name}_{layer}"].T
     d_x, grads[f"ln1_{layer}"] = _layer_norm_backward(
         d_y1, params[f"ln1_{layer}"], cache["xhat1"], cache["inv1"])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fusecast.model import (
     _erf,
     _gelu,
     _gelu_grad,
+    _segment_embed,
     backbone_forward,
     forward,
     fuse,
@@ -303,6 +305,33 @@ class TestForward:
         a = forward(params, TINY, x, te).pred
         b = forward(params, TINY, x, te).pred
         np.testing.assert_array_equal(a, b)
+
+    def test_rebuilt_values_are_bit_equal(self):
+        params = init_params(TINY)
+        params["theta"] = np.asarray(0.4)
+        x, te = make_inputs(TINY, batch=3, n=4)
+        trace = forward(params, TINY, x, te)
+        assert trace.se.tobytes() == _segment_embed(x, params)[1].tobytes()
+        assert trace.s_hat.tobytes() == moe_forward(trace.e_hat, params, TINY)[0].tobytes()
+
+    def test_memory_budget_at_the_default_config(self):
+        """The trace stores each activation once; a second copy of one breaks the budget."""
+        config = ModelConfig(segment_len=24, dim=64)  # the CLI's default model
+        params = init_params(config)
+        x, te = make_inputs(config, batch=64, n=7)
+        forward(params, config, x, te)  # leaves lazy set-up out of the count
+        unit = 64 * 7 * 64 * 8  # bytes of one (B, N, D) float64 activation
+        tracemalloc.start()
+        try:
+            trace = forward(params, config, x, te)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.pred.shape == (64, 7, 24)
+        # measured: 25.96 units kept, 27.25 at the peak; one more stored activation adds
+        # a unit to each
+        assert kept <= 26.4 * unit, f"trace keeps {kept / unit:.2f} units"
+        assert peak <= 27.7 * unit, f"forward peaks at {peak / unit:.2f} units"
 
 
 class TestCheckpoint:

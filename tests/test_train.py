@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from datetime import datetime, timedelta
 
 import fusecast.textenc
@@ -239,6 +240,23 @@ class TestWindowAssembly:
         assert data.x.shape == (w, 3, 4)
         assert data.te.shape == (w, 3, 6)
         assert data.future.shape == (w, 4)
+
+    @given(length=st.integers(21, 60), context=st.integers(1, 16), horizon=st.integers(1, 5),
+           segment_len=st.integers(1, 6), stride=st.integers(1, 7))
+    def test_assembly_equals_stacked_window_tensors(self, length, context, horizon,
+                                                     segment_len, stride):
+        assume(segment_len <= context)  # a context shorter than a segment is refused
+        frame = self.make_frame(length)
+        windows = list(sample_windows(frame, (0, length), context, horizon, stride))
+        source = PromptEncoder(dim=6, seed=0)
+        data = assemble_windows(windows, HOURLY, segment_len, source)
+        tensors = [window_tensors(w.context, w.start, HOURLY, segment_len, source)
+                   for w in windows]
+        for got, want in ((data.x, np.stack([x for x, _ in tensors])),
+                          (data.te, np.stack([te for _, te in tensors])),
+                          (data.future, np.stack([w.target for w in windows]))):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_assemble_rejects_empty(self):
         with pytest.raises(ConfigError):
