@@ -346,8 +346,9 @@ def cmd_ablate(args) -> int:
 def cmd_promote(args) -> int:
     cfg = _config_from(args)
     sizes = _int_list(args.sizes, "sizes")
+    config = _model_config({**cfg, "hidden_dim": sizes[0]})  # hidden_dim itself is not trained
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
-    report = promotion_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
+    report = promotion_run(train_w, val_w, freq, config, _train_config(cfg),
                            sizes, text_seed=cfg["text_seed"],
                            text_mode=cfg["text_mode"], decimals=cfg["decimals"])
     _publish(args, cfg, report, "promotion.json", render_promotion_table, sizes=sizes)

@@ -200,9 +200,10 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
     """
     if not sizes:
         raise ConfigError("promotion needs at least one backbone size")
+    bases = [replace(config, dim=dim) for dim in sizes]  # every width is checked before training
     table = []
-    for dim in sizes:  # one harness call per size keeps one size's windows in memory
-        base = replace(config, dim=dim)
+    for base in bases:  # one harness call per size keeps one size's windows in memory
+        dim = base.dim
         source = text_source(text_mode, dim, text_seed)
         pair = [(replace(base, experts=1, gated=False), tconfig, source),
                 (replace(base, gated=True), tconfig, source)]

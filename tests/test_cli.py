@@ -668,6 +668,32 @@ class TestHarnessCommands:
         assert report["rows"][0]["size"] == 8
         assert report["rows"][0]["promotion_mse"].endswith("%")
 
+    def test_promote_checks_the_trained_sizes_not_hidden_dim(self, tmp_path, data_csv):
+        # 4 heads divide the trained width 8 but not the unused hidden_dim 10
+        out_root = tmp_path / "runs"
+        rc = main(["promote", "--data", str(data_csv), "--sizes", "8",
+                   "--out-root", str(out_root)] + BASE
+                  + ["--hidden-dim", "10", "--heads", "4", "--layers", "1"])
+        assert rc == 0
+        (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+        report = json.loads((run_dir / "promotion.json").read_text())
+        assert report["config"]["dim"] == 8
+        assert [row["size"] for row in report["rows"]] == [8]
+
+    def test_promote_refuses_a_bad_size_before_training(self, tmp_path, data_csv,
+                                                        monkeypatch, capsys):
+        def train_variants(*args, **kwargs):
+            raise AssertionError("promote trained before it checked every size")
+
+        monkeypatch.setattr(evaluation, "train_variants", train_variants)
+        out_root = tmp_path / "runs"
+        rc = main(["promote", "--data", str(data_csv), "--sizes", "8,10",
+                   "--out-root", str(out_root)] + BASE + ["--heads", "4", "--layers", "1"])
+        assert rc == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError" and "dim=10 heads=4" in payload["message"]
+        assert not out_root.exists()
+
     @pytest.mark.parametrize("command,extra,sources", [
         ("ablate", ["--seeds", "0"], {"PromptEncoder", "ZeroTextSource"}),
         ("promote", ["--sizes", "8", "--text-mode", "zero"], {"ZeroTextSource"}),

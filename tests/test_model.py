@@ -17,6 +17,7 @@ from fusecast.model import (
     _erf,
     _gelu,
     _gelu_grad,
+    _layer_norm,
     _segment_embed,
     backbone_forward,
     forward,
@@ -470,3 +471,49 @@ class TestErf:
     def test_chunks_give_elementwise_results(self, n):
         x = np.random.default_rng(n).normal(0, 3, n)
         assert np.array_equal(_erf(x), np.array([_erf(v) for v in x]))
+
+
+def _digest(*arrays):
+    """SHA-256 over each array's shape and raw bytes."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _pin_grid():
+    """Every erf region with its bound's neighbours on both sides, signed zeros, nan and infs."""
+    bounds = np.array([2.0**-28, 0.84375, 1.25, _ERF_SPLIT, 6.0])
+    edges = np.concatenate([bounds, np.nextafter(bounds, 0), np.nextafter(bounds, 7)])
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300])
+    return np.concatenate([np.linspace(-7, 7, 20_001), edges, -edges, special])
+
+
+class TestBitsPinned:
+    """_erf and _layer_norm give the same bits as the reference versions recorded here;
+    a faster rewrite must not move one of them."""
+
+    ACT = np.random.default_rng(7).normal(0, 2, (1, 7, 128))  # evaluate's (1, N, 2D) shape
+
+    def test_erf(self):
+        assert _digest(_erf(_pin_grid())) == (
+            "f394b2ce81affbec79219510ecdd39863cd42f3b85c75536471ad92e0ca81028")
+        assert _digest(_erf(self.ACT)) == (
+            "c9ee867efb0245f36f1266c761a27b3f210796e5fb905110551d6ba9730ea6f0")
+
+    def test_erf_below_the_outer_regions(self):
+        """Arrays that stop short of 0.84375, and of 1.25, skip the regions above them."""
+        assert _digest(_erf(np.linspace(-0.84, 0.84, 1001))) == (
+            "bb41962dbb7f7964b2b5ce629525b4dd300bc78813c9c6ee55a2b16a38d0c3b7")
+        assert _digest(_erf(np.linspace(-1.2, 1.2, 1001))) == (
+            "dc287c47c40976f70b771f073348353f4b5b2e652dea03b6eb136307ec6b495d")
+
+    def test_layer_norm(self):
+        scale = np.random.default_rng(8).uniform(0.5, 1.5, 128)
+        assert _digest(*_layer_norm(self.ACT, scale)) == (
+            "ca8fe0d06c2f22da1acc348ec538e87dbc9070e253d0714afca29800fa557a13")
+        act = np.random.default_rng(9).normal(3, 5, (3, 5, 64))
+        assert _digest(*_layer_norm(act, np.ones(64))) == (
+            "3eae47fc0976be12ee86ae7110f895a0c9683425b36601846ee9a42e854704f3")
