@@ -76,7 +76,7 @@ def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon:
         tail_start = start + (buf.shape[0] - width) * freq
         x, te = window_tensors(buf[-width:], tail_start, freq, config.segment_len,
                                text_source, decimals)
-        trace = forward(params, config, x[None], te[None])
+        trace = forward(params, config, x[None], te[None], keep_trace=False)
         buf = np.concatenate([buf, trace.pred[0, -1]])
     return buf[width : width + horizon]
 

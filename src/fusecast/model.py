@@ -14,6 +14,12 @@ The GeLU's erf is fdlibm's (glibc's, so math.erf's) ported to NumPy, within 1 ul
 The forward trace keeps each activation in one form. Values one op away from a
 kept one (GeLU and layer-norm outputs, the attention context, s_hat) are
 rebuilt with forward's own expressions, so gradients stay bit-identical.
+
+A forward that no backward follows (validation scoring, rolling forecasts)
+passes keep_trace=False. It runs the batch in slabs of _SLAB_ROWS rows, lets
+each intermediate go once the next op has used it, and keeps only pred, the
+gate weights and alpha, bit-equal to the full forward's. Its memory is one
+slab's activations plus the outputs, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -82,6 +88,7 @@ _ERF_FAR_Q = (1.0, 30.33806074348246, 325.7925129965739, 1536.729586084437, 3199
 _ERF_SMALL = float.fromhex("0x1.affffffffffffp-1")  # the largest double below 0.84375
 _ERF_SPLIT = float.fromhex("0x1.6db6ep+1")  # fdlibm's 1/0.35 bound, high word 0x4006DB6E
 _ERF_CHUNK = 8192  # values per pass, which bounds the temporaries
+_SLAB_ROWS = 128  # windows per pass of a forward that keeps no trace, which bounds its activations
 
 
 def _horner(t, coefs):
@@ -220,29 +227,36 @@ class ForwardTrace:
 
     `se` and `s_hat` are rebuilt on read. Each block cache keeps xhat, inv, q,
     k, v, attn, ff_pre and ff_phi; backward rebuilds y1, y2, ctx and ff_act.
+    A trace-free forward (keep_trace=False) fills only config, alpha, gate and
+    pred; the rest stay None, and backward, `se` and `s_hat` raise TraceError.
     """
 
     config: ModelConfig
-    x: np.ndarray  # (B, N, S) segment values
-    te: np.ndarray  # (B, N, D) text embeddings
-    se_pre: np.ndarray
-    se_phi: np.ndarray  # GeLU's Gaussian CDF factor at se_pre
     alpha: float
-    layers: tuple  # per-block intermediates
-    e_hat: np.ndarray
     gate: GateMatrix
-    experts_out: np.ndarray  # (B, N, K, D)
     pred: np.ndarray  # (B, N, S)
+    x: Optional[np.ndarray] = None  # (B, N, S) segment values
+    te: Optional[np.ndarray] = None  # (B, N, D) text embeddings
+    se_pre: Optional[np.ndarray] = None
+    se_phi: Optional[np.ndarray] = None  # GeLU's Gaussian CDF factor at se_pre
+    layers: Optional[tuple] = None  # per-block intermediates
+    e_hat: Optional[np.ndarray] = None
+    experts_out: Optional[np.ndarray] = None  # (B, N, K, D)
+
+    def _kept(self, value):
+        if value is None:
+            raise TraceError("a forward with keep_trace=False keeps nothing for backward")
+        return value
 
     @property
     def se(self) -> np.ndarray:
         """The segment embedding GeLU(se_pre), as _gelu computes it."""
-        return self.se_pre * self.se_phi
+        return self._kept(self.se_pre) * self.se_phi
 
     @property
     def s_hat(self) -> np.ndarray:
         """The gate blend of experts_out, as moe_forward computes it."""
-        return _blend(self.gate.weights, self.experts_out)
+        return _blend(self.gate.weights, self._kept(self.experts_out))
 
 
 def _segment_embed(values, params):
@@ -393,11 +407,41 @@ def predict_segment(s_hat, params):
     return pred
 
 
-def forward(params: dict, config: ModelConfig, x, te) -> ForwardTrace:
+def _forward_rows(params, config: ModelConfig, x, te, keep: bool):
+    """The forward math on a batch of windows.
+
+    With keep, returns the ForwardTrace. Without, each intermediate goes once
+    the next op has used it, and only (pred, gate weights, alpha) come back.
+    """
+    se_pre, se, se_phi = _segment_embed(x, params)
+    h, alpha = fuse(se, te, params["theta"]) if config.fused else (se, 1.0)
+    del se  # the trace rebuilds it from se_pre and se_phi
+    if not keep:
+        del se_pre, se_phi
+    layer_caches = []
+    for layer in range(config.layers):  # rebinding h lets each block's input go
+        h, cache = _block_forward(h, params, config, layer)
+        if keep:
+            layer_caches.append(cache)
+        del cache  # else the next block would run with this one's cache still held
+    s_hat, gate, experts_out = moe_forward(h, params, config)
+    if not keep:
+        del h, experts_out
+        return predict_segment(s_hat, params), gate.weights, alpha
+    return ForwardTrace(
+        config=config, x=x, te=te, se_pre=se_pre, se_phi=se_phi, alpha=alpha,
+        layers=tuple(layer_caches), e_hat=h, gate=gate, experts_out=experts_out,
+        pred=predict_segment(s_hat, params),
+    )
+
+
+def forward(params: dict, config: ModelConfig, x, te, *, keep_trace: bool = True) -> ForwardTrace:
     """Full forward pass over a batch of windows.
 
     x: (B, N, S) segment values; te: (B, N, D) prompt embeddings. Position i
-    of the output predicts the values of segment i+1.
+    of the output predicts the values of segment i+1. With keep_trace=False
+    the windows run _SLAB_ROWS at a time and the result holds only pred, the
+    gate weights and alpha, bit-equal to the full forward's; backward refuses it.
     """
     x = np.asarray(x, dtype=np.float64)
     te = np.asarray(te, dtype=np.float64)
@@ -405,19 +449,16 @@ def forward(params: dict, config: ModelConfig, x, te) -> ForwardTrace:
         raise ShapeError(f"segment batch shape {x.shape}, want (B, N, {config.segment_len})")
     if te.shape != x.shape[:2] + (config.dim,):
         raise ShapeError(f"text batch shape {te.shape}, want {x.shape[:2] + (config.dim,)}")
-    se_pre, se, se_phi = _segment_embed(x, params)
-    h, alpha = fuse(se, te, params["theta"]) if config.fused else (se, 1.0)
-    del se  # the trace rebuilds it from se_pre and se_phi
-    layer_caches = []
-    for layer in range(config.layers):  # rebinding h lets each block's input go
-        h, cache = _block_forward(h, params, config, layer)
-        layer_caches.append(cache)
-    s_hat, gate, experts_out = moe_forward(h, params, config)
-    return ForwardTrace(
-        config=config, x=x, te=te, se_pre=se_pre, se_phi=se_phi, alpha=alpha,
-        layers=tuple(layer_caches), e_hat=h, gate=gate, experts_out=experts_out,
-        pred=predict_segment(s_hat, params),
-    )
+    if keep_trace:
+        return _forward_rows(params, config, x, te, keep=True)
+    batch, n = x.shape[:2]
+    pred = np.empty((batch, n, config.segment_len))
+    weights = np.empty((batch, n, config.experts))
+    for lo in range(0, max(batch, 1), _SLAB_ROWS):  # one pass at batch 0 still sets alpha
+        rows = slice(lo, lo + _SLAB_ROWS)
+        pred[rows], weights[rows], alpha = _forward_rows(params, config, x[rows], te[rows],
+                                                         keep=False)
+    return ForwardTrace(config=config, alpha=alpha, gate=GateMatrix(weights=weights), pred=pred)
 
 
 def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
@@ -431,6 +472,7 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
     """
     if trace.config != config:
         raise TraceError("trace was produced under a different model config")
+    trace._kept(trace.e_hat)
     d_pred = np.asarray(d_pred, dtype=np.float64)
     if d_pred.shape != trace.pred.shape:
         raise TraceError(f"d_pred shape {d_pred.shape} != pred shape {trace.pred.shape}")

@@ -206,8 +206,8 @@ def _batch_step(params, mconfig, tconfig, x, te):
 def _train_step(params, mconfig, tconfig, state, x, te) -> float:
     """Forward, backward and one AdamW update on a batch; returns its loss.
 
-    The trace and gradients die with this frame, so validation, which runs
-    the whole val set through forward at once, never holds them as well.
+    The trace and gradients die with this frame, so validation never holds
+    them as well.
     """
     trace, total, d_pred, d_gate = _batch_step(params, mconfig, tconfig, x, te)
     adamw_step(params, backward(params, mconfig, trace, d_pred, d_gate), state, tconfig)
@@ -219,9 +219,10 @@ def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors):
 
     Returns (mse, mae, mean gate entropy, alpha). Only the first
     min(segment_len, F) future values are scored; longer horizons need
-    autoregressive rolling and are the evaluation module's job.
+    autoregressive rolling and are the evaluation module's job. No backward
+    follows, so the forward keeps no trace.
     """
-    trace = forward(params, mconfig, data.x, data.te)
+    trace = forward(params, mconfig, data.x, data.te, keep_trace=False)
     horizon = min(mconfig.segment_len, data.future.shape[1])
     mse, mae = metrics(trace.pred[:, -1, :horizon], data.future[:, :horizon])
     weights = trace.gate.weights

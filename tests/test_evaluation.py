@@ -164,6 +164,17 @@ class TestRollingForecast:
             got = rolling_forecast(params, CONFIG, context, T0, HOURLY, horizon, self.ENC)
             np.testing.assert_array_equal(got, direct[:horizon])
 
+    def test_one_trace_free_forward_per_roll(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "forward", spy)
+        self.forecast(9)  # 3 rolls of 4 values
+        assert calls == [{"keep_trace": False}] * 3
+
     def test_front_trim_equivalence(self):
         """Dropping the values the model cannot see anyway changes nothing."""
         full = make_context(10)  # 10 values, segment_len 4: front 2 unused

@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusecast.errors import ConfigError, ShapeError
+from fusecast.errors import ConfigError, ShapeError, TraceError
 from fusecast.model import (
     ModelConfig,
     _ERF_CHUNK,
     _ERF_SPLIT,
+    _SLAB_ROWS,
     _erf,
     _gelu,
     _gelu_grad,
     _layer_norm,
     _segment_embed,
     backbone_forward,
+    backward,
     forward,
     fuse,
     init_params,
@@ -333,6 +335,66 @@ class TestForward:
         # a unit to each
         assert kept <= 26.4 * unit, f"trace keeps {kept / unit:.2f} units"
         assert peak <= 27.7 * unit, f"forward peaks at {peak / unit:.2f} units"
+
+
+DEFAULT = ModelConfig(segment_len=24, dim=64)  # the CLI's default model
+
+
+class TestTraceFreeForward:
+    @pytest.mark.parametrize("config", [
+        DEFAULT,
+        ModelConfig(segment_len=24, dim=64, experts=1, gated=False),
+        ModelConfig(segment_len=24, dim=64, layers=0),
+        ModelConfig(segment_len=24, dim=64, fused=False),
+    ], ids=["default", "ungated", "layers0", "unfused"])
+    @pytest.mark.parametrize("batch", [1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1,
+                                       3 * _SLAB_ROWS + 5])
+    def test_bit_equal_to_the_full_forward(self, config, batch):
+        params = init_params(config)
+        if config.fused:
+            params["theta"] = np.array(0.3)
+        x, te = make_inputs(config, batch=batch, n=7, seed=batch)
+        full = forward(params, config, x, te)
+        free = forward(params, config, x, te, keep_trace=False)
+        assert np.array_equal(free.pred, full.pred)
+        assert np.array_equal(free.gate.weights, full.gate.weights)
+        assert free.alpha == full.alpha
+
+    def test_keeps_nothing_for_backward(self):
+        params = init_params(TINY)
+        x, te = make_inputs(TINY)
+        free = forward(params, TINY, x, te, keep_trace=False)
+        assert free.layers is None and free.e_hat is None and free.experts_out is None
+        with pytest.raises(TraceError):
+            backward(params, TINY, free, np.zeros_like(free.pred))
+        with pytest.raises(TraceError):
+            free.se
+        with pytest.raises(TraceError):
+            free.s_hat
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        """Past one slab, only the outputs grow: a forward of 8 slabs peaks within 10% of
+        one slab's peak plus its own larger outputs."""
+        params = init_params(DEFAULT)
+        x1, te1 = make_inputs(DEFAULT, batch=1, n=7)
+
+        def peak(batch):  # identical windows as stride-0 views, so the inputs cost nothing
+            x = np.broadcast_to(x1, (batch,) + x1.shape[1:])
+            te = np.broadcast_to(te1, (batch,) + te1.shape[1:])
+            forward(params, DEFAULT, x, te, keep_trace=False)  # leaves lazy set-up out
+            tracemalloc.start()
+            try:
+                out = forward(params, DEFAULT, x, te, keep_trace=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, out.pred.nbytes + out.gate.weights.nbytes
+
+        one, _ = peak(_SLAB_ROWS)
+        eight, outputs = peak(8 * _SLAB_ROWS)
+        # measured: 6.9 MB at one slab, 8.3 MB at eight with 1.6 MB of outputs; a full
+        # trace at eight slabs would hold about 100 MB
+        assert eight <= 1.1 * (one + outputs), f"{eight / 1e6:.1f} MB at 8 slabs"
 
 
 class TestCheckpoint:

@@ -301,6 +301,22 @@ class TestEvaluateWindows:
         assert 0.0 < entropy <= np.log(2.0) + 1e-12
 
 
+    def test_one_trace_free_forward(self, monkeypatch):
+        config = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, seed=0)
+        rng = np.random.default_rng(5)
+        data = WindowTensors(x=rng.normal(size=(6, 3, 4)), te=rng.normal(size=(6, 3, 8)),
+                             future=rng.normal(size=(6, 4)))
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(fusecast.train, "forward", spy)
+        evaluate_windows(init_params(config), config, data)
+        assert calls == [{"keep_trace": False}]
+
+
 def build_training_sets(seed=0, windows=24, n=3, s=4, dim=8):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(windows, n, s))
