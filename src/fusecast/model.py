@@ -104,16 +104,19 @@ def _erf(x):
     """Float64 erf of any shape, in flat chunks of fdlibm's four |x| regions."""
     flat = np.asarray(x, dtype=np.float64).reshape(-1)
     out = np.empty(flat.shape)
-    rest = [np.empty(0, dtype=np.intp)]
+    rest = []
     for lo in range(0, flat.size, _ERF_CHUNK):  # the |x| < 0.84375 formula on every value
         chunk = flat[lo:lo + _ERF_CHUNK]
-        head = np.clip(chunk, -_ERF_SMALL, _ERF_SMALL)  # moves every |x| >= 0.84375, and nan
+        # np.clip's bounds: moves every |x| >= 0.84375, and nan, without the wrapper's cost
+        head = np.minimum(np.maximum(chunk, -_ERF_SMALL), _ERF_SMALL)
         z = head * head
         y = _horner(z, _ERF_SMALL_P)
         y /= _horner(z, _ERF_SMALL_Q)
         np.add(head, np.multiply(head, y, out=y), out=out[lo:lo + _ERF_CHUNK])
-        rest.append(lo + np.flatnonzero(head != chunk))
-    rest = np.concatenate(rest)
+        rest.append(lo + (head != chunk).nonzero()[0])
+    if not any(idx.size for idx in rest):
+        return out.reshape(np.shape(x))[()]
+    rest = rest[0] if len(rest) == 1 else np.concatenate(rest)
     for lo in range(0, rest.size, _ERF_CHUNK):  # each region redoes the values past its bound
         idx = rest[lo:lo + _ERF_CHUNK]
         u = flat[idx]
@@ -121,13 +124,14 @@ def _erf(x):
         s = v - 1.0
         res = _ERX + _horner(s, _ERF_MID_P) / _horner(s, _ERF_MID_Q)
         for bound, p, q in ((1.25, _ERF_NEAR_P, _ERF_NEAR_Q), (_ERF_SPLIT, _ERF_FAR_P, _ERF_FAR_Q)):
-            sel = np.flatnonzero(v >= bound)
-            if sel.size:  # exp(-t*t) splits at z, t's high word, so that z*z is exact
-                t = v[sel]
-                s = 1.0 / (t * t)
-                z = (t.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(np.float64)
-                r = np.exp((z - t) * (z + t) + _horner(s, p) / _horner(s, q))
-                res[sel] = 1.0 - np.exp(-0.5625 - z * z) * r / t
+            sel = (v >= bound).nonzero()[0]
+            if not sel.size:  # the bounds ascend, so no value reaches the next one either
+                break
+            t = v[sel]  # exp(-t*t) splits at z, t's high word, so that z*z is exact
+            s = 1.0 / (t * t)
+            z = (t.view(np.uint64) & np.uint64(0xFFFFFFFF00000000)).view(np.float64)
+            r = np.exp((z - t) * (z + t) + _horner(s, p) / _horner(s, q))
+            res[sel] = 1.0 - np.exp(-0.5625 - z * z) * r / t
         out[idx] = np.copysign(res, u)
     return out.reshape(np.shape(x))[()]
 
@@ -290,10 +294,14 @@ def _merge_heads(x):
 
 
 def _layer_norm(x, scale):
-    """Scale-only pre-norm: center, normalize, multiply by a learned gain."""
-    mu = x.mean(axis=-1, keepdims=True)
+    """Scale-only pre-norm: center, normalize, multiply by a learned gain.
+
+    The means are the sums ndarray.mean takes, over d, without its wrapper's cost.
+    """
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     centered = x - mu
-    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + _LN_EPS)
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) / d + _LN_EPS)
     xhat = centered * inv
     return scale * xhat, xhat, inv
 
