@@ -163,6 +163,12 @@ def _run_dir(args, cfg, **inputs) -> Path:
     return make_run_dir(args.out_root, args.command, payload)
 
 
+def _data_stamp(path) -> dict:
+    """The data file as artifacts record it: base name and SHA-256, not the path as typed,
+    so the same run from two checkouts writes the same bytes."""
+    return {"data": Path(path).name, "data_sha256": _sha256(path)}
+
+
 def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -170,9 +176,9 @@ def write_json(path, payload) -> None:
 
 
 def _publish(args, cfg, report: dict, name: str, render, **inputs) -> Path:
-    """Stamp config and data into a harness report, write it, print it (--table) and its path."""
+    """Stamp config and data file into a harness report, write it, print it (--table) and its path."""
     report["resolved_config"] = cfg
-    report["data"] = str(args.data)
+    report.update(_data_stamp(args.data))
     run_dir = _run_dir(args, cfg, **inputs)
     write_json(run_dir / name, report)
     if render is not None and args.table:
@@ -286,7 +292,7 @@ def cmd_train(args) -> int:
     save_checkpoint(result.params, mconfig, run_dir / "checkpoint.json")
     record = run_record(mconfig, tconfig, result)
     record["resolved_config"] = cfg
-    record["data"] = str(args.data)
+    record.update(_data_stamp(args.data))
     write_json(run_dir / "record.json", record)
     print(f"run dir: {run_dir}")
     print(f"best val MSE {result.best_val_mse:.6f} at epoch {result.best_epoch} "

@@ -220,6 +220,28 @@ class TestTrainCommand:
         assert len([p for p in out_root.iterdir() if p.is_dir()]) == 2
         assert (first_dir / "checkpoint.json").read_bytes() == first
 
+    @pytest.mark.parametrize("command,extra,name", [
+        ("train", [], "record.json"),
+        ("promote", ["--sizes", "8"], "promotion.json"),
+    ], ids=["train", "promote"])
+    def test_artifact_names_data_by_file_name_and_bytes(self, tmp_path, data_csv, command,
+                                                         extra, name):
+        # two checkouts hold the same file under different paths; their artifacts agree
+        blobs = []
+        for where in ("a", "b/c"):
+            data = tmp_path / where / data_csv.name
+            data.parent.mkdir(parents=True)
+            data.write_bytes(data_csv.read_bytes())
+            out_root = tmp_path / where / "runs"
+            assert main([command, "--data", str(data), "--out-root", str(out_root)]
+                        + extra + BASE) == 0
+            (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+            blobs.append((run_dir / name).read_bytes())
+        assert blobs[0] == blobs[1]
+        stamped = json.loads(blobs[0])
+        assert stamped["data"] == "sine.csv"
+        assert stamped["data_sha256"] == cli._sha256(data_csv)
+
     def test_config_file_layer_lands_in_record(self, tmp_path, data_csv):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("epochs=3\nlambda=0.02\n")
