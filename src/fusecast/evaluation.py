@@ -203,14 +203,13 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
     bases = [replace(config, dim=dim) for dim in sizes]  # every width is checked before training
     table = []
     for base in bases:  # one harness call per size keeps one size's windows in memory
-        dim = base.dim
-        source = text_source(text_mode, dim, text_seed)
+        source = text_source(text_mode, base.dim, text_seed)
         pair = [(replace(base, experts=1, gated=False), tconfig, source),
                 (replace(base, gated=True), tconfig, source)]
         results = train_variants(train_windows, val_windows, freq, pair, decimals)
         original, moe = ({"mse": r.best_val_mse, "mae": r.best_val_mae} for r in results)
         table.append({
-            "size": dim,
+            "size": base.dim,
             "original": original,
             "moe": moe,
             "promotion_mse": format_promotion(original["mse"], moe["mse"]),
