@@ -16,10 +16,10 @@ kept one (GeLU and layer-norm outputs, the attention context, s_hat) are
 rebuilt with forward's own expressions, so gradients stay bit-identical.
 
 A forward that no backward follows (validation scoring, rolling forecasts)
-passes keep_trace=False. It runs the batch in slabs of _SLAB_ROWS rows, lets
-each intermediate go once the next op has used it, and keeps only pred, the
-gate weights and alpha, bit-equal to the full forward's. Its memory is one
-slab's activations plus the outputs, whatever the batch size.
+passes keep_trace=False. That is the full forward run one slab of _SLAB_ROWS
+windows at a time, keeping three outputs of each slab: pred, the gate weights
+and alpha. Its memory is one slab's trace plus the outputs, whatever the batch
+size.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ _ERF_FAR_Q = (1.0, 30.33806074348246, 325.7925129965739, 1536.729586084437, 3199
 _ERF_SMALL = float.fromhex("0x1.affffffffffffp-1")  # the largest double below 0.84375
 _ERF_SPLIT = float.fromhex("0x1.6db6ep+1")  # fdlibm's 1/0.35 bound, high word 0x4006DB6E
 _ERF_CHUNK = 8192  # values per pass, which bounds the temporaries
-_SLAB_ROWS = 128  # windows per pass of a forward that keeps no trace, which bounds its activations
+_SLAB_ROWS = 32  # windows per pass of a forward that keeps no trace: a train step's batch
 
 
 def _horner(t, coefs):
@@ -231,8 +231,9 @@ class ForwardTrace:
 
     `se` and `s_hat` are rebuilt on read. Each block cache keeps xhat, inv, q,
     k, v, attn, ff_pre and ff_phi; backward rebuilds y1, y2, ctx and ff_act.
-    A trace-free forward (keep_trace=False) fills only config, alpha, gate and
-    pred; the rest stay None, and backward, `se` and `s_hat` raise TraceError.
+    A trace-free forward (keep_trace=False) runs the full forward one slab at a
+    time and keeps three outputs: it fills only config, alpha, gate and pred;
+    the rest stay None, and backward, `se` and `s_hat` raise TraceError.
     """
 
     config: ModelConfig
@@ -415,27 +416,16 @@ def predict_segment(s_hat, params):
     return pred
 
 
-def _forward_rows(params, config: ModelConfig, x, te, keep: bool):
-    """The forward math on a batch of windows.
-
-    With keep, returns the ForwardTrace. Without, each intermediate goes once
-    the next op has used it, and only (pred, gate weights, alpha) come back.
-    """
+def _forward_rows(params, config: ModelConfig, x, te) -> ForwardTrace:
+    """The forward math on a batch of windows, with everything backward consumes."""
     se_pre, se, se_phi = _segment_embed(x, params)
     h, alpha = fuse(se, te, params["theta"]) if config.fused else (se, 1.0)
     del se  # the trace rebuilds it from se_pre and se_phi
-    if not keep:
-        del se_pre, se_phi
     layer_caches = []
     for layer in range(config.layers):  # rebinding h lets each block's input go
         h, cache = _block_forward(h, params, config, layer)
-        if keep:
-            layer_caches.append(cache)
-        del cache  # else the next block would run with this one's cache still held
+        layer_caches.append(cache)
     s_hat, gate, experts_out = moe_forward(h, params, config)
-    if not keep:
-        del h, experts_out
-        return predict_segment(s_hat, params), gate.weights, alpha
     return ForwardTrace(
         config=config, x=x, te=te, se_pre=se_pre, se_phi=se_phi, alpha=alpha,
         layers=tuple(layer_caches), e_hat=h, gate=gate, experts_out=experts_out,
@@ -448,8 +438,8 @@ def forward(params: dict, config: ModelConfig, x, te, *, keep_trace: bool = True
 
     x: (B, N, S) segment values; te: (B, N, D) prompt embeddings. Position i
     of the output predicts the values of segment i+1. With keep_trace=False
-    the windows run _SLAB_ROWS at a time and the result holds only pred, the
-    gate weights and alpha, bit-equal to the full forward's; backward refuses it.
+    the same forward runs _SLAB_ROWS windows at a time, and the result keeps
+    only pred, the gate weights and alpha of each slab; backward refuses it.
     """
     x = np.asarray(x, dtype=np.float64)
     te = np.asarray(te, dtype=np.float64)
@@ -458,14 +448,15 @@ def forward(params: dict, config: ModelConfig, x, te, *, keep_trace: bool = True
     if te.shape != x.shape[:2] + (config.dim,):
         raise ShapeError(f"text batch shape {te.shape}, want {x.shape[:2] + (config.dim,)}")
     if keep_trace:
-        return _forward_rows(params, config, x, te, keep=True)
+        return _forward_rows(params, config, x, te)
     batch, n = x.shape[:2]
     pred = np.empty((batch, n, config.segment_len))
     weights = np.empty((batch, n, config.experts))
     for lo in range(0, max(batch, 1), _SLAB_ROWS):  # one pass at batch 0 still sets alpha
         rows = slice(lo, lo + _SLAB_ROWS)
-        pred[rows], weights[rows], alpha = _forward_rows(params, config, x[rows], te[rows],
-                                                         keep=False)
+        slab = _forward_rows(params, config, x[rows], te[rows])
+        pred[rows], weights[rows], alpha = slab.pred, slab.gate.weights, slab.alpha
+        del slab  # else the next slab's trace would be built while this one is held
     return ForwardTrace(config=config, alpha=alpha, gate=GateMatrix(weights=weights), pred=pred)
 
 

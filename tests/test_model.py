@@ -32,6 +32,7 @@ from fusecast.model import (
     save_checkpoint,
     sigmoid,
 )
+from fusecast.train import TrainConfig
 
 TINY = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, seed=0)
 
@@ -348,7 +349,8 @@ class TestTraceFreeForward:
         ModelConfig(segment_len=24, dim=64, fused=False),
     ], ids=["default", "ungated", "layers0", "unfused"])
     @pytest.mark.parametrize("batch", [1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1,
-                                       3 * _SLAB_ROWS + 5])
+                                       3 * _SLAB_ROWS + 5,
+                                       127, 128, 129, 389])  # many slabs, whole and partial
     def test_bit_equal_to_the_full_forward(self, config, batch):
         params = init_params(config)
         if config.fused:
@@ -392,9 +394,33 @@ class TestTraceFreeForward:
 
         one, _ = peak(_SLAB_ROWS)
         eight, outputs = peak(8 * _SLAB_ROWS)
-        # measured: 6.9 MB at one slab, 8.3 MB at eight with 1.6 MB of outputs; a full
-        # trace at eight slabs would hold about 100 MB
+        # measured: 3.2 MB at one slab, 3.6 MB at eight with 0.4 MB of outputs; a full
+        # trace at eight slabs would hold about 25 MB
         assert eight <= 1.1 * (one + outputs), f"{eight / 1e6:.1f} MB at 8 slabs"
+
+    def test_scoring_peaks_no_higher_than_a_train_step(self):
+        """Scoring the 769 default val windows peaks within 10% of a training forward at
+        TrainConfig's batch plus the scores themselves."""
+        params = init_params(DEFAULT)
+        x1, te1 = make_inputs(DEFAULT, batch=1, n=7)
+
+        def peak(batch, keep_trace):  # stride-0 views, so the inputs cost nothing
+            x = np.broadcast_to(x1, (batch,) + x1.shape[1:])
+            te = np.broadcast_to(te1, (batch,) + te1.shape[1:])
+            forward(params, DEFAULT, x, te, keep_trace=keep_trace)  # leaves lazy set-up out
+            tracemalloc.start()
+            try:
+                forward(params, DEFAULT, x, te, keep_trace=keep_trace)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        step = peak(TrainConfig().batch, keep_trace=True)
+        outputs = 769 * 7 * (DEFAULT.segment_len + DEFAULT.experts) * 8  # pred and gate weights
+        scoring = peak(769, keep_trace=False)
+        # measured: 4.39 MB scoring against 3.18 MB for a B=32 step plus 1.21 MB of scores;
+        # slabs of 128 rows peaked at 7.91 MB
+        assert scoring <= 1.1 * (step + outputs), f"scoring peaks at {scoring / 1e6:.2f} MB"
 
 
 class TestCheckpoint:
