@@ -36,7 +36,7 @@ from .evaluation import (
 )
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate, save_csv, spec_comment
-from .textenc import load_cache, precompute_cache, save_cache, text_source
+from .textenc import TEXT_MODES, load_cache, precompute_cache, save_cache, text_source
 from .train import TrainConfig, gradient_check, run_record, window_segments
 
 _TRUE = {"1", "true", "yes", "on"}
@@ -74,7 +74,7 @@ _SCHEMA = {
     "weight_decay": (float, TrainConfig.weight_decay),
     "max_steps": (int, 0),  # 0 = no cap
     "text_seed": (int, 0),
-    "text_mode": (str, "builtin"),  # builtin | zero
+    "text_mode": (str, "builtin"),  # one of textenc.TEXT_MODES
     "decimals": (int, 4),
 }
 
@@ -118,8 +118,8 @@ def resolve_config(config_path, overrides: dict) -> dict:
                 resolved[key] = convert(value) if isinstance(value, str) else value
             except (ValueError, TypeError):
                 raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
-    if resolved["text_mode"] not in ("builtin", "zero"):
-        raise ConfigError(f"text_mode must be builtin or zero, got {resolved['text_mode']!r}")
+    if resolved["text_mode"] not in TEXT_MODES:
+        raise ConfigError(f"text_mode must be one of {TEXT_MODES}, got {resolved['text_mode']!r}")
     for key, low in _MINIMUMS.items():
         if resolved[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {resolved[key]}")
@@ -156,17 +156,15 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _run_dir(args, cfg, **inputs) -> Path:
-    """Run directory named by the command, config, data path and bytes, and `inputs`."""
-    payload = {"config": cfg, "data": str(args.data), "data_sha256": _sha256(args.data),
-               **inputs}
-    return make_run_dir(args.out_root, args.command, payload)
-
-
 def _data_stamp(path) -> dict:
-    """The data file as artifacts record it: base name and SHA-256, not the path as typed,
-    so the same run from two checkouts writes the same bytes."""
+    """The data file as artifacts and run directories record it: base name and SHA-256,
+    not the path as typed, so the same run from two paths writes the same bytes."""
     return {"data": Path(path).name, "data_sha256": _sha256(path)}
+
+
+def _run_dir(args, cfg, stamp: dict, **inputs) -> Path:
+    """Run directory named by the command, config, data stamp and `inputs`."""
+    return make_run_dir(args.out_root, args.command, {"config": cfg, **stamp, **inputs})
 
 
 def write_json(path, payload) -> None:
@@ -177,9 +175,9 @@ def write_json(path, payload) -> None:
 
 def _publish(args, cfg, report: dict, name: str, render, **inputs) -> Path:
     """Stamp config and data file into a harness report, write it, print it (--table) and its path."""
-    report["resolved_config"] = cfg
-    report.update(_data_stamp(args.data))
-    run_dir = _run_dir(args, cfg, **inputs)
+    stamp = _data_stamp(args.data)
+    report.update(resolved_config=cfg, **stamp)
+    run_dir = _run_dir(args, cfg, stamp, **inputs)
     write_json(run_dir / name, report)
     if render is not None and args.table:
         print(render(report))
@@ -288,11 +286,11 @@ def cmd_train(args) -> int:
     cfg = _config_from(args)
     mconfig, tconfig, result = _fit(cfg, args.data, args.emb_cache)
     cache_input = {"emb_cache_sha256": _sha256(args.emb_cache)} if args.emb_cache else {}
-    run_dir = _run_dir(args, cfg, **cache_input)
+    stamp = _data_stamp(args.data)
+    run_dir = _run_dir(args, cfg, stamp, **cache_input)
     save_checkpoint(result.params, mconfig, run_dir / "checkpoint.json")
     record = run_record(mconfig, tconfig, result)
-    record["resolved_config"] = cfg
-    record.update(_data_stamp(args.data))
+    record.update(resolved_config=cfg, **stamp)
     write_json(run_dir / "record.json", record)
     print(f"run dir: {run_dir}")
     print(f"best val MSE {result.best_val_mse:.6f} at epoch {result.best_epoch} "
@@ -322,8 +320,8 @@ def cmd_evaluate(args) -> int:
         Path(args.data).stem, per_horizon,
         config={"resolved": cfg, "model": asdict(mconfig)}, seeds=(mconfig.seed,),
     )
-    run_dir = _run_dir(args, cfg, horizons=horizons, max_windows=args.max_windows,
-                       checkpoint_sha256=_sha256(args.checkpoint))
+    run_dir = _run_dir(args, cfg, _data_stamp(args.data), horizons=horizons,
+                       max_windows=args.max_windows, checkpoint_sha256=_sha256(args.checkpoint))
     write_json(run_dir / "report.json", report)
     if args.table:
         print(render_forecast_table(report))

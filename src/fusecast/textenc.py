@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheMiss, CorruptCache, EmptyPrompt, ShapeError
+from .errors import CacheMiss, ConfigError, CorruptCache, EmptyPrompt, ShapeError
 
+TEXT_MODES = ("builtin", "zero")  # the text sources text_source builds
 CACHE_HEADER_RE = re.compile(r"^SMET-EMB v1 dim=(\d+)$")
 _EMA_DECAY = 0.5  # encode_prompt's running sum is exact only for this decay
 _POW2 = np.ldexp(1.0, np.arange(512))[:, None]  # 2^(t-1) for token t of a block
@@ -120,10 +121,10 @@ class ZeroTextSource:
 
 
 def text_source(mode: str, dim: int, seed: int):
-    """The text source a text mode names: "zero" or the builtin encoder."""
-    if mode == "zero":
-        return ZeroTextSource(dim)
-    return PromptEncoder(dim, seed)
+    """The text source a text mode names: the builtin encoder or "zero"."""
+    if mode not in TEXT_MODES:
+        raise ConfigError(f"text_mode must be one of {TEXT_MODES}, got {mode!r}")
+    return ZeroTextSource(dim) if mode == "zero" else PromptEncoder(dim, seed)
 
 
 class EmbeddingCache:

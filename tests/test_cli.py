@@ -220,6 +220,16 @@ class TestTrainCommand:
         assert len([p for p in out_root.iterdir() if p.is_dir()]) == 2
         assert (first_dir / "checkpoint.json").read_bytes() == first
 
+    def test_path_spelling_does_not_name_the_run_dir(self, tmp_path, data_csv, monkeypatch,
+                                                     capsys):
+        # two spellings of one file are one input, so they share one run directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.csv").write_bytes(data_csv.read_bytes())
+        for spelling in ("s.csv", "./s.csv", str(tmp_path / "s.csv")):
+            assert main(["train", "--data", spelling, "--out-root", "runs"] + BASE) == 0
+        dirs = re.findall(r"run dir: (\S+)", capsys.readouterr().out)
+        assert len(dirs) == 3 and len(set(dirs)) == 1
+
     @pytest.mark.parametrize("command,extra,name", [
         ("train", [], "record.json"),
         ("promote", ["--sizes", "8"], "promotion.json"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fusecast.errors import CacheMiss, CorruptCache, EmptyPrompt, ShapeError
+from fusecast.errors import CacheMiss, ConfigError, CorruptCache, EmptyPrompt, ShapeError
 from fusecast.synth import SynthSpec, generate
 from fusecast.textenc import (
     EmbeddingCache,
@@ -18,6 +18,7 @@ from fusecast.textenc import (
     precompute_cache,
     prompt_key,
     save_cache,
+    text_source,
 )
 from fusecast.textenc import _token_vector  # shared by the reference loop below
 from fusecast.train import window_segments
@@ -122,6 +123,12 @@ class TestEncoder:
     def test_zero_source(self):
         z = ZeroTextSource(dim=7)
         np.testing.assert_array_equal(z.embed("anything"), np.zeros(7))
+
+    def test_text_source_names_only_its_modes(self):
+        assert isinstance(text_source("builtin", 7, 0), PromptEncoder)
+        assert isinstance(text_source("zero", 7, 0), ZeroTextSource)
+        with pytest.raises(ConfigError, match="bogus"):
+            text_source("bogus", 7, 0)
 
 
 def _ema_loop(prompt, dim, seed):
