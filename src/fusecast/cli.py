@@ -17,7 +17,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
 
@@ -26,7 +26,6 @@ from .errors import ConfigError, FusecastError
 from .evaluation import (
     HORIZONS,
     ablation_run,
-    forecast_report,
     forecast_windows,
     promotion_run,
     render_ablation_table,
@@ -77,6 +76,11 @@ _SCHEMA = {
     "text_mode": (str, "builtin"),  # one of textenc.TEXT_MODES
     "decimals": (int, 4),
 }
+
+# model key -> the ModelConfig field it sets; a checkpoint's config read back as keys
+_MODEL_KEYS = {"segment_len": "segment_len", "hidden_dim": "dim", "experts": "experts",
+               "layers": "layers", "heads": "heads", "gated": "gated", "fused": "fused",
+               "seed": "seed"}
 
 # key -> smallest accepted value (max_steps 0 means no cap)
 _MINIMUMS = {"context_len": 1, "segment_len": 1, "stride": 1, "horizon": 1,
@@ -156,17 +160,6 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _data_stamp(path) -> dict:
-    """The data file as artifacts and run directories record it: base name and SHA-256,
-    not the path as typed, so the same run from two paths writes the same bytes."""
-    return {"data": Path(path).name, "data_sha256": _sha256(path)}
-
-
-def _run_dir(args, cfg, stamp: dict, **inputs) -> Path:
-    """Run directory named by the command, config, data stamp and `inputs`."""
-    return make_run_dir(args.out_root, args.command, {"config": cfg, **stamp, **inputs})
-
-
 def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -174,10 +167,16 @@ def write_json(path, payload) -> None:
 
 
 def _publish(args, cfg, report: dict, name: str, render, **inputs) -> Path:
-    """Stamp config and data file into a harness report, write it, print it (--table) and its path."""
-    stamp = _data_stamp(args.data)
+    """Write a command's JSON artifact `name` into its run directory; returns the directory.
+
+    The artifact is stamped with the resolved config and the data file as its base name and
+    SHA-256, not the path as typed, so the same run from two paths writes the same bytes.
+    The directory is named by the command, that stamp and the command's own `inputs`.
+    Prints the artifact's path, after its `render`ing when --table is given.
+    """
+    stamp = {"data": Path(args.data).name, "data_sha256": _sha256(args.data)}
     report.update(resolved_config=cfg, **stamp)
-    run_dir = _run_dir(args, cfg, stamp, **inputs)
+    run_dir = make_run_dir(args.out_root, args.command, {"config": cfg, **stamp, **inputs})
     write_json(run_dir / name, report)
     if render is not None and args.table:
         print(render(report))
@@ -225,11 +224,7 @@ def prepare(cfg, data_path, horizon: int, splits):
 
 
 def _model_config(cfg) -> ModelConfig:
-    return ModelConfig(
-        segment_len=cfg["segment_len"], dim=cfg["hidden_dim"], experts=cfg["experts"],
-        layers=cfg["layers"], heads=cfg["heads"], seed=cfg["seed"],
-        gated=cfg["gated"], fused=cfg["fused"],
-    )
+    return ModelConfig(**{name: cfg[key] for key, name in _MODEL_KEYS.items()})
 
 
 def _train_config(cfg) -> TrainConfig:
@@ -286,21 +281,18 @@ def cmd_train(args) -> int:
     cfg = _config_from(args)
     mconfig, tconfig, result = _fit(cfg, args.data, args.emb_cache)
     cache_input = {"emb_cache_sha256": _sha256(args.emb_cache)} if args.emb_cache else {}
-    stamp = _data_stamp(args.data)
-    run_dir = _run_dir(args, cfg, stamp, **cache_input)
+    run_dir = _publish(args, cfg, run_record(mconfig, tconfig, result), "record.json", None,
+                       **cache_input)
     save_checkpoint(result.params, mconfig, run_dir / "checkpoint.json")
-    record = run_record(mconfig, tconfig, result)
-    record.update(resolved_config=cfg, **stamp)
-    write_json(run_dir / "record.json", record)
-    print(f"run dir: {run_dir}")
     print(f"best val MSE {result.best_val_mse:.6f} at epoch {result.best_epoch} "
           f"({result.steps} steps)")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config_from(args)
     params, mconfig = load_checkpoint(args.checkpoint)
+    cfg = _config_from(args)
+    cfg.update({key: getattr(mconfig, name) for key, name in _MODEL_KEYS.items()})
     horizons = sorted(set(_int_list(args.horizons, "horizons")))
     if horizons[0] < 1:
         raise ConfigError(f"horizons must be >= 1, got {horizons}")
@@ -316,22 +308,18 @@ def cmd_evaluate(args) -> int:
         mse, mae, preds = forecast_windows(params, mconfig, test_w, freq, h, source,
                                            cfg["decimals"])
         per_horizon[h] = {"mse": mse, "mae": mae}
-    report = forecast_report(
-        Path(args.data).stem, per_horizon,
-        config={"resolved": cfg, "model": asdict(mconfig)}, seeds=(mconfig.seed,),
-    )
-    run_dir = _run_dir(args, cfg, _data_stamp(args.data), horizons=horizons,
-                       max_windows=args.max_windows, checkpoint_sha256=_sha256(args.checkpoint))
-    write_json(run_dir / "report.json", report)
-    if args.table:
-        print(render_forecast_table(report))
+    report = {"horizons": per_horizon,  # averages are plain arithmetic means
+              "avg_mse": sum(v["mse"] for v in per_horizon.values()) / len(horizons),
+              "avg_mae": sum(v["mae"] for v in per_horizon.values()) / len(horizons)}
+    run_dir = _publish(args, cfg, report, "report.json", render_forecast_table,
+                       horizons=horizons, max_windows=args.max_windows,
+                       checkpoint_sha256=_sha256(args.checkpoint))
     if args.plot_data:
         w, pred = test_w[0], preds[0]
         with open(run_dir / "showcase.csv", "w", encoding="utf-8") as fh:
             fh.write("t,truth,prediction\n")
             for i in range(top):
                 fh.write(f"{i},{repr(float(w.target[i]))},{repr(float(pred[i]))}\n")
-    print(f"report: {run_dir / 'report.json'}")
     return 0
 
 

@@ -97,20 +97,6 @@ def forecast_windows(params, config: ModelConfig, windows, freq, horizon: int,
     return float(np.mean(mse)), float(np.mean(mae)), preds
 
 
-def forecast_report(dataset: str, per_horizon: dict, config: dict, seeds) -> dict:
-    """Assemble the per-horizon table; averages are plain arithmetic means."""
-    if not per_horizon:
-        raise ConfigError("no horizons evaluated")
-    return {
-        "dataset": dataset,
-        "horizons": dict(sorted(per_horizon.items())),
-        "avg_mse": float(np.mean([v["mse"] for v in per_horizon.values()])),
-        "avg_mae": float(np.mean([v["mae"] for v in per_horizon.values()])),
-        "config": config,
-        "seeds": list(seeds),
-    }
-
-
 def promotion_percent(mse_original: float, mse_new: float) -> float:
     """Relative MSE reduction, in percent."""
     return (mse_original - mse_new) / mse_original * 100.0

@@ -21,6 +21,7 @@ from fusecast.cli import (
     write_json,
 )
 from fusecast.errors import ConfigError
+from fusecast.evaluation import render_forecast_table
 from fusecast.model import load_checkpoint
 from fusecast.synth import SynthSpec, generate, spec_comment
 from fusecast.train import assemble_windows
@@ -31,6 +32,8 @@ BASE = [
     "--batch", "8", "--horizon", "4", "--stride", "4",
     "--split-counts", "72,24,24", "--lr", "1e-2",
 ]
+# BASE without its model keys: what evaluate needs besides the checkpoint
+DATA = ["--context-len", "12", "--horizon", "4", "--stride", "4", "--split-counts", "72,24,24"]
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +198,7 @@ class TestTrainCommand:
         argv = ["train", "--data", str(data_csv), "--out-root", str(out_root)] + BASE
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "run dir:" in out and "best val MSE" in out
+        assert "report:" in out and "best val MSE" in out
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
         first = (run_dir / "checkpoint.json").read_bytes()
         record_first = (run_dir / "record.json").read_bytes()
@@ -227,16 +230,19 @@ class TestTrainCommand:
         (tmp_path / "s.csv").write_bytes(data_csv.read_bytes())
         for spelling in ("s.csv", "./s.csv", str(tmp_path / "s.csv")):
             assert main(["train", "--data", spelling, "--out-root", "runs"] + BASE) == 0
-        dirs = re.findall(r"run dir: (\S+)", capsys.readouterr().out)
+        dirs = re.findall(r"report: (\S+)", capsys.readouterr().out)
         assert len(dirs) == 3 and len(set(dirs)) == 1
 
     @pytest.mark.parametrize("command,extra,name", [
         ("train", [], "record.json"),
         ("promote", ["--sizes", "8"], "promotion.json"),
-    ], ids=["train", "promote"])
-    def test_artifact_names_data_by_file_name_and_bytes(self, tmp_path, data_csv, command,
-                                                         extra, name):
+        ("evaluate", ["--horizons", "4"], "report.json"),
+    ], ids=["train", "promote", "evaluate"])
+    def test_artifact_names_data_by_file_name_and_bytes(self, tmp_path, data_csv, trained,
+                                                         command, extra, name):
         # two checkouts hold the same file under different paths; their artifacts agree
+        if command == "evaluate":
+            extra = extra + ["--checkpoint", str(trained / "checkpoint.json")]
         blobs = []
         for where in ("a", "b/c"):
             data = tmp_path / where / data_csv.name
@@ -291,7 +297,7 @@ class TestTrainCommand:
         assert main(argv + ["--emb-cache", str(cache)]) == 0
         assert main(argv + ["--text-seed", "7"]) == 0
         assert main(argv + ["--text-seed", "7", "--emb-cache", str(cache)]) == 0
-        dirs = re.findall(r"run dir: (\S+)", capsys.readouterr().out)
+        dirs = re.findall(r"report: (\S+)", capsys.readouterr().out)
         assert len(set(dirs)) == 3
 
     def test_embedding_cache_refuses_non_finite_vector(self, tmp_path, data_csv, capsys):
@@ -582,16 +588,41 @@ class TestEvaluateCommand:
                    "--out-root", str(out_root)] + BASE)
         assert rc == 0
         out = capsys.readouterr().out
-        assert "horizon" in out and "avg" in out
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
         assert re.fullmatch(r"evaluate-[0-9a-f]{12}", run_dir.name)
         report = json.loads((run_dir / "report.json").read_text())
         assert set(report["horizons"]) == {"4", "8"}
         for cell in report["horizons"].values():
             assert set(cell) == {"mse", "mae"}
+        table = render_forecast_table(report)
+        assert "horizon" in table and "avg" in table and f"{report['avg_mse']:.4f}" in table
+        assert f"{table}\nreport: {run_dir / 'report.json'}\n" in out
         showcase = (run_dir / "showcase.csv").read_text().splitlines()
         assert showcase[0] == "t,truth,prediction"
         assert len(showcase) == 1 + 8
+
+    def test_report_records_the_checkpoint_model(self, tmp_path, data_csv, trained):
+        # the model comes from the checkpoint, so the report's config must say so,
+        # and no model flag is needed to run it
+        _, config = load_checkpoint(trained / "checkpoint.json")
+        out_root = tmp_path / "runs"
+        argv = ["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
+                "--data", str(data_csv), "--horizons", "4,8", "--out-root", str(out_root), *DATA]
+        assert main(argv) == 0
+        (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+        first = (run_dir / "report.json").read_bytes()
+        report = json.loads(first)
+        assert set(report) == {"horizons", "avg_mse", "avg_mae", "resolved_config", "data",
+                               "data_sha256"}
+        model = {key: report["resolved_config"][key] for key in cli._MODEL_KEYS}
+        assert model == {key: getattr(config, name) for key, name in cli._MODEL_KEYS.items()}
+        assert model["hidden_dim"] == 8 and model["segment_len"] == 4  # not the defaults
+        cells = report["horizons"].values()
+        assert report["avg_mse"] == sum(c["mse"] for c in cells) / 2
+        assert report["avg_mae"] == sum(c["mae"] for c in cells) / 2
+        assert main(argv) == 0  # an identical rerun: same directory, same bytes
+        assert [p for p in out_root.iterdir() if p.is_dir()] == [run_dir]
+        assert (run_dir / "report.json").read_bytes() == first
 
     def _evaluate(self, out_root, data_csv, trained, *extra):
         return main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),

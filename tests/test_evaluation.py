@@ -17,7 +17,6 @@ from fusecast.evaluation import (
     LinearBaseline,
     ablation_run,
     ablation_variants,
-    forecast_report,
     forecast_windows,
     format_promotion,
     metrics,
@@ -25,7 +24,6 @@ from fusecast.evaluation import (
     promotion_percent,
     promotion_run,
     render_ablation_table,
-    render_forecast_table,
     render_promotion_table,
     render_table,
     rolling_forecast,
@@ -219,25 +217,6 @@ class TestForecastWindows:
     def test_empty(self):
         with pytest.raises(ConfigError):
             forecast_windows(init_params(CONFIG), CONFIG, [], HOURLY, 4, PromptEncoder(8, 0))
-
-
-class TestForecastReport:
-    def test_sorted_horizons_and_averages(self):
-        per = {
-            192: {"mse": 0.4, "mae": 0.5},
-            96: {"mse": 0.2, "mae": 0.3},
-        }
-        report = forecast_report("sine", per, config={}, seeds=(0,))
-        assert list(report["horizons"]) == [96, 192]
-        assert report["avg_mse"] == pytest.approx(0.3)
-        assert report["avg_mae"] == pytest.approx(0.4)
-        assert report["seeds"] == [0]
-        text = render_forecast_table(report)
-        assert "avg" in text and "0.3000" in text
-
-    def test_empty(self):
-        with pytest.raises(ConfigError):
-            forecast_report("sine", {}, config={}, seeds=(0,))
 
 
 class TestAblationVariants:
