@@ -624,6 +624,39 @@ class TestEvaluateCommand:
         assert [p for p in out_root.iterdir() if p.is_dir()] == [run_dir]
         assert (run_dir / "report.json").read_bytes() == first
 
+    @pytest.mark.parametrize("extra,key", [
+        (["--hidden-dim", "999"], "hidden_dim"),
+        (["--segment-len", "7"], "segment_len"),
+        (["--experts", "1"], "experts"),
+        (["--layers", "1"], "layers"),
+        (["--heads", "2"], "heads"),
+        (["--gated", "false"], "gated"),
+        (["--fused", "off"], "fused"),
+        (["--seed", "3"], "seed"),
+        (["hidden_dim=999\n"], "hidden_dim"),
+    ], ids=["hidden-dim", "segment-len", "experts", "layers", "heads", "gated", "fused", "seed",
+            "config-file"])
+    def test_model_key_must_match_the_checkpoint(self, tmp_path, data_csv, trained, capsys,
+                                                 extra, key):
+        # a model key given by flag or config line but not honoured would mislabel the report
+        if not extra[0].startswith("--"):
+            (tmp_path / "run.cfg").write_text(extra[0])
+            extra = ["--config", str(tmp_path / "run.cfg")]
+        out_root = tmp_path / "runs"
+        assert main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(data_csv), "--horizons", "4", "--out-root", str(out_root),
+                     *DATA, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and re.search(rf"\b{key}\b", err["message"])
+        assert not out_root.exists()
+
+    def test_model_key_matching_the_checkpoint_runs(self, tmp_path, data_csv, trained):
+        (tmp_path / "run.cfg").write_text("hidden_dim=8\ngated=yes\n")
+        assert self._evaluate(tmp_path / "runs", data_csv, trained,
+                              "--config", str(tmp_path / "run.cfg")) == 0
+
     def _evaluate(self, out_root, data_csv, trained, *extra):
         return main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
                      "--data", str(data_csv), "--horizons", "4",
