@@ -106,8 +106,12 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def resolve_config(config_path, overrides: dict) -> dict:
-    """defaults <- config file <- flags, every key validated against the schema."""
+def resolve_config(config_path, overrides: dict, checkpoint=None) -> dict:
+    """defaults <- config file <- flags, every key validated against the schema.
+
+    A `checkpoint` ModelConfig sets the model keys; a file or flag that gives one of
+    them another value is refused.
+    """
     resolved = {key: default for key, (_, default) in _SCHEMA.items()}
     layers = []
     if config_path:
@@ -122,6 +126,11 @@ def resolve_config(config_path, overrides: dict) -> dict:
                 resolved[key] = convert(value) if isinstance(value, str) else value
             except (ValueError, TypeError):
                 raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
+    for key, name in _MODEL_KEYS.items() if checkpoint else ():
+        value = getattr(checkpoint, name)
+        if any(key in layer for layer in layers) and resolved[key] != value:
+            raise ConfigError(f"{key} {resolved[key]!r} differs from the checkpoint's {value!r}")
+        resolved[key] = value
     if resolved["text_mode"] not in TEXT_MODES:
         raise ConfigError(f"text_mode must be one of {TEXT_MODES}, got {resolved['text_mode']!r}")
     for key, low in _MINIMUMS.items():
@@ -138,12 +147,12 @@ def _add_config_flags(parser):
                             default=None, metavar="V")
 
 
-def _config_from(args) -> dict:
+def _config_from(args, checkpoint=None) -> dict:
     overrides = {}
     for key, value in vars(args).items():
         if key.startswith("cfg_") and value is not None:
             overrides[key[4:]] = value
-    return resolve_config(args.config, overrides)
+    return resolve_config(args.config, overrides, checkpoint)
 
 
 def make_run_dir(out_root, command: str, payload: dict) -> Path:
@@ -291,8 +300,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     params, mconfig = load_checkpoint(args.checkpoint)
-    cfg = _config_from(args)
-    cfg.update({key: getattr(mconfig, name) for key, name in _MODEL_KEYS.items()})
+    cfg = _config_from(args, mconfig)
     horizons = sorted(set(_int_list(args.horizons, "horizons")))
     if horizons[0] < 1:
         raise ConfigError(f"horizons must be >= 1, got {horizons}")
