@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from dataclasses import MISSING, fields
@@ -82,9 +83,10 @@ _MODEL_KEYS = {"segment_len": "segment_len", "hidden_dim": "dim", "experts": "ex
                "layers": "layers", "heads": "heads", "gated": "gated", "fused": "fused",
                "seed": "seed"}
 
-# key -> smallest accepted value (max_steps 0 means no cap)
-_MINIMUMS = {"context_len": 1, "segment_len": 1, "stride": 1, "horizon": 1,
-             "decimals": 0, "max_steps": 0}
+# key -> (lowest, highest) accepted value. max_steps 0 means no cap; float64 carries
+# 17 significant digits, so more decimals would only slow rendering down
+_BOUNDS = {"context_len": (1, math.inf), "segment_len": (1, math.inf), "stride": (1, math.inf),
+           "horizon": (1, math.inf), "decimals": (0, 17), "max_steps": (0, math.inf)}
 
 
 def parse_config_file(path) -> dict:
@@ -133,9 +135,10 @@ def resolve_config(config_path, overrides: dict, checkpoint=None) -> dict:
         resolved[key] = value
     if resolved["text_mode"] not in TEXT_MODES:
         raise ConfigError(f"text_mode must be one of {TEXT_MODES}, got {resolved['text_mode']!r}")
-    for key, low in _MINIMUMS.items():
-        if resolved[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {resolved[key]}")
+    for key, (low, high) in _BOUNDS.items():
+        if not low <= resolved[key] <= high:
+            bound = f">= {low}" if resolved[key] < low else f"<= {high}"
+            raise ConfigError(f"{key} must be {bound}, got {resolved[key]}")
     return resolved
 
 

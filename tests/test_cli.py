@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through main(argv)."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -122,15 +123,25 @@ class TestConfigResolution:
             _bool("maybe")
 
     def test_readme_table_matches_schema(self):
-        # the README's table is the one hand-written copy of the schema
+        # the README's table is the one hand-written copy of the schema and its bounds
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("| key | default | meaning |\n")[1].split("\n\n")[0]
-        rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \|", table, re.M)
-        assert [key for key, _ in rows] == list(cli._SCHEMA)
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \| (.+) \|$", table, re.M)
+        assert [key for key, _, _ in rows] == list(cli._SCHEMA)
         defaults = resolve_config(None, {})
-        for key, text in rows:
+        for key, text, meaning in rows:
             convert = cli._SCHEMA[key][0]
             assert convert("" if text == "(60/20/20)" else text) == defaults[key], key
+            span = re.search(r"(\d+)–(\d+)", meaning)  # "0–17" states both bounds
+            low, high = re.search(r"≥ (\d+)", meaning), re.search(r"≤ (\d+)", meaning)
+            if span:
+                stated = (int(span[1]), int(span[2]))
+            else:
+                stated = (int(low[1]) if low else None, int(high[1]) if high else math.inf)
+            if key in cli._BOUNDS:
+                assert stated == cli._BOUNDS[key], key
+            else:  # a stated ceiling must be an enforced one
+                assert stated[1] == math.inf, key
 
 
 class TestRunDir:
@@ -563,12 +574,15 @@ class TestErrorReporting:
         ("train", ["--horizon", "0"], "horizon"),
         ("train", ["--horizon", "-3"], "horizon"),
         ("train", ["--decimals", "-1"], "decimals"),
+        ("train", ["--decimals", "18"], "decimals"),
         ("train", ["--max-steps", "-1"], "max_steps"),
         ("dump-prompts", ["--decimals", "-1"], "decimals"),
+        ("dump-prompts", ["--decimals", "18"], "decimals"),
         ("dump-prompts", ["--segment-len", "0"], "segment_len"),
         ("dump-prompts", ["--windows", "-1"], "windows"),
     ], ids=["stride-0", "stride-neg", "context-len-neg", "horizon-0", "horizon-neg",
-            "train-decimals-neg", "max-steps-neg", "dump-decimals-neg", "dump-segment-len-0",
+            "train-decimals-neg", "train-decimals-18", "max-steps-neg", "dump-decimals-neg",
+            "dump-decimals-18", "dump-segment-len-0",
             "dump-windows-neg"])
     def test_out_of_range_integer(self, tmp_path, data_csv, capsys, command, bad, key):
         argv = [command, "--data", str(data_csv), "--out-root", str(tmp_path / "runs")]
