@@ -128,11 +128,12 @@ def resolve_config(config_path, overrides: dict, checkpoint=None) -> dict:
                 resolved[key] = convert(value) if isinstance(value, str) else value
             except (ValueError, TypeError):
                 raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
-    for key, name in _MODEL_KEYS.items() if checkpoint else ():
-        value = getattr(checkpoint, name)
-        if any(key in layer for layer in layers) and resolved[key] != value:
-            raise ConfigError(f"{key} {resolved[key]!r} differs from the checkpoint's {value!r}")
-        resolved[key] = value
+    if checkpoint is not None:
+        for key, name in _MODEL_KEYS.items():
+            value = getattr(checkpoint, name)
+            if any(key in layer for layer in layers) and resolved[key] != value:
+                raise ConfigError(f"{key} {resolved[key]!r} != the checkpoint's {value!r}")
+            resolved[key] = value
     if resolved["text_mode"] not in TEXT_MODES:
         raise ConfigError(f"text_mode must be one of {TEXT_MODES}, got {resolved['text_mode']!r}")
     for key, (low, high) in _BOUNDS.items():
@@ -319,7 +320,7 @@ def cmd_evaluate(args) -> int:
         mse, mae, preds = forecast_windows(params, mconfig, test_w, freq, h, source,
                                            cfg["decimals"])
         per_horizon[h] = {"mse": mse, "mae": mae}
-    report = {"horizons": per_horizon,  # averages are plain arithmetic means
+    report = {"horizons": per_horizon,
               "avg_mse": sum(v["mse"] for v in per_horizon.values()) / len(horizons),
               "avg_mae": sum(v["mae"] for v in per_horizon.values()) / len(horizons)}
     run_dir = _publish(args, cfg, report, "report.json", render_forecast_table,
