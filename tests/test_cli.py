@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from fusecast.cli import (
 )
 from fusecast.errors import ConfigError
 from fusecast.evaluation import render_forecast_table
-from fusecast.model import load_checkpoint
+from fusecast.model import ModelConfig, load_checkpoint
 from fusecast.synth import SynthSpec, generate, spec_comment
 from fusecast.train import assemble_windows
 
@@ -142,6 +142,29 @@ class TestConfigResolution:
                 assert stated == cli._BOUNDS[key], key
             else:  # a stated ceiling must be an enforced one
                 assert stated[1] == math.inf, key
+
+
+    def test_every_config_field_is_set_by_one_key(self):
+        # a dataclass field that no key sets is a knob no command can turn
+        defaults = resolve_config(None, {})
+        base = asdict(cli._train_config(defaults))
+        setters = {f"TrainConfig.{name}": [] for name in base}
+        for key, value in defaults.items():
+            if isinstance(value, bool):
+                nudged = not value
+            elif isinstance(value, str):
+                nudged = {"literal": "entropy"}.get(value, value + "x")
+            else:
+                nudged = value + 1
+            moved = asdict(cli._train_config({**defaults, key: nudged}))
+            for name in base:
+                if moved[name] != base[name]:
+                    setters[f"TrainConfig.{name}"].append(key)
+        for f in fields(ModelConfig):
+            setters[f"ModelConfig.{f.name}"] = [key for key, name in cli._MODEL_KEYS.items()
+                                                if name == f.name]
+        assert set(cli._MODEL_KEYS) <= set(cli._SCHEMA)
+        assert {name: keys for name, keys in setters.items() if len(keys) != 1} == {}
 
 
 class TestRunDir:
@@ -378,6 +401,44 @@ class TestErrorReporting:
         (line,) = err.splitlines()
         assert json.loads(line) == {"error": "MemoryError",
                                     "message": "Unable to allocate 745. GiB for an array"}
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--hidden-dim", "100000000"],
+        ["train", "--hidden-dim", "64", "--experts", "100000"],
+        ["sweep", "--axis", "hidden_dim", "--values", "8,100000000"],
+        ["promote", "--sizes", "8,100000000"],
+    ], ids=["train-hidden-dim", "train-experts", "sweep", "promote"])
+    def test_model_above_the_size_ceiling_is_refused_unallocated(self, tmp_path, data_csv,
+                                                                 monkeypatch, capsys, argv):
+        # window assembly and init_params are where a model's arrays are first allocated
+        def allocate(*args, **kwargs):
+            raise AssertionError("allocated before the model size was checked")
+
+        for name in ("assemble_windows", "init_params"):
+            monkeypatch.setattr(evaluation, name, allocate)
+        out_root = tmp_path / "runs"
+        assert main([argv[0], "--data", str(data_csv), "--out-root", str(out_root)]
+                    + BASE + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert re.search(r"\d[\d,]* parameters", err["message"]) and "hidden_dim" in err["message"]
+        assert not out_root.exists()
+
+    def test_checkpoint_above_the_size_ceiling_is_refused(self, tmp_path, data_csv, capsys):
+        config = dict(segment_len=4, dim=10**8, experts=2, layers=0, heads=1, seed=0,
+                      gated=True, fused=True)
+        ckpt = tmp_path / "checkpoint.json"
+        ckpt.write_text(json.dumps({"format": "fusecast-ckpt v1", "config": config,
+                                    "params": {}}))
+        out_root = tmp_path / "runs"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", str(data_csv),
+                     "--horizons", "4", "--out-root", str(out_root), *DATA]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert re.search(r"\d[\d,]* parameters", err["message"])
+        assert not out_root.exists()
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.csv"),

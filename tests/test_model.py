@@ -71,6 +71,21 @@ class TestConfig:
     def test_heads_unconstrained_without_layers(self):
         ModelConfig(segment_len=4, dim=8, layers=0, heads=3)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(dim=10**8),
+        dict(dim=64, experts=10**5),
+        dict(dim=64, layers=10**9),
+        dict(dim=64, segment_len=10**9),
+    ], ids=["dim", "experts", "layers", "segment_len"])
+    def test_refuses_a_model_above_the_size_ceiling(self, kwargs):
+        # only shapes are summed: nothing of the model's size is allocated
+        with pytest.raises(ConfigError, match=r"\d[\d,]* parameters.*hidden_dim"):
+            ModelConfig(**{"segment_len": 24, **kwargs})
+
+    def test_default_model_is_far_below_the_ceiling(self):
+        shapes = param_shapes(ModelConfig(segment_len=24, dim=64))
+        assert sum(math.prod(shape) for shape in shapes.values()) == 85_981
+
 
 class TestParams:
     def test_shapes_catalog(self):
