@@ -37,7 +37,7 @@ from .evaluation import (
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate, save_csv, spec_comment
 from .textenc import TEXT_MODES, load_cache, precompute_cache, save_cache, text_source
-from .train import TrainConfig, gradient_check, run_record, window_segments
+from .train import TrainConfig, gradient_check, window_segments
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -249,7 +249,7 @@ def _train_config(cfg) -> TrainConfig:
 
 
 def _fit(cfg, data_path, emb_cache=None):
-    """Train one model on the train/val windows; returns (mconfig, tconfig, result).
+    """Train one model on the train/val windows; returns (mconfig, result).
 
     With emb_cache, prompts are embedded from that cache file, which is built
     from the train and val prompts first if it does not exist yet. The cache
@@ -279,7 +279,7 @@ def _fit(cfg, data_path, emb_cache=None):
 
     (result,) = train_variants(train_w, val_w, freq, [(mconfig, tconfig, source)],
                                cfg["decimals"])
-    return mconfig, tconfig, result
+    return mconfig, result
 
 
 def cmd_synth(args) -> int:
@@ -292,10 +292,11 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _config_from(args)
-    mconfig, tconfig, result = _fit(cfg, args.data, args.emb_cache)
+    mconfig, result = _fit(cfg, args.data, args.emb_cache)
+    record = {"epochs": result.curve, "best_epoch": result.best_epoch,
+              "best_val_mse": result.best_val_mse, "steps": result.steps}
     cache_input = {"emb_cache_sha256": _sha256(args.emb_cache)} if args.emb_cache else {}
-    run_dir = _publish(args, cfg, run_record(mconfig, tconfig, result), "record.json", None,
-                       **cache_input)
+    run_dir = _publish(args, cfg, record, "record.json", None, **cache_input)
     save_checkpoint(result.params, mconfig, run_dir / "checkpoint.json")
     print(f"best val MSE {result.best_val_mse:.6f} at epoch {result.best_epoch} "
           f"({result.steps} steps)")
@@ -369,7 +370,7 @@ def cmd_sweep(args) -> int:
     values = _int_list(args.values, "values")
     curve = []
     for value in values:
-        _, _, result = _fit(resolve_config(None, {**cfg, key: value}), args.data)
+        _, result = _fit(resolve_config(None, {**cfg, key: value}), args.data)
         curve.append({"value": value, "mse": float(result.best_val_mse),
                       "mae": float(result.best_val_mae)})
     best = min(curve, key=lambda row: row["mse"])

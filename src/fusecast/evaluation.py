@@ -12,7 +12,7 @@ Metrics are computed on the normalized scale throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import replace, asdict
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,30 +33,6 @@ def persistence_baseline(context, horizon: int):
     if context.shape[0] < 1:
         raise ShapeError("empty context")
     return np.full(horizon, context[-1])
-
-
-class LinearBaseline:
-    """Least-squares map from the flattened context to the next F values."""
-
-    def __init__(self):
-        self.weights = None  # (C+1, F), last row is the intercept
-
-    def fit(self, contexts, futures):
-        contexts = np.asarray(contexts, dtype=np.float64)
-        futures = np.asarray(futures, dtype=np.float64)
-        if contexts.ndim != 2 or futures.ndim != 2 or contexts.shape[0] != futures.shape[0]:
-            raise ShapeError(f"contexts {contexts.shape} vs futures {futures.shape}")
-        design = np.hstack([contexts, np.ones((contexts.shape[0], 1))])
-        self.weights, *_ = np.linalg.lstsq(design, futures, rcond=None)
-        return self
-
-    def predict(self, context):
-        if self.weights is None:
-            raise ConfigError("baseline not fitted")
-        context = np.asarray(context, dtype=np.float64)
-        if context.shape[0] != self.weights.shape[0] - 1:
-            raise ShapeError(f"context length {context.shape[0]} != fitted {self.weights.shape[0] - 1}")
-        return np.concatenate([context, [1.0]]) @ self.weights
 
 
 def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon: int,
@@ -152,7 +128,7 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
     """Train all four ablation rows under each seed; report validation MSE/MAE.
 
     Returns {"rows": {row: {"per_seed_mse", "per_seed_mae", "mean_mse",
-    "std_mse", "mean_mae", "std_mae"}}, "seeds", "config"}.
+    "std_mse", "mean_mae", "std_mae"}}, "seeds"}.
     """
     sources = {mode: text_source(mode, config.dim, text_seed) for mode in ("builtin", "zero")}
     variants = ablation_variants(config)
@@ -172,7 +148,7 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
             "mean_mae": float(np.mean(per_mae)),
             "std_mae": float(np.std(per_mae)),
         }
-    return {"rows": rows, "seeds": list(seeds), "config": asdict(config)}
+    return {"rows": rows, "seeds": list(seeds)}
 
 
 def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
@@ -202,7 +178,7 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
             "promotion_mae": format_promotion(original["mae"], moe["mae"]),
             "promotion_mse_raw": promotion_percent(original["mse"], moe["mse"]),
         })
-    return {"rows": table, "experts": config.experts, "config": asdict(config)}
+    return {"rows": table}
 
 
 def render_table(headers, rows) -> str:

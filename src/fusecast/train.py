@@ -12,7 +12,7 @@ mode actually pushes gate rows toward one-hot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from .errors import ConfigError, NonFiniteGradient, ShapeError
 from .model import ModelConfig, backward, forward, init_params
 
 SPARSITY_MODES = ("literal", "entropy", "none")
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,6 @@ class TrainConfig:
     seed: int = 0
     sparsity_mode: str = "literal"
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_steps: Optional[int] = None
 
     def __post_init__(self):
@@ -123,21 +121,21 @@ def adamw_step(params: dict, grads: dict, state: OptState, config: TrainConfig):
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     for name in sorted(params):
         grad = grads[name]
         if not np.all(np.isfinite(grad)):
             raise NonFiniteGradient(f"non-finite gradient at step {t}", param=name)
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * grad
-        v *= config.beta2
-        v += (1.0 - config.beta2) * grad * grad
+        m *= _BETA1
+        m += (1.0 - _BETA1) * grad
+        v *= _BETA2
+        v += (1.0 - _BETA2) * grad * grad
         if config.weight_decay and name != "theta":
             params[name] *= 1.0 - config.lr * config.weight_decay
-        params[name] -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        params[name] -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 def window_segments(values, start, freq, segment_len: int, decimals: int = 4):
@@ -327,14 +325,3 @@ def gradient_check(seed: int = 0, h: float = 1e-5, sparsity_mode: str = "entropy
         report[name] = float((np.abs(a - numeric) / scale).max())
     return report
 
-
-def run_record(mconfig: ModelConfig, tconfig: TrainConfig, result: TrainResult) -> dict:
-    """JSON-ready record of a training run."""
-    return {
-        "config": {"model": asdict(mconfig), "train": asdict(tconfig)},
-        "seed": tconfig.seed,
-        "epochs": result.curve,
-        "best_epoch": result.best_epoch,
-        "best_val_mse": result.best_val_mse,
-        "steps": result.steps,
-    }

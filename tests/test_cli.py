@@ -848,7 +848,6 @@ class TestHarnessCommands:
         assert rc == 0
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
         report = json.loads((run_dir / "promotion.json").read_text())
-        assert report["config"]["dim"] == 8
         assert [row["size"] for row in report["rows"]] == [8]
 
     def test_promote_refuses_a_bad_size_before_training(self, tmp_path, data_csv,

@@ -14,7 +14,6 @@ from fusecast.errors import ConfigError, InvalidHorizon, ShapeError
 from fusecast.evaluation import (
     ABLATION_ROWS,
     HORIZONS,
-    LinearBaseline,
     ablation_run,
     ablation_variants,
     forecast_windows,
@@ -72,30 +71,6 @@ class TestPersistence:
     def test_empty_context(self):
         with pytest.raises(ShapeError):
             persistence_baseline([], 3)
-
-
-class TestLinearBaseline:
-    def test_recovers_exact_linear_map(self):
-        rng = np.random.default_rng(0)
-        contexts = rng.normal(size=(40, 6))
-        w = rng.normal(size=(6, 3))
-        futures = contexts @ w + 0.7
-        model = LinearBaseline().fit(contexts, futures)
-        pred = model.predict(contexts[5])
-        np.testing.assert_allclose(pred, futures[5], atol=1e-8)
-
-    def test_unfitted(self):
-        with pytest.raises(ConfigError):
-            LinearBaseline().predict(np.zeros(4))
-
-    def test_context_length_must_match_fit(self):
-        model = LinearBaseline().fit(np.zeros((5, 4)), np.zeros((5, 2)))
-        with pytest.raises(ShapeError):
-            model.predict(np.zeros(3))
-
-    def test_fit_validation(self):
-        with pytest.raises(ShapeError):
-            LinearBaseline().fit(np.zeros((5, 4)), np.zeros((6, 2)))
 
 
 class TestPromotionFormat:

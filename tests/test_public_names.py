@@ -7,7 +7,6 @@ import fusecast
 
 SRC = Path(fusecast.__file__).parent
 ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
-UNUSED_BY_DESIGN = {"LinearBaseline"}  # waits for evaluate's baseline columns
 
 
 def test_each_public_name_is_used():
@@ -30,6 +29,6 @@ def test_each_public_name_is_used():
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and node.name not in used | UNUSED_BY_DESIGN
+        and node.name not in used
     ]
     assert unused == [], "wire these into a command or delete them"
