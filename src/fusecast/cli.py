@@ -368,9 +368,12 @@ def cmd_sweep(args) -> int:
     cfg = _config_from(args)
     key = _SWEEP_AXES[args.axis]
     values = _int_list(args.values, "values")
+    configs = [resolve_config(None, {**cfg, key: value}) for value in values]
+    for each in configs:  # every value's model is checked before any training
+        _model_config(each)
     curve = []
-    for value in values:
-        _, result = _fit(resolve_config(None, {**cfg, key: value}), args.data)
+    for value, each in zip(values, configs):
+        _, result = _fit(each, args.data)
         curve.append({"value": value, "mse": float(result.best_val_mse),
                       "mae": float(result.best_val_mae)})
     best = min(curve, key=lambda row: row["mse"])

@@ -25,6 +25,7 @@ size.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -34,6 +35,8 @@ from .errors import ConfigError, ShapeError, TraceError
 
 _LN_EPS = 1e-5
 _CHECKPOINT_FORMAT = "fusecast-ckpt v1"
+# five float64 copies of this many (params, best params, grads, two AdamW moments) are 1.3 GB
+_MAX_PARAMS = 2**25
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,13 @@ class ModelConfig:
             raise ConfigError("an ungated head requires exactly one expert")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # every block has the same shapes, so the count needs no per-block list
+        base, block = (sum(math.prod(shape) for shape in param_shapes(self, layers=n).values())
+                       for n in (0, 1))
+        count = base + self.layers * (block - base)
+        if count > _MAX_PARAMS:
+            raise ConfigError(f"the model has {count:,} parameters, more than the {_MAX_PARAMS:,} "
+                              "allowed; lower hidden_dim, experts, layers or segment_len")
 
 
 # The erf regions and coefficients are fdlibm's s_erf.c, which carries this notice:
@@ -165,13 +175,13 @@ def _softmax_grad(d_out, softmax_out, axis=-1):
     return softmax_out * (d_out - inner)
 
 
-def param_shapes(config: ModelConfig) -> dict:
-    """Every parameter block's shape, in creation order."""
+def param_shapes(config: ModelConfig, *, layers=None) -> dict:
+    """Every parameter block's shape, in creation order; `layers` overrides config.layers."""
     s, d, k = config.segment_len, config.dim, config.experts
     shapes = {"seg_W": (s, d), "seg_b": (d,)}
     if config.fused:
         shapes["theta"] = ()
-    for layer in range(config.layers):
+    for layer in range(config.layers if layers is None else layers):
         shapes[f"ln1_{layer}"] = (d,)
         shapes[f"attn_Wq_{layer}"] = (d, d)
         shapes[f"attn_Wk_{layer}"] = (d, d)
