@@ -182,13 +182,13 @@ def write_json(path, payload) -> None:
 def _publish(args, cfg, report: dict, name: str, render, **inputs) -> Path:
     """Write a command's JSON artifact `name` into its run directory; returns the directory.
 
-    The artifact is stamped with the resolved config and the data file as its base name and
-    SHA-256, not the path as typed, so the same run from two paths writes the same bytes.
-    The directory is named by the command, that stamp and the command's own `inputs`.
+    The artifact is stamped with the resolved config, the data file as its base name and
+    SHA-256 (not the path as typed, so the same run from two paths writes the same bytes)
+    and the command's own `inputs`. The directory is named by the command and that stamp.
     Prints the artifact's path, after its `render`ing when --table is given.
     """
     stamp = {"data": Path(args.data).name, "data_sha256": _sha256(args.data)}
-    report.update(resolved_config=cfg, **stamp)
+    report.update(resolved_config=cfg, inputs=inputs, **stamp)
     run_dir = make_run_dir(args.out_root, args.command, {"config": cfg, **stamp, **inputs})
     write_json(run_dir / name, report)
     if render is not None and args.table:
@@ -377,8 +377,7 @@ def cmd_sweep(args) -> int:
         curve.append({"value": value, "mse": float(result.best_val_mse),
                       "mae": float(result.best_val_mae)})
     best = min(curve, key=lambda row: row["mse"])
-    report = {"curve": curve, "best_value": best["value"], "best_mse": best["mse"],
-              "axis": args.axis}
+    report = {"curve": curve, "best_value": best["value"], "best_mse": best["mse"]}
     print(f"best {args.axis}: {report['best_value']} (val MSE {report['best_mse']:.6f})")
     run_dir = _publish(args, cfg, report, "sweep.json", None, axis=args.axis, values=values)
     if args.plot_data:

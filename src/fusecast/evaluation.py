@@ -128,7 +128,7 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
     """Train all four ablation rows under each seed; report validation MSE/MAE.
 
     Returns {"rows": {row: {"per_seed_mse", "per_seed_mae", "mean_mse",
-    "std_mse", "mean_mae", "std_mae"}}, "seeds"}.
+    "std_mse", "mean_mae", "std_mae"}}}.
     """
     sources = {mode: text_source(mode, config.dim, text_seed) for mode in ("builtin", "zero")}
     variants = ablation_variants(config)
@@ -148,7 +148,7 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
             "mean_mae": float(np.mean(per_mae)),
             "std_mae": float(np.std(per_mae)),
         }
-    return {"rows": rows, "seeds": list(seeds)}
+    return {"rows": rows}
 
 
 def promotion_run(train_windows, val_windows, freq, config: ModelConfig,

@@ -35,8 +35,7 @@ from .errors import ConfigError, ShapeError, TraceError
 
 _LN_EPS = 1e-5
 _CHECKPOINT_FORMAT = "fusecast-ckpt v1"
-# five float64 copies of this many (params, best params, grads, two AdamW moments) are 1.3 GB
-_MAX_PARAMS = 2**25
+_MAX_PARAMS = 2**25  # params, best params, grads and two AdamW moments: 1.3 GB of float64
 
 
 @dataclass(frozen=True)

@@ -220,6 +220,9 @@ class TestTrainCommand:
         params, config = load_checkpoint(trained / "checkpoint.json")
         assert config.dim == 8 and config.experts == 2
         record = json.loads((trained / "record.json").read_text())
+        assert set(record) == {"epochs", "best_epoch", "best_val_mse", "steps",
+                               "resolved_config", "data", "data_sha256", "inputs"}
+        assert record["inputs"] == {}
         assert record["resolved_config"]["epochs"] == 2
         assert len(record["epochs"]) == 2
         assert record["best_epoch"] in (0, 1)
@@ -313,6 +316,9 @@ class TestTrainCommand:
                 "--emb-cache", str(cache)] + BASE
         assert main(argv) == 0
         assert cache.read_text().splitlines()[0] == "SMET-EMB v1 dim=8"
+        (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+        record = json.loads((run_dir / "record.json").read_text())
+        assert record["inputs"] == {"emb_cache_sha256": cli._sha256(cache)}
         capsys.readouterr()
 
         # a model of another width must refuse the cache, not silently re-embed
@@ -688,7 +694,9 @@ class TestEvaluateCommand:
         first = (run_dir / "report.json").read_bytes()
         report = json.loads(first)
         assert set(report) == {"horizons", "avg_mse", "avg_mae", "resolved_config", "data",
-                               "data_sha256"}
+                               "data_sha256", "inputs"}
+        assert report["inputs"] == {"checkpoint_sha256": cli._sha256(trained / "checkpoint.json"),
+                                    "horizons": [4, 8], "max_windows": 0}
         model = {key: report["resolved_config"][key] for key in cli._MODEL_KEYS}
         assert model == {key: getattr(config, name) for key, name in cli._MODEL_KEYS.items()}
         assert model["hidden_dim"] == 8 and model["segment_len"] == 4  # not the defaults
@@ -813,8 +821,9 @@ class TestHarnessCommands:
         assert "w/o MoE" in capsys.readouterr().out
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
         report = json.loads((run_dir / "ablation.json").read_text())
+        assert set(report) == {"rows", "resolved_config", "data", "data_sha256", "inputs"}
         assert set(report["rows"]) == {"Original", "w/o Context", "w/o Fusion", "w/o MoE"}
-        assert report["seeds"] == [0]
+        assert report["inputs"] == {"seeds": [0]}
 
     def test_ablate_refuses_text_mode_zero(self, tmp_path, data_csv, capsys):
         # every ablation row sets its own text mode, so a configured one would go unused
@@ -836,6 +845,8 @@ class TestHarnessCommands:
         assert "promotion" in capsys.readouterr().out
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
         report = json.loads((run_dir / "promotion.json").read_text())
+        assert set(report) == {"rows", "resolved_config", "data", "data_sha256", "inputs"}
+        assert report["inputs"] == {"sizes": [8]}
         assert report["rows"][0]["size"] == 8
         assert report["rows"][0]["promotion_mse"].endswith("%")
 
@@ -891,6 +902,9 @@ class TestHarnessCommands:
         assert "best hidden_dim: 8" in capsys.readouterr().out
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
         report = json.loads((run_dir / "sweep.json").read_text())
+        assert set(report) == {"curve", "best_value", "best_mse", "resolved_config", "data",
+                               "data_sha256", "inputs"}
+        assert report["inputs"] == {"axis": "hidden_dim", "values": [8]}
         assert report["best_value"] == 8
         sweep_csv = (run_dir / "sweep.csv").read_text().splitlines()
         assert sweep_csv[0] == "hidden_dim,mse,mae"

@@ -220,6 +220,7 @@ class TestHarnesses:
         windows = tiny_windows()
         report = ablation_run(windows[:8], windows[8:], HOURLY, self.CONFIG,
                               self.TCONFIG, seeds=(0,))
+        assert set(report) == {"rows"}  # the command stamps the config and the seeds
         assert tuple(report["rows"]) == ABLATION_ROWS
         for entry in report["rows"].values():
             assert set(entry) == {
@@ -235,6 +236,7 @@ class TestHarnesses:
         windows = tiny_windows()
         report = promotion_run(windows[:8], windows[8:], HOURLY, self.CONFIG,
                                self.TCONFIG, sizes=(8,))
+        assert set(report) == {"rows"}  # the command stamps the config and the sizes
         (row,) = report["rows"]
         assert row["size"] == 8
         assert set(row["original"]) == {"mse", "mae"}
