@@ -324,4 +324,3 @@ def gradient_check(seed: int = 0, h: float = 1e-5, sparsity_mode: str = "entropy
         scale = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-6)
         report[name] = float((np.abs(a - numeric) / scale).max())
     return report
-
