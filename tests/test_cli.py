@@ -73,6 +73,13 @@ def test_cli_import_loads_no_scipy():
     assert [m for m in out.split() if m == "scipy" or m.startswith("scipy.")] == []
 
 
+def _readme_config_rows():
+    """(key, default, meaning) of each row of the README's config table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | meaning |\n")[1].split("\n\n")[0]
+    return re.findall(r"^\| `(\w+)` \| ([^|]+?) \| (.+) \|$", table, re.M)
+
+
 class TestConfigResolution:
     def test_defaults(self):
         cfg = resolve_config(None, {})
@@ -124,9 +131,7 @@ class TestConfigResolution:
 
     def test_readme_table_matches_schema(self):
         # the README's table is the one hand-written copy of the schema and its bounds
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        table = readme.split("| key | default | meaning |\n")[1].split("\n\n")[0]
-        rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \| (.+) \|$", table, re.M)
+        rows = _readme_config_rows()
         assert [key for key, _, _ in rows] == list(cli._SCHEMA)
         defaults = resolve_config(None, {})
         for key, text, meaning in rows:
@@ -143,6 +148,24 @@ class TestConfigResolution:
             else:  # a stated ceiling must be an enforced one
                 assert stated[1] == math.inf, key
 
+    def test_every_stated_floor_is_enforced_and_names_its_key(self):
+        # a floor outside _BOUNDS is the config classes' to enforce, under the key's own name
+        floors = {key: re.search(r"([≥>]) (\d+)", meaning) for key, _, meaning
+                  in _readme_config_rows() if key not in cli._BOUNDS}
+        floors = {key: found.groups() for key, found in floors.items() if found}
+        assert set(floors) == {"hidden_dim", "experts", "layers", "lr", "lambda", "epochs",
+                               "batch", "seed", "weight_decay", "max_steps"}
+        for key, (relation, floor) in floors.items():
+            if relation == ">":
+                value = float(floor)
+            elif cli._SCHEMA[key][0] is int:
+                value = int(floor) - 1
+            else:
+                value = math.nextafter(float(floor), -math.inf)
+            cfg = resolve_config(None, {key: value})
+            with pytest.raises(ConfigError, match=rf"^{key}\b"):
+                cli._model_config(cfg)
+                cli._train_config(cfg)
 
     def test_every_config_field_is_set_by_one_key(self):
         # a dataclass field that no key sets is a knob no command can turn
@@ -413,7 +436,8 @@ class TestErrorReporting:
         ["train", "--hidden-dim", "64", "--experts", "100000"],
         ["sweep", "--axis", "hidden_dim", "--values", "8,100000000"],
         ["promote", "--sizes", "8,100000000"],
-    ], ids=["train-hidden-dim", "train-experts", "sweep", "promote"])
+        ["train", "--hidden-dim", "1", "--heads", "1", "--layers", "2000000"],
+    ], ids=["train-hidden-dim", "train-experts", "sweep", "promote", "train-deep-narrow"])
     def test_model_above_the_size_ceiling_is_refused_unallocated(self, tmp_path, data_csv,
                                                                  monkeypatch, capsys, argv):
         # window assembly and init_params are where a model's arrays are first allocated
@@ -429,7 +453,8 @@ class TestErrorReporting:
         assert captured.err.count("\n") == 1
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError"
-        assert re.search(r"\d[\d,]* parameters", err["message"]) and "hidden_dim" in err["message"]
+        assert re.search(r"\d[\d,]* parameters", err["message"])
+        assert "hidden_dim" in err["message"] and "layers" in err["message"]
         assert not out_root.exists()
 
     def test_checkpoint_above_the_size_ceiling_is_refused(self, tmp_path, data_csv, capsys):
@@ -604,7 +629,7 @@ class TestErrorReporting:
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_sweep_resolves_each_config(self, tmp_path, data_csv, capsys, value):
         # a swept value meets the same checks as the flag it stands for
-        argv = ["sweep", "--data", str(data_csv), "--axis", "input_len", "--values", value,
+        argv = ["sweep", "--data", str(data_csv), "--axis", "context_len", "--values", value,
                 "--out-root", str(tmp_path / "runs")]
         assert main(argv + BASE) == 1
         err = json.loads(capsys.readouterr().err)
@@ -921,6 +946,31 @@ class TestHarnessCommands:
         best = min(report["curve"], key=lambda row: row["mse"])
         assert (report["best_value"], report["best_mse"]) == (best["value"], best["mse"])
         assert report["curve"][0]["mse"] != report["curve"][1]["mse"]
+
+
+@pytest.mark.parametrize("command,extra,flag,values,key,artifact", [
+    ("evaluate", ["--horizons", "4"], "--horizon", ("4", "8"), "horizon", "report.json"),
+    ("ablate", ["--seeds", "0"], "--seed", ("3", "4"), "seed", "ablation.json"),
+    ("promote", ["--sizes", "8"], "--hidden-dim", ("4", "16"), "hidden_dim", "promotion.json"),
+    ("sweep", ["--axis", "context_len", "--values", "12"], "--context-len", ("8", "16"),
+     "context_len", "sweep.json"),
+], ids=["evaluate", "ablate", "promote", "sweep"])
+def test_a_list_flag_replaces_its_key(tmp_path, data_csv, trained, command, extra, flag, values,
+                                      key, artifact):
+    # the list in `inputs` is the key's one statement, so the key's flag changes nothing
+    out_root = tmp_path / "runs"
+    argv = [command, "--data", str(data_csv), "--out-root", str(out_root), *BASE, *extra]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(trained / "checkpoint.json")]
+    written = []
+    for value in values:
+        assert main(argv + [flag, value]) == 0
+        (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+        written.append((run_dir / artifact).read_bytes())
+    assert written[0] == written[1]
+    expected = cli._config_from(cli.build_parser().parse_args(argv + [flag, values[0]]))
+    del expected[key]
+    assert json.loads(written[0])["resolved_config"] == expected
 
 
 class TestInspectionCommands:

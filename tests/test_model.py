@@ -76,10 +76,11 @@ class TestConfig:
         dict(dim=64, experts=10**5),
         dict(dim=64, layers=10**9),
         dict(dim=64, segment_len=10**9),
-    ], ids=["dim", "experts", "layers", "segment_len"])
+        dict(dim=1, heads=1, layers=2_000_000),  # 26,000,086 parameters in 20,000,008 arrays
+    ], ids=["dim", "experts", "layers", "segment_len", "deep-narrow"])
     def test_refuses_a_model_above_the_size_ceiling(self, kwargs):
         # only shapes are summed: nothing of the model's size is allocated
-        with pytest.raises(ConfigError, match=r"\d[\d,]* parameters.*hidden_dim"):
+        with pytest.raises(ConfigError, match=r"\d[\d,]* parameters.*hidden_dim.*layers"):
             ModelConfig(**{"segment_len": 24, **kwargs})
 
     def test_default_model_is_far_below_the_ceiling(self):

@@ -234,12 +234,12 @@ class TestWindowAssembly:
 
     def test_assemble_windows_shapes(self):
         frame = self.make_frame()
-        windows = list(sample_windows(frame, (0, 40), context_len=12, horizon=4))
+        windows = list(sample_windows(frame, (0, 40), context_len=12, horizon=8))
         data = assemble_windows(windows, HOURLY, 4, ZeroTextSource(6))
         w = len(windows)
         assert data.x.shape == (w, 3, 4)
         assert data.te.shape == (w, 3, 6)
-        assert data.future.shape == (w, 4)
+        assert data.future.shape == (w, 4)  # the one segment that scoring reads
 
     @given(length=st.integers(21, 60), context=st.integers(1, 16), horizon=st.integers(1, 5),
            segment_len=st.integers(1, 6), stride=st.integers(1, 7))
@@ -254,7 +254,7 @@ class TestWindowAssembly:
                    for w in windows]
         for got, want in ((data.x, np.stack([x for x, _ in tensors])),
                           (data.te, np.stack([te for _, te in tensors])),
-                          (data.future, np.stack([w.target for w in windows]))):
+                          (data.future, np.stack([w.target[:segment_len] for w in windows]))):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -390,12 +390,14 @@ class TestTrainingLoop:
         assert len(step_refs) > 0
         assert alive_at_validation == [0, 0]
 
-    def test_max_steps(self):
+    @pytest.mark.parametrize("epochs,max_steps,steps", [(50, 5, 5), (2, 0, 6)],
+                             ids=["capped", "0-is-no-cap"])
+    def test_max_steps(self, epochs, max_steps, steps):
         train, val = build_training_sets(0), build_training_sets(1, windows=8)
         params = init_params(self.CONFIG)
-        config = TrainConfig(epochs=50, batch=8, max_steps=5)
+        config = TrainConfig(epochs=epochs, batch=8, max_steps=max_steps)
         result = train_model(params, self.CONFIG, config, train, val)
-        assert result.steps == 5
+        assert result.steps == steps  # 24 windows make 3 batches of 8 per epoch
 
     def test_needs_two_segments(self):
         train = build_training_sets(0, n=1)
