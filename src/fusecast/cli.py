@@ -2,10 +2,10 @@
 
 Configuration is a flat key=value namespace resolved in three layers:
 built-in defaults, then an optional config file, then command-line flags.
-The fully resolved mapping (plus the seed it contains) is embedded into
-every artifact, and each run writes into a directory named by a content
-hash of that mapping, so identical invocations land in identical places
-with byte-identical artifacts.
+The fully resolved mapping, less a key that a command's list flag replaces,
+is embedded into every artifact, and each run writes into a directory named
+by a content hash of that mapping, so identical invocations land in
+identical places with byte-identical artifacts.
 
 Errors are emitted as one JSON object on stderr with a nonzero exit code.
 """
@@ -83,10 +83,10 @@ _MODEL_KEYS = {"segment_len": "segment_len", "hidden_dim": "dim", "experts": "ex
                "layers": "layers", "heads": "heads", "gated": "gated", "fused": "fused",
                "seed": "seed"}
 
-# key -> (lowest, highest) accepted value. max_steps 0 means no cap; float64 carries
-# 17 significant digits, so more decimals would only slow rendering down
+# key -> (lowest, highest) accepted value. float64 carries 17 significant digits, so
+# more decimals would only slow rendering down
 _BOUNDS = {"context_len": (1, math.inf), "segment_len": (1, math.inf), "stride": (1, math.inf),
-           "horizon": (1, math.inf), "decimals": (0, 17), "max_steps": (0, math.inf)}
+           "horizon": (1, math.inf), "decimals": (0, 17)}
 
 
 def parse_config_file(path) -> dict:
@@ -179,14 +179,16 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _publish(args, cfg, report: dict, name: str, render, **inputs) -> Path:
+def _publish(args, cfg, report: dict, name: str, render, replaced=None, **inputs) -> Path:
     """Write a command's JSON artifact `name` into its run directory; returns the directory.
 
-    The artifact is stamped with the resolved config, the data file as its base name and
-    SHA-256 (not the path as typed, so the same run from two paths writes the same bytes)
-    and the command's own `inputs`. The directory is named by the command and that stamp.
-    Prints the artifact's path, after its `render`ing when --table is given.
+    The artifact is stamped with the resolved config less the `replaced` key, which a list
+    in `inputs` states instead, the data file as its base name and SHA-256 (not the path
+    as typed, so the same run from two paths writes the same bytes) and the command's own
+    `inputs`. The directory is named by the command and that stamp. Prints the artifact's
+    path, after its `render`ing when --table is given.
     """
+    cfg = {key: value for key, value in cfg.items() if key != replaced}
     stamp = {"data": Path(args.data).name, "data_sha256": _sha256(args.data)}
     report.update(resolved_config=cfg, inputs=inputs, **stamp)
     run_dir = make_run_dir(args.out_root, args.command, {"config": cfg, **stamp, **inputs})
@@ -244,7 +246,7 @@ def _train_config(cfg) -> TrainConfig:
     return TrainConfig(
         lr=cfg["lr"], lam=cfg["lambda"], epochs=cfg["epochs"], batch=cfg["batch"],
         seed=cfg["seed"], sparsity_mode=cfg["sparsity_mode"],
-        weight_decay=cfg["weight_decay"], max_steps=cfg["max_steps"] or None,
+        weight_decay=cfg["weight_decay"], max_steps=cfg["max_steps"],
     )
 
 
@@ -324,7 +326,7 @@ def cmd_evaluate(args) -> int:
     report = {"horizons": per_horizon,
               "avg_mse": sum(v["mse"] for v in per_horizon.values()) / len(horizons),
               "avg_mae": sum(v["mae"] for v in per_horizon.values()) / len(horizons)}
-    run_dir = _publish(args, cfg, report, "report.json", render_forecast_table,
+    run_dir = _publish(args, cfg, report, "report.json", render_forecast_table, "horizon",
                        horizons=horizons, max_windows=args.max_windows,
                        checkpoint_sha256=_sha256(args.checkpoint))
     if args.plot_data:
@@ -344,7 +346,7 @@ def cmd_ablate(args) -> int:
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
     report = ablation_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
                           seeds=seeds, text_seed=cfg["text_seed"], decimals=cfg["decimals"])
-    _publish(args, cfg, report, "ablation.json", render_ablation_table, seeds=seeds)
+    _publish(args, cfg, report, "ablation.json", render_ablation_table, "seed", seeds=seeds)
     return 0
 
 
@@ -356,19 +358,15 @@ def cmd_promote(args) -> int:
     report = promotion_run(train_w, val_w, freq, config, _train_config(cfg),
                            sizes, text_seed=cfg["text_seed"],
                            text_mode=cfg["text_mode"], decimals=cfg["decimals"])
-    _publish(args, cfg, report, "promotion.json", render_promotion_table, sizes=sizes)
+    _publish(args, cfg, report, "promotion.json", render_promotion_table, "hidden_dim",
+             sizes=sizes)
     return 0
-
-
-_SWEEP_AXES = {"hidden_dim": "hidden_dim", "input_len": "context_len",
-               "segment_len": "segment_len"}
 
 
 def cmd_sweep(args) -> int:
     cfg = _config_from(args)
-    key = _SWEEP_AXES[args.axis]
     values = _int_list(args.values, "values")
-    configs = [resolve_config(None, {**cfg, key: value}) for value in values]
+    configs = [resolve_config(None, {**cfg, args.axis: value}) for value in values]
     for each in configs:  # every value's model is checked before any training
         _model_config(each)
     curve = []
@@ -379,12 +377,7 @@ def cmd_sweep(args) -> int:
     best = min(curve, key=lambda row: row["mse"])
     report = {"curve": curve, "best_value": best["value"], "best_mse": best["mse"]}
     print(f"best {args.axis}: {report['best_value']} (val MSE {report['best_mse']:.6f})")
-    run_dir = _publish(args, cfg, report, "sweep.json", None, axis=args.axis, values=values)
-    if args.plot_data:
-        with open(run_dir / "sweep.csv", "w", encoding="utf-8") as fh:
-            fh.write(f"{args.axis},mse,mae\n")
-            for row in report["curve"]:
-                fh.write(f"{row['value']},{repr(row['mse'])},{repr(row['mae'])}\n")
+    _publish(args, cfg, report, "sweep.json", None, args.axis, axis=args.axis, values=values)
     return 0
 
 
@@ -458,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train once per value of one hyperparameter")
     p.add_argument("--data", required=True)
-    p.add_argument("--axis", required=True, choices=sorted(_SWEEP_AXES))
+    p.add_argument("--axis", required=True, choices=("context_len", "hidden_dim", "segment_len"))
     p.add_argument("--values", required=True, help="comma-separated values")
-    p.add_argument("--plot-data", action="store_true")
     _add_config_flags(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,7 @@ class TrainConfig:
     seed: int = 0
     sparsity_mode: str = "literal"
     weight_decay: float = 0.0
-    max_steps: Optional[int] = None
+    max_steps: int = 0  # optimizer-step cap; 0 means none
 
     def __post_init__(self):
         if not 0 < self.lr < math.inf:
@@ -51,8 +50,8 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sparsity_mode not in SPARSITY_MODES:
             raise ConfigError(f"sparsity_mode must be one of {SPARSITY_MODES}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ConfigError(f"max_steps must be >= 1 (None = no cap), got {self.max_steps}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0 (0 = no cap), got {self.max_steps}")
 
 
 def _gate_log(gate_weights):
@@ -259,7 +258,7 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
             idx = order[lo : lo + tconfig.batch]
             batch_losses.append(_train_step(params, mconfig, tconfig, state,
                                             train_data.x[idx], train_data.te[idx]))
-            if tconfig.max_steps is not None and state.step >= tconfig.max_steps:
+            if tconfig.max_steps and state.step >= tconfig.max_steps:
                 done = True
                 break
         val_mse, val_mae, entropy, alpha = evaluate_windows(params, mconfig, val_data)

@@ -922,7 +922,7 @@ class TestHarnessCommands:
     def test_sweep(self, tmp_path, data_csv, capsys):
         out_root = tmp_path / "runs"
         rc = main(["sweep", "--data", str(data_csv), "--axis", "hidden_dim",
-                   "--values", "8", "--plot-data", "--out-root", str(out_root)] + BASE)
+                   "--values", "8", "--out-root", str(out_root)] + BASE)
         assert rc == 0
         assert "best hidden_dim: 8" in capsys.readouterr().out
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
@@ -931,9 +931,7 @@ class TestHarnessCommands:
                                "data_sha256", "inputs"}
         assert report["inputs"] == {"axis": "hidden_dim", "values": [8]}
         assert report["best_value"] == 8
-        sweep_csv = (run_dir / "sweep.csv").read_text().splitlines()
-        assert sweep_csv[0] == "hidden_dim,mse,mae"
-        assert len(sweep_csv) == 2
+        assert os.listdir(run_dir) == ["sweep.json"]  # the curve has no second copy
 
     def test_sweep_best_is_the_lowest_mse_row(self, tmp_path, data_csv):
         out_root = tmp_path / "runs"

@@ -177,7 +177,6 @@ class TestTrainConfig:
             dict(epochs=0),
             dict(batch=0),
             dict(sparsity_mode="l1"),
-            dict(max_steps=0),
             dict(max_steps=-1),
             dict(lr=float("inf")),
             dict(lr=float("nan")),
