@@ -36,6 +36,7 @@ from .errors import ConfigError, ShapeError, TraceError
 _LN_EPS = 1e-5
 _CHECKPOINT_FORMAT = "fusecast-ckpt v1"
 _MAX_PARAMS = 2**25  # params, best params, grads and two AdamW moments: 1.3 GB of float64
+_ARRAY_COST = 26  # parameters' worth of what an array holds beside its values: 204 bytes (README)
 
 
 @dataclass(frozen=True)
@@ -53,24 +54,27 @@ class ModelConfig:
         if self.segment_len < 1:
             raise ConfigError(f"segment_len must be >= 1, got {self.segment_len}")
         if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.dim}")
         if self.experts < 1:
             raise ConfigError(f"experts must be >= 1, got {self.experts}")
         if self.layers < 0:
             raise ConfigError(f"layers must be >= 0, got {self.layers}")
         if self.layers > 0 and (self.heads < 1 or self.dim % self.heads != 0):
-            raise ConfigError(f"heads must divide dim, got dim={self.dim} heads={self.heads}")
+            raise ConfigError(f"heads must divide hidden_dim, got hidden_dim={self.dim} "
+                              f"heads={self.heads}")
         if not self.gated and self.experts != 1:
             raise ConfigError("an ungated head requires exactly one expert")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # every block has the same shapes, so the count needs no per-block list
-        base, block = (sum(math.prod(shape) for shape in param_shapes(self, layers=n).values())
-                       for n in (0, 1))
+        # every block has the same shapes, so the count needs no per-block list; each array
+        # adds _ARRAY_COST, so many small arrays (a deep, narrow model) are bounded too
+        base, block = (sum(math.prod(shape) + _ARRAY_COST
+                           for shape in param_shapes(self, layers=n).values()) for n in (0, 1))
         count = base + self.layers * (block - base)
         if count > _MAX_PARAMS:
-            raise ConfigError(f"the model has {count:,} parameters, more than the {_MAX_PARAMS:,} "
-                              "allowed; lower hidden_dim, experts, layers or segment_len")
+            raise ConfigError(f"the model counts as {count:,} parameters ({_ARRAY_COST} per array "
+                              f"beside its values), more than the {_MAX_PARAMS:,} allowed; "
+                              "lower hidden_dim, experts, layers or segment_len")
 
 
 # The erf regions and coefficients are fdlibm's s_erf.c, which carries this notice:

@@ -166,22 +166,24 @@ class WindowTensors:
 
     x: np.ndarray  # (W, N, S)
     te: np.ndarray  # (W, N, D)
-    future: np.ndarray  # (W, F) true continuation of each window
+    future: np.ndarray  # (W, F) true continuation of each window; F <= S once assembled
 
 
 def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int = 4) -> WindowTensors:
     """Every window's tensors, copied into arrays the first window sizes, so
-    no per-window list is left behind as freed heap before the first forward."""
+    no per-window list is left behind as freed heap before the first forward.
+    A future keeps its first segment only, the span evaluate_windows scores."""
     if not windows:
         raise ConfigError("no windows to assemble")
     data = None
     for i, w in enumerate(windows):
         x, te = window_tensors(w.context, w.start, freq, segment_len, text_source, decimals)
+        future = w.target[:segment_len]
         if data is None:
             count = len(windows)
             data = WindowTensors(x=np.empty((count,) + x.shape), te=np.empty((count,) + te.shape),
-                                 future=np.empty((count,) + np.shape(w.target)))
-        data.x[i], data.te[i], data.future[i] = x, te, w.target
+                                 future=np.empty((count,) + future.shape))
+        data.x[i], data.te[i], data.future[i] = x, te, future
     return data
 
 
