@@ -946,16 +946,17 @@ class TestHarnessCommands:
         assert report["curve"][0]["mse"] != report["curve"][1]["mse"]
 
 
-@pytest.mark.parametrize("command,extra,flag,values,key,artifact", [
-    ("evaluate", ["--horizons", "4"], "--horizon", ("4", "8"), "horizon", "report.json"),
-    ("ablate", ["--seeds", "0"], "--seed", ("3", "4"), "seed", "ablation.json"),
-    ("promote", ["--sizes", "8"], "--hidden-dim", ("4", "16"), "hidden_dim", "promotion.json"),
+@pytest.mark.parametrize("command,extra,flag,values,artifact", [
+    ("evaluate", ["--horizons", "4"], "--horizon", ("4", "8"), "report.json"),
+    ("ablate", ["--seeds", "0"], "--seed", ("3", "4"), "ablation.json"),
+    ("promote", ["--sizes", "8"], "--hidden-dim", ("4", "16"), "promotion.json"),
     ("sweep", ["--axis", "context_len", "--values", "12"], "--context-len", ("8", "16"),
-     "context_len", "sweep.json"),
+     "sweep.json"),
 ], ids=["evaluate", "ablate", "promote", "sweep"])
 def test_a_list_flag_replaces_its_key(tmp_path, data_csv, trained, command, extra, flag, values,
-                                      key, artifact):
+                                      artifact):
     # the list in `inputs` is the key's one statement, so the key's flag changes nothing
+    key = flag[2:].replace("-", "_")
     out_root = tmp_path / "runs"
     argv = [command, "--data", str(data_csv), "--out-root", str(out_root), *BASE, *extra]
     if command == "evaluate":

@@ -177,6 +177,7 @@ class TestTrainConfig:
             dict(epochs=0),
             dict(batch=0),
             dict(sparsity_mode="l1"),
+            dict(seed=-1),
             dict(max_steps=-1),
             dict(lr=float("inf")),
             dict(lr=float("nan")),
@@ -389,14 +390,18 @@ class TestTrainingLoop:
         assert len(step_refs) > 0
         assert alive_at_validation == [0, 0]
 
-    @pytest.mark.parametrize("epochs,max_steps,steps", [(50, 5, 5), (2, 0, 6)],
-                             ids=["capped", "0-is-no-cap"])
-    def test_max_steps(self, epochs, max_steps, steps):
+    def test_max_steps(self):
         train, val = build_training_sets(0), build_training_sets(1, windows=8)
         params = init_params(self.CONFIG)
-        config = TrainConfig(epochs=epochs, batch=8, max_steps=max_steps)
+        config = TrainConfig(epochs=50, batch=8, max_steps=5)
         result = train_model(params, self.CONFIG, config, train, val)
-        assert result.steps == steps  # 24 windows make 3 batches of 8 per epoch
+        assert result.steps == 5
+
+    def test_max_steps_0_is_no_cap(self):
+        train, val = build_training_sets(0), build_training_sets(1, windows=8)
+        config = TrainConfig(epochs=2, batch=8, max_steps=0)
+        result = train_model(init_params(self.CONFIG), self.CONFIG, config, train, val)
+        assert result.steps == 6  # 24 windows make 3 batches of 8 in each epoch
 
     def test_needs_two_segments(self):
         train = build_training_sets(0, n=1)
