@@ -104,6 +104,11 @@ class TestConfigResolution:
         frame = generate(SynthSpec(kind="constant", length=rows))
         assert cli._split_counts(resolve_config(None, {}), frame) == expected
 
+    def test_split_counts_keep_their_repeats(self):
+        frame = generate(SynthSpec(kind="constant", length=300))
+        cfg = resolve_config(None, {"split_counts": "100,100,100"})
+        assert cli._split_counts(cfg, frame) == (100, 100, 100)
+
     def test_unparseable_value(self):
         with pytest.raises(ConfigError):
             resolve_config(None, {"epochs": "three"})
@@ -900,6 +905,33 @@ class TestHarnessCommands:
         assert payload["error"] == "ConfigError" and "dim=10 heads=4" in payload["message"]
         assert not out_root.exists()
 
+    @pytest.mark.parametrize("command,extra", [
+        ("train", ["--context-len", "7"]),
+        ("ablate", ["--seeds", "0", "--context-len", "7"]),
+        ("promote", ["--sizes", "8", "--context-len", "7"]),
+        ("sweep", ["--axis", "context_len", "--values", "12,7"]),
+        ("sweep", ["--axis", "segment_len", "--values", "4,8"]),
+    ], ids=["train", "ablate", "promote", "sweep-context-len", "sweep-segment-len"])
+    def test_context_shorter_than_two_segments_is_refused_before_training(
+            self, tmp_path, data_csv, monkeypatch, capsys, command, extra):
+        # teacher forcing predicts each segment from the ones before it, so it needs two
+        def train_variants(*args, **kwargs):
+            raise AssertionError(f"{command} trained before it checked context_len")
+
+        monkeypatch.setattr(evaluation, "train_variants", train_variants)
+        monkeypatch.setattr(cli, "train_variants", train_variants)
+        out_root = tmp_path / "runs"
+        assert main([command, "--data", str(data_csv), "--out-root", str(out_root)]
+                    + BASE + extra) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("context_len must be >= 2 * segment_len")
+        assert not out_root.exists()
+
+    def test_context_of_exactly_two_segments_is_accepted(self):
+        cfg = resolve_config(None, {"context_len": 48, "segment_len": 24})
+        assert cli._model_config(cfg).segment_len == 24
+
     @pytest.mark.parametrize("command,extra,sources", [
         ("ablate", ["--seeds", "0"], {"PromptEncoder", "ZeroTextSource"}),
         ("promote", ["--sizes", "8", "--text-mode", "zero"], {"ZeroTextSource"}),
@@ -946,17 +978,31 @@ class TestHarnessCommands:
         assert report["curve"][0]["mse"] != report["curve"][1]["mse"]
 
 
+def _readme_unread_keys():
+    """command -> the config keys that the README's file-format table says it leaves out."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^  \| `[\w.]+` \(`(\w+)`\) \|.* \| ([^|]+) \|$", readme, re.M)
+    return {command: [key for key in re.findall(r"`(\w+)`", cell) if key in cli._SCHEMA]
+            for command, cell in rows}
+
+
 @pytest.mark.parametrize("command,extra,flag,values,artifact", [
     ("evaluate", ["--horizons", "4"], "--horizon", ("4", "8"), "report.json"),
+    ("evaluate", ["--horizons", "4"], "--lr", ("0.1", "0.5"), "report.json"),
+    ("evaluate", ["--horizons", "4"], "--epochs", ("1", "0"), "report.json"),
     ("ablate", ["--seeds", "0"], "--seed", ("3", "4"), "ablation.json"),
     ("promote", ["--sizes", "8"], "--hidden-dim", ("4", "16"), "promotion.json"),
+    ("promote", ["--sizes", "8"], "--gated", ("true", "false"), "promotion.json"),
     ("sweep", ["--axis", "context_len", "--values", "12"], "--context-len", ("8", "16"),
      "sweep.json"),
-], ids=["evaluate", "ablate", "promote", "sweep"])
-def test_a_list_flag_replaces_its_key(tmp_path, data_csv, trained, command, extra, flag, values,
-                                      artifact):
-    # the list in `inputs` is the key's one statement, so the key's flag changes nothing
-    key = flag[2:].replace("-", "_")
+], ids=["evaluate", "evaluate-lr", "evaluate-epochs", "ablate", "promote", "promote-gated",
+        "sweep"])
+def test_an_unread_key_is_left_out(tmp_path, data_csv, trained, command, extra, flag, values,
+                                   artifact):
+    # an artifact holds exactly the keys its command reads, so the flag of a key that the
+    # command never reads, or that its list flag replaces, changes nothing
+    unread = _readme_unread_keys()[command] + ([extra[1]] if command == "sweep" else [])
+    assert flag[2:].replace("-", "_") in unread
     out_root = tmp_path / "runs"
     argv = [command, "--data", str(data_csv), "--out-root", str(out_root), *BASE, *extra]
     if command == "evaluate":
@@ -968,8 +1014,36 @@ def test_a_list_flag_replaces_its_key(tmp_path, data_csv, trained, command, extr
         written.append((run_dir / artifact).read_bytes())
     assert written[0] == written[1]
     expected = cli._config_from(cli.build_parser().parse_args(argv + [flag, values[0]]))
-    del expected[key]
-    assert json.loads(written[0])["resolved_config"] == expected
+    assert json.loads(written[0])["resolved_config"] == {
+        key: value for key, value in expected.items() if key not in unread}
+
+
+@pytest.mark.parametrize("command,flag,repeated,plain", [
+    ("ablate", "--seeds", "0,0", "0"),
+    ("promote", "--sizes", "8,8", "8"),
+    ("sweep", "--values", "8,8", "8"),
+], ids=["ablate", "promote", "sweep"])
+def test_a_repeated_list_value_is_trained_once(tmp_path, data_csv, monkeypatch, command, flag,
+                                               repeated, plain):
+    trained = []
+
+    def train_model(*args):
+        trained.append(args[1])
+        return real(*args)
+
+    real = evaluation.train_model
+    monkeypatch.setattr(evaluation, "train_model", train_model)
+    out_root = tmp_path / "runs"
+    argv = [command, "--data", str(data_csv), "--out-root", str(out_root), *BASE]
+    if command == "sweep":
+        argv += ["--axis", "hidden_dim"]
+    written = []
+    for values in (repeated, plain):
+        trained.clear()
+        assert main(argv + [flag, values]) == 0
+        (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+        written.append(((run_dir / f"{command}.json").read_bytes(), list(trained)))
+    assert written[0] == written[1]
 
 
 class TestInspectionCommands:

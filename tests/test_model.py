@@ -68,6 +68,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**kwargs)
 
+    def test_ungated_refusal_names_its_keys(self):
+        with pytest.raises(ConfigError, match=r"^gated false needs experts 1, got experts=2$"):
+            ModelConfig(segment_len=4, dim=8, experts=2, gated=False)
+
     def test_heads_unconstrained_without_layers(self):
         ModelConfig(segment_len=4, dim=8, layers=0, heads=3)
 
