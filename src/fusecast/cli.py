@@ -2,10 +2,10 @@
 
 Configuration is a flat key=value namespace resolved in three layers:
 built-in defaults, then an optional config file, then command-line flags.
-The fully resolved mapping, less a key that a command's list flag replaces,
-is embedded into every artifact, and each run writes into a directory named
-by a content hash of that mapping, so identical invocations land in
-identical places with byte-identical artifacts.
+Every command accepts every key. The resolved mapping, less the keys a command
+does not read, is embedded into its artifact, and each run writes into a
+directory named by a content hash of that mapping, so identical invocations
+land in identical places with byte-identical artifacts.
 
 Errors are emitted as one JSON object on stderr with a nonzero exit code.
 """
@@ -78,10 +78,10 @@ _SCHEMA = {
     "decimals": (int, 4),
 }
 
-# model key -> the ModelConfig field it sets; a checkpoint's config read back as keys
-_MODEL_KEYS = {"segment_len": "segment_len", "hidden_dim": "dim", "experts": "experts",
-               "layers": "layers", "heads": "heads", "gated": "gated", "fused": "fused",
-               "seed": "seed"}
+# config key -> the ModelConfig or TrainConfig field it sets: its namesake, but for these two
+_KEY_OF = {"dim": "hidden_dim", "lam": "lambda"}
+_MODEL_KEYS = {_KEY_OF.get(f.name, f.name): f.name for f in fields(ModelConfig)}
+_TRAIN_KEYS = {_KEY_OF.get(f.name, f.name): f.name for f in fields(TrainConfig)}
 
 # key -> (lowest, highest) accepted value. float64 carries 17 significant digits, so
 # more decimals would only slow rendering down
@@ -179,16 +179,16 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _publish(args, cfg, report: dict, name: str, render, replaced=None, **inputs) -> Path:
+def _publish(args, cfg, report: dict, name: str, render, unread=(), **inputs) -> Path:
     """Write a command's JSON artifact `name` into its run directory; returns the directory.
 
-    The artifact is stamped with the resolved config less the `replaced` key, which a list
-    in `inputs` states instead, the data file as its base name and SHA-256 (not the path
-    as typed, so the same run from two paths writes the same bytes) and the command's own
-    `inputs`. The directory is named by the command and that stamp. Prints the artifact's
-    path, after its `render`ing when --table is given.
+    The artifact is stamped with the resolved config less the `unread` keys, which the
+    command never reads or a list in `inputs` states instead, the data file as its base
+    name and SHA-256 (not the path as typed, so the same run from two paths writes the same
+    bytes) and the command's own `inputs`. The directory is named by the command and that
+    stamp. Prints the artifact's path, after its `render`ing when --table is given.
     """
-    cfg = {key: value for key, value in cfg.items() if key != replaced}
+    cfg = {key: value for key, value in cfg.items() if key not in unread}
     stamp = {"data": Path(args.data).name, "data_sha256": _sha256(args.data)}
     report.update(resolved_config=cfg, inputs=inputs, **stamp)
     run_dir = make_run_dir(args.out_root, args.command, {"config": cfg, **stamp, **inputs})
@@ -243,11 +243,7 @@ def _model_config(cfg) -> ModelConfig:
 
 
 def _train_config(cfg) -> TrainConfig:
-    return TrainConfig(
-        lr=cfg["lr"], lam=cfg["lambda"], epochs=cfg["epochs"], batch=cfg["batch"],
-        seed=cfg["seed"], sparsity_mode=cfg["sparsity_mode"],
-        weight_decay=cfg["weight_decay"], max_steps=cfg["max_steps"],
-    )
+    return TrainConfig(**{name: cfg[key] for key, name in _TRAIN_KEYS.items()})
 
 
 def _fit(cfg, data_path, emb_cache=None):
@@ -326,7 +322,8 @@ def cmd_evaluate(args) -> int:
     report = {"horizons": per_horizon,
               "avg_mse": sum(v["mse"] for v in per_horizon.values()) / len(horizons),
               "avg_mae": sum(v["mae"] for v in per_horizon.values()) / len(horizons)}
-    run_dir = _publish(args, cfg, report, "report.json", render_forecast_table, "horizon",
+    unread = ("horizon", *(key for key in _TRAIN_KEYS if key not in _MODEL_KEYS))
+    run_dir = _publish(args, cfg, report, "report.json", render_forecast_table, unread,
                        horizons=horizons, max_windows=args.max_windows,
                        checkpoint_sha256=_sha256(args.checkpoint))
     if args.plot_data:
@@ -346,20 +343,20 @@ def cmd_ablate(args) -> int:
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
     report = ablation_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
                           seeds=seeds, text_seed=cfg["text_seed"], decimals=cfg["decimals"])
-    _publish(args, cfg, report, "ablation.json", render_ablation_table, "seed", seeds=seeds)
+    _publish(args, cfg, report, "ablation.json", render_ablation_table, ("seed",), seeds=seeds)
     return 0
 
 
 def cmd_promote(args) -> int:
     cfg = _config_from(args)
     sizes = _int_list(args.sizes, "sizes")
-    config = _model_config({**cfg, "hidden_dim": sizes[0]})  # hidden_dim itself is not trained
+    config = _model_config({**cfg, "hidden_dim": sizes[0], "gated": True})  # the rows set both
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
     report = promotion_run(train_w, val_w, freq, config, _train_config(cfg),
                            sizes, text_seed=cfg["text_seed"],
                            text_mode=cfg["text_mode"], decimals=cfg["decimals"])
-    _publish(args, cfg, report, "promotion.json", render_promotion_table, "hidden_dim",
-             sizes=sizes)
+    _publish(args, cfg, report, "promotion.json", render_promotion_table,
+             ("hidden_dim", "gated"), sizes=sizes)
     return 0
 
 
@@ -377,7 +374,7 @@ def cmd_sweep(args) -> int:
     best = min(curve, key=lambda row: row["mse"])
     report = {"curve": curve, "best_value": best["value"], "best_mse": best["mse"]}
     print(f"best {args.axis}: {report['best_value']} (val MSE {report['best_mse']:.6f})")
-    _publish(args, cfg, report, "sweep.json", None, args.axis, axis=args.axis, values=values)
+    _publish(args, cfg, report, "sweep.json", None, (args.axis,), axis=args.axis, values=values)
     return 0
 
 
