@@ -78,7 +78,7 @@ _SCHEMA = {
     "decimals": (int, 4),
 }
 
-# config key -> the ModelConfig or TrainConfig field it sets: its namesake, but for these two
+# config key -> the ModelConfig or TrainConfig field it sets: its namesake, except these two
 _KEY_OF = {"dim": "hidden_dim", "lam": "lambda"}
 _MODEL_KEYS = {_KEY_OF.get(f.name, f.name): f.name for f in fields(ModelConfig)}
 _TRAIN_KEYS = {_KEY_OF.get(f.name, f.name): f.name for f in fields(TrainConfig)}
@@ -199,17 +199,19 @@ def _publish(args, cfg, report: dict, name: str, render, unread=(), **inputs) ->
     return run_dir
 
 
-def _int_list(text, name: str) -> list:
+def _int_list(text, name: str, distinct=True) -> list:
+    """The integers of comma-separated `text`; if `distinct`, only the first of each value."""
     try:
-        return [int(p) for p in text.split(",")]
+        values = [int(p) for p in text.split(",")]
     except ValueError:
         raise ConfigError(f"{name} needs comma-separated integers, got {text!r}") from None
+    return list(dict.fromkeys(values)) if distinct else values
 
 
 def _split_counts(cfg, frame) -> tuple:
     text = cfg["split_counts"]
     if text:
-        parts = tuple(_int_list(text, "split_counts"))
+        parts = tuple(_int_list(text, "split_counts", distinct=False))
         if len(parts) != 3:
             raise ConfigError(f"split_counts needs 3 integers, got {text!r}")
         return parts
@@ -239,6 +241,10 @@ def prepare(cfg, data_path, horizon: int, splits):
 
 
 def _model_config(cfg) -> ModelConfig:
+    """The model to train; teacher forcing predicts each segment from the ones before it."""
+    if cfg["context_len"] < 2 * cfg["segment_len"]:
+        raise ConfigError(f"context_len must be >= 2 * segment_len = {2 * cfg['segment_len']}, "
+                          f"got {cfg['context_len']}")
     return ModelConfig(**{name: cfg[key] for key, name in _MODEL_KEYS.items()})
 
 
@@ -304,7 +310,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     params, mconfig = load_checkpoint(args.checkpoint)
     cfg = _config_from(args, mconfig)
-    horizons = sorted(set(_int_list(args.horizons, "horizons")))
+    horizons = sorted(_int_list(args.horizons, "horizons"))
     if horizons[0] < 1:
         raise ConfigError(f"horizons must be >= 1, got {horizons}")
     if args.max_windows < 0:

@@ -63,7 +63,7 @@ class ModelConfig:
             raise ConfigError(f"heads must divide hidden_dim, got hidden_dim={self.dim} "
                               f"heads={self.heads}")
         if not self.gated and self.experts != 1:
-            raise ConfigError("an ungated head requires exactly one expert")
+            raise ConfigError(f"gated false needs experts 1, got experts={self.experts}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # every block has the same shapes, so the count needs no per-block list; each array

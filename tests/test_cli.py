@@ -1018,13 +1018,14 @@ def test_an_unread_key_is_left_out(tmp_path, data_csv, trained, command, extra, 
         key: value for key, value in expected.items() if key not in unread}
 
 
-@pytest.mark.parametrize("command,flag,repeated,plain", [
-    ("ablate", "--seeds", "0,0", "0"),
-    ("promote", "--sizes", "8,8", "8"),
-    ("sweep", "--values", "8,8", "8"),
+@pytest.mark.parametrize("command,flag,repeated,plain,artifact", [
+    ("ablate", "--seeds", "0,0", "0", "ablation.json"),
+    ("promote", "--sizes", "8,8", "8", "promotion.json"),
+    ("sweep", "--values", "8,8", "8", "sweep.json"),
 ], ids=["ablate", "promote", "sweep"])
 def test_a_repeated_list_value_is_trained_once(tmp_path, data_csv, monkeypatch, command, flag,
-                                               repeated, plain):
+                                               repeated, plain, artifact):
+    # the first of a repeated value is kept, so the run is the plain one, in its directory
     trained = []
 
     def train_model(*args):
@@ -1042,7 +1043,7 @@ def test_a_repeated_list_value_is_trained_once(tmp_path, data_csv, monkeypatch, 
         trained.clear()
         assert main(argv + [flag, values]) == 0
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
-        written.append(((run_dir / f"{command}.json").read_bytes(), list(trained)))
+        written.append(((run_dir / artifact).read_bytes(), list(trained)))
     assert written[0] == written[1]
 
 
