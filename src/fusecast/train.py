@@ -162,29 +162,50 @@ def window_tensors(values, start, freq, segment_len: int, text_source, decimals:
 
 @dataclass
 class WindowTensors:
-    """A set of windows ready for the model: stacked segments, text, futures."""
+    """A set of windows ready for the model, kept as a table of distinct segments.
 
-    x: np.ndarray  # (W, N, S)
-    te: np.ndarray  # (W, N, D)
+    Window w's N segments are rows[w] of values and text; gather expands a
+    selection of windows into the dense arrays forward takes.
+    """
+
+    values: np.ndarray  # (U, S) distinct segment values
+    text: np.ndarray  # (U, D) their prompt embeddings
+    rows: np.ndarray  # (W, N) intp index into values and text
     future: np.ndarray  # (W, F) true continuation of each window; F <= S once assembled
+
+    def gather(self, idx=slice(None)):
+        """(x (B, N, S), te (B, N, D)) of the windows idx selects."""
+        rows = self.rows[idx]
+        return self.values[rows], self.text[rows]
 
 
 def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int = 4) -> WindowTensors:
-    """Every window's tensors, copied into arrays the first window sizes, so
-    no per-window list is left behind as freed heap before the first forward.
-    A future keeps its first segment only, the span evaluate_windows scores."""
+    """Every window's segments, each distinct one stored once.
+
+    Segments are deduplicated on (prompt, value bytes): equal keys hold equal
+    values and embed to an equal vector, so gathering rows reproduces each
+    window's window_tensors bit for bit. Every prompt still goes through
+    text_source.embed, as in window_tensors. The values are copies (the keys'
+    bytes), so no per-window array outlives its window. A future keeps its
+    first segment only, the span evaluate_windows scores.
+    """
     if not windows:
         raise ConfigError("no windows to assemble")
-    data = None
+    table, text = {}, []
     for i, w in enumerate(windows):
-        x, te = window_tensors(w.context, w.start, freq, segment_len, text_source, decimals)
-        future = w.target[:segment_len]
-        if data is None:
-            count = len(windows)
-            data = WindowTensors(x=np.empty((count,) + x.shape), te=np.empty((count,) + te.shape),
-                                 future=np.empty((count,) + future.shape))
-        data.x[i], data.te[i], data.future[i] = x, te, future
-    return data
+        x, prompts = window_segments(w.context, w.start, freq, segment_len, decimals)
+        if i == 0:
+            rows = np.empty((len(windows), len(prompts)), dtype=np.intp)
+            future = np.empty((len(windows),) + w.target[:segment_len].shape)
+        for j, (segment, prompt) in enumerate(zip(x, prompts)):
+            vector = text_source.embed(prompt)
+            row = rows[i, j] = table.setdefault((prompt, segment.tobytes()), len(table))
+            if row == len(text):
+                text.append(vector)
+        future[i] = w.target[:segment_len]
+    values = np.frombuffer(b"".join(raw for _, raw in table), dtype=np.float64)
+    return WindowTensors(values=values.reshape(len(table), -1), text=np.array(text),
+                         rows=rows, future=future)
 
 
 def _batch_step(params, mconfig, tconfig, x, te):
@@ -221,7 +242,7 @@ def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors):
     autoregressive rolling and are the evaluation module's job. No backward
     follows, so the forward keeps no trace.
     """
-    trace = forward(params, mconfig, data.x, data.te, keep_trace=False)
+    trace = forward(params, mconfig, *data.gather(), keep_trace=False)
     horizon = min(mconfig.segment_len, data.future.shape[1])
     mse, mae = metrics(trace.pred[:, -1, :horizon], data.future[:, :horizon])
     weights = trace.gate.weights
@@ -247,11 +268,11 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
     are bitwise reproducible and epochs are independent of each other's
     consumption of random numbers.
     """
-    if train_data.x.shape[1] < 2:
+    if train_data.rows.shape[1] < 2:
         raise ConfigError("teacher-forced training needs at least 2 segments per window")
     state = init_opt_state(params)
     result = TrainResult(params={k: v.copy() for k, v in params.items()})
-    n_windows = train_data.x.shape[0]
+    n_windows = len(train_data.rows)
     done = False
     for epoch in range(tconfig.epochs):
         order = np.random.default_rng([tconfig.seed, epoch]).permutation(n_windows)
@@ -259,7 +280,7 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
         for lo in range(0, n_windows, tconfig.batch):
             idx = order[lo : lo + tconfig.batch]
             batch_losses.append(_train_step(params, mconfig, tconfig, state,
-                                            train_data.x[idx], train_data.te[idx]))
+                                            *train_data.gather(idx)))
             if tconfig.max_steps and state.step >= tconfig.max_steps:
                 done = True
                 break

@@ -1,5 +1,6 @@
 """Loss arithmetic, the optimizer, window assembly, and the training loop."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -31,6 +32,13 @@ from fusecast.train import (
 
 HOURLY = timedelta(hours=1)
 T0 = datetime(2020, 1, 1)
+
+
+def dense_windows(x, te, future):
+    """WindowTensors whose every segment has a row of its own: (W, N, S) x, (W, N, D) te."""
+    w, n, s = x.shape
+    return WindowTensors(values=x.reshape(-1, s), text=te.reshape(-1, te.shape[-1]),
+                         rows=np.arange(w * n).reshape(w, n), future=future)
 
 
 class TestLoss:
@@ -226,37 +234,90 @@ class TestWindowAssembly:
         assert x.shape == (2, 4) and te.shape == (2, 6)
         np.testing.assert_array_equal(te[0], enc.embed(prompts[0]))
 
-    def make_frame(self, length=40):
+    def make_frame(self, length=40, channels=1):
         t = np.arange(length, dtype=np.float64)
-        values = np.stack([np.sin(t / 3.0) + 0.01 * t], axis=1)
+        values = np.stack([np.sin(t / 3.0 + c) + 0.01 * (c + 1) * t for c in range(channels)],
+                          axis=1)
         stamps = tuple(T0 + int(i) * HOURLY for i in range(length))
-        return TimeSeriesFrame(stamps, values, ("OT",), HOURLY)
+        return TimeSeriesFrame(stamps, values, tuple(f"c{c}" for c in range(channels)), HOURLY)
 
     def test_assemble_windows_shapes(self):
         frame = self.make_frame()
         windows = list(sample_windows(frame, (0, 40), context_len=12, horizon=8))
         data = assemble_windows(windows, HOURLY, 4, ZeroTextSource(6))
         w = len(windows)
-        assert data.x.shape == (w, 3, 4)
-        assert data.te.shape == (w, 3, 6)
+        x, te = data.gather()
+        assert x.shape == (w, 3, 4)
+        assert te.shape == (w, 3, 6)
+        assert data.rows.shape == (w, 3) and data.rows.dtype == np.intp
         assert data.future.shape == (w, 4)  # the one segment that scoring reads
 
-    @given(length=st.integers(21, 60), context=st.integers(1, 16), horizon=st.integers(1, 5),
-           segment_len=st.integers(1, 6), stride=st.integers(1, 7))
-    def test_assembly_equals_stacked_window_tensors(self, length, context, horizon,
-                                                     segment_len, stride):
-        assume(segment_len <= context)  # a context shorter than a segment is refused
-        frame = self.make_frame(length)
+    @given(length=st.integers(21, 60), channels=st.integers(1, 3), segments=st.integers(1, 4),
+           trim=st.integers(0, 5), horizon=st.integers(1, 5), segment_len=st.integers(1, 6),
+           stride=st.integers(1, 7))
+    def test_assembly_equals_stacked_window_tensors(self, length, channels, segments, trim,
+                                                     horizon, segment_len, stride):
+        assume(trim < segment_len)  # the oldest `trim` values of each context are dropped
+        context = segments * segment_len + trim
+        assume(context + horizon <= length)
+        frame = self.make_frame(length, channels)
         windows = list(sample_windows(frame, (0, length), context, horizon, stride))
         source = PromptEncoder(dim=6, seed=0)
         data = assemble_windows(windows, HOURLY, segment_len, source)
         tensors = [window_tensors(w.context, w.start, HOURLY, segment_len, source)
                    for w in windows]
-        for got, want in ((data.x, np.stack([x for x, _ in tensors])),
-                          (data.te, np.stack([te for _, te in tensors])),
+        x, te = data.gather()
+        for got, want in ((x, np.stack([t[0] for t in tensors])),
+                          (te, np.stack([t[1] for t in tensors])),
                           (data.future, np.stack([w.target[:segment_len] for w in windows]))):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        keys = {(prompt, segment.tobytes()) for w in windows
+                for segment, prompt in zip(*window_segments(w.context, w.start, HOURLY,
+                                                            segment_len))}
+        assert len(data.values) == len(data.text) == len(keys)  # each distinct segment once
+
+    def two_channel_windows(self, offset):
+        frame = self.make_frame(40)
+        values = np.concatenate([frame.values, frame.values + offset], axis=1)
+        frame = TimeSeriesFrame(frame.timestamps, values, ("a", "b"), HOURLY)
+        windows = list(sample_windows(frame, (0, 40), context_len=12, horizon=4, stride=2))
+        return windows, assemble_windows(windows, HOURLY, 4, PromptEncoder(dim=6, seed=0))
+
+    def test_equal_prompts_over_unequal_values_keep_their_own_rows(self):
+        windows, data = self.two_channel_windows(1e-12)
+        half = len(windows) // 2
+        for a, b in zip(windows[:half], windows[half:]):  # the same span in channel a and b
+            assert window_segments(a.context, a.start, HOURLY, 4)[1] == \
+                window_segments(b.context, b.start, HOURLY, 4)[1]
+        assert not np.intersect1d(data.rows[:half], data.rows[half:]).size
+        x, _ = data.gather()
+        want = np.stack([window_segments(w.context, w.start, HOURLY, 4)[0] for w in windows])
+        assert x.tobytes() == want.tobytes()
+
+    def test_identical_channels_share_rows(self):
+        windows, data = self.two_channel_windows(0.0)
+        half = len(windows) // 2
+        np.testing.assert_array_equal(data.rows[:half], data.rows[half:])
+        assert len(data.values) == len(np.unique(data.rows[:half]))
+
+    def test_assembly_retains_the_table_not_dense_windows(self):
+        frame = self.make_frame(400)
+        windows = list(sample_windows(frame, (0, 400), context_len=96, horizon=8, stride=1))
+        source = PromptEncoder(dim=32, seed=0)
+        assemble_windows(windows, HOURLY, 8, source)  # fills the encoder's memo first
+        tracemalloc.start()
+        try:
+            data = assemble_windows(windows, HOURLY, 8, source)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        table = data.values.nbytes + data.text.nbytes + data.rows.nbytes + data.future.nbytes
+        dense_te = data.rows.size * data.text.shape[1] * 8
+        assert data.rows.shape == (len(windows), 12)
+        assert len(data.values) < 2 * len(windows)  # stride 1: one new segment per window
+        assert table + 4096 < dense_te
+        assert kept <= table + 4096, f"assembly keeps {kept} bytes for a {table}-byte table"
 
     def test_assemble_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -279,7 +340,7 @@ class TestWindowAssembly:
         data = assemble_windows(windows, HOURLY, 4, PromptEncoder(dim=6, seed=0))
         assert sorted(encoded) == sorted(distinct)
         direct = np.stack([[encode_prompt(p, 6, 0) for p in window] for window in prompts])
-        np.testing.assert_array_equal(data.te, direct)
+        np.testing.assert_array_equal(data.gather()[1], direct)
 
 
 class TestEvaluateWindows:
@@ -287,13 +348,13 @@ class TestEvaluateWindows:
         config = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, seed=0)
         params = init_params(config)
         rng = np.random.default_rng(5)
-        data = WindowTensors(
+        data = dense_windows(
             x=rng.normal(size=(6, 3, 4)),
             te=rng.normal(size=(6, 3, 8)),
             future=rng.normal(size=(6, 2)),  # shorter than a segment
         )
         mse, mae, entropy, alpha = evaluate_windows(params, config, data)
-        trace = forward(params, config, data.x, data.te)
+        trace = forward(params, config, *data.gather())
         diff = trace.pred[:, -1, :2] - data.future
         assert mse == pytest.approx(float((diff**2).mean()), abs=1e-15)
         assert mae == pytest.approx(float(np.abs(diff).mean()), abs=1e-15)
@@ -304,7 +365,7 @@ class TestEvaluateWindows:
     def test_one_trace_free_forward(self, monkeypatch):
         config = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, seed=0)
         rng = np.random.default_rng(5)
-        data = WindowTensors(x=rng.normal(size=(6, 3, 4)), te=rng.normal(size=(6, 3, 8)),
+        data = dense_windows(x=rng.normal(size=(6, 3, 4)), te=rng.normal(size=(6, 3, 8)),
                              future=rng.normal(size=(6, 4)))
         calls = []
 
@@ -322,7 +383,7 @@ def build_training_sets(seed=0, windows=24, n=3, s=4, dim=8):
     x = rng.normal(size=(windows, n, s))
     te = rng.normal(size=(windows, n, dim)) / 4.0
     future = x[:, -1, :] * 0.5  # arbitrary but learnable-ish
-    return WindowTensors(x=x, te=te, future=future)
+    return dense_windows(x=x, te=te, future=future)
 
 
 class TestTrainingLoop:
@@ -415,8 +476,8 @@ class TestTrainingLoop:
         first = rng.normal(size=(32, 1, 4))
         x = np.concatenate([first, first * 0.5, first * 0.25], axis=1)
         te = rng.normal(size=(32, 3, 8)) / 4.0
-        train = WindowTensors(x=x, te=te, future=x[:, -1, :] * 0.5)
-        val = WindowTensors(x=x[:8], te=te[:8], future=train.future[:8])
+        train = dense_windows(x=x, te=te, future=x[:, -1, :] * 0.5)
+        val = dense_windows(x=x[:8], te=te[:8], future=train.future[:8])
         params = init_params(self.CONFIG)
         config = TrainConfig(lr=1e-2, epochs=10, batch=16, sparsity_mode="none")
         result = train_model(params, self.CONFIG, config, train, val)
