@@ -162,11 +162,8 @@ def window_tensors(values, start, freq, segment_len: int, text_source, decimals:
 
 @dataclass
 class WindowTensors:
-    """A set of windows ready for the model, kept as a table of distinct segments.
-
-    Window w's N segments are rows[w] of values and text; gather expands a
-    selection of windows into the dense arrays forward takes.
-    """
+    """Windows as a table of distinct segments: window w's N segments are rows[w]
+    of values and text, and gather expands windows into the arrays forward takes."""
 
     values: np.ndarray  # (U, S) distinct segment values
     text: np.ndarray  # (U, D) their prompt embeddings
@@ -180,14 +177,12 @@ class WindowTensors:
 
 
 def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int = 4) -> WindowTensors:
-    """Every window's segments, each distinct one stored once.
+    """Every window's segments as a table that stores each distinct one once.
 
-    Segments are deduplicated on (prompt, value bytes): equal keys hold equal
-    values and embed to an equal vector, so gathering rows reproduces each
-    window's window_tensors bit for bit. Every prompt still goes through
-    text_source.embed, as in window_tensors. The values are copies (the keys'
-    bytes), so no per-window array outlives its window. A future keeps its
-    first segment only, the span evaluate_windows scores.
+    A segment's key is (prompt, value bytes): equal keys hold equal values and
+    embed to an equal vector, so gather reproduces window_tensors bit for bit.
+    The values are the keys' bytes, so no window's array outlives its window.
+    A future keeps its first segment only, the span evaluate_windows scores.
     """
     if not windows:
         raise ConfigError("no windows to assemble")
@@ -198,7 +193,7 @@ def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int
             rows = np.empty((len(windows), len(prompts)), dtype=np.intp)
             future = np.empty((len(windows),) + w.target[:segment_len].shape)
         for j, (segment, prompt) in enumerate(zip(x, prompts)):
-            vector = text_source.embed(prompt)
+            vector = text_source.embed(prompt)  # every prompt, as window_tensors does
             row = rows[i, j] = table.setdefault((prompt, segment.tobytes()), len(table))
             if row == len(text):
                 text.append(vector)
