@@ -7,7 +7,8 @@ does not read, is embedded into its artifact, and each run writes into a
 directory named by a content hash of that mapping, so identical invocations
 land in identical places with byte-identical artifacts.
 
-Errors are emitted as one JSON object on stderr with a nonzero exit code.
+Errors are emitted as one JSON object on stderr with a nonzero exit code. A command writes
+every artifact before it prints its first line, so a closed stdout is not an error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import MISSING, fields
@@ -52,36 +54,32 @@ def _bool(text):
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# key -> (converter, default); this is the whole config surface
-_SCHEMA = {
-    "context_len": (int, 168),
-    "segment_len": (int, 24),
-    "hidden_dim": (int, 64),
-    "experts": (int, ModelConfig.experts),
-    "layers": (int, ModelConfig.layers),
-    "heads": (int, ModelConfig.heads),
-    "gated": (_bool, ModelConfig.gated),
-    "fused": (_bool, ModelConfig.fused),
-    "lr": (float, TrainConfig.lr),
-    "lambda": (float, TrainConfig.lam),
-    "sparsity_mode": (str, TrainConfig.sparsity_mode),
-    "epochs": (int, TrainConfig.epochs),
-    "batch": (int, TrainConfig.batch),
-    "seed": (int, ModelConfig.seed),
-    "split_counts": (str, ""),  # "train,val,test" rows; empty = 60/20/20
-    "stride": (int, 1),
-    "horizon": (int, 96),
-    "weight_decay": (float, TrainConfig.weight_decay),
-    "max_steps": (int, 0),  # 0 = no cap
-    "text_seed": (int, 0),
-    "text_mode": (str, "builtin"),  # one of textenc.TEXT_MODES
-    "decimals": (int, 4),
-}
-
 # config key -> the ModelConfig or TrainConfig field it sets: its namesake, except these two
 _KEY_OF = {"dim": "hidden_dim", "lam": "lambda"}
 _MODEL_KEYS = {_KEY_OF.get(f.name, f.name): f.name for f in fields(ModelConfig)}
 _TRAIN_KEYS = {_KEY_OF.get(f.name, f.name): f.name for f in fields(TrainConfig)}
+
+
+def _field_keys(cls) -> dict:
+    """key -> (converter, default) of each field of `cls`: the field's type and default."""
+    types = get_type_hints(cls)
+    return {_KEY_OF.get(f.name, f.name): ({bool: _bool}.get(types[f.name], types[f.name]),
+                                          f.default) for f in fields(cls)}
+
+
+# key -> (converter, default); this is the whole config surface. The class fields state
+# their own keys, so only the keys that set no field are written out here
+_SCHEMA = {
+    "context_len": (int, 168),
+    **_field_keys(ModelConfig),
+    **_field_keys(TrainConfig),
+    "split_counts": (str, ""),  # "train,val,test" rows; empty = 60/20/20
+    "stride": (int, 1),
+    "horizon": (int, 96),
+    "text_seed": (int, 0),
+    "text_mode": (str, "builtin"),  # one of textenc.TEXT_MODES
+    "decimals": (int, 4),
+}
 
 # key -> (lowest, highest) accepted value. float64 carries 17 significant digits, so
 # more decimals would only slow rendering down
@@ -143,14 +141,6 @@ def resolve_config(config_path, overrides: dict, checkpoint=None) -> dict:
     return resolved
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--config", default=None, help="flat key=value config file")
-    parser.add_argument("--out-root", default="runs", help="directory holding run outputs")
-    for key in _SCHEMA:
-        parser.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}",
-                            default=None, metavar="V")
-
-
 def _config_from(args, checkpoint=None) -> dict:
     overrides = {}
     for key, value in vars(args).items():
@@ -179,24 +169,33 @@ def write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _publish(args, cfg, report: dict, name: str, render, unread=(), **inputs) -> Path:
-    """Write a command's JSON artifact `name` into its run directory; returns the directory.
+def _say(text) -> None:
+    """Print one line now. Once stdout is closed, the rest goes to os.devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # every artifact is written before a command's first line
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _publish(args, cfg, report: dict, name: str, render, unread=(), files=None, **inputs):
+    """Write a command's JSON artifact `name`, then `files(run_dir)`, into its run directory.
 
     The artifact is stamped with the resolved config less the `unread` keys, which the
     command never reads or a list in `inputs` states instead, the data file as its base
     name and SHA-256 (not the path as typed, so the same run from two paths writes the same
     bytes) and the command's own `inputs`. The directory is named by the command and that
-    stamp. Prints the artifact's path, after its `render`ing when --table is given.
+    stamp. Then prints the artifact's path, after its `render`ing when --table is given.
     """
     cfg = {key: value for key, value in cfg.items() if key not in unread}
     stamp = {"data": Path(args.data).name, "data_sha256": _sha256(args.data)}
     report.update(resolved_config=cfg, inputs=inputs, **stamp)
     run_dir = make_run_dir(args.out_root, args.command, {"config": cfg, **stamp, **inputs})
     write_json(run_dir / name, report)
+    if files is not None:
+        files(run_dir)
     if render is not None and args.table:
-        print(render(report))
-    print(f"report: {run_dir / name}")
-    return run_dir
+        _say(render(report))
+    _say(f"report: {run_dir / name}")
 
 
 def _int_list(text, name: str, distinct=True) -> list:
@@ -290,7 +289,7 @@ def cmd_synth(args) -> int:
     spec = SynthSpec(**{f.name: getattr(args, f.name) for f in fields(SynthSpec)})
     frame = generate(spec)
     save_csv(frame, args.out, spec_comment(spec))
-    print(f"wrote {frame.length}x{frame.channels} {spec.kind} series to {args.out}")
+    _say(f"wrote {frame.length}x{frame.channels} {spec.kind} series to {args.out}")
     return 0
 
 
@@ -300,10 +299,10 @@ def cmd_train(args) -> int:
     record = {"epochs": result.curve, "best_epoch": result.best_epoch,
               "best_val_mse": result.best_val_mse, "steps": result.steps}
     cache_input = {"emb_cache_sha256": _sha256(args.emb_cache)} if args.emb_cache else {}
-    run_dir = _publish(args, cfg, record, "record.json", None, **cache_input)
-    save_checkpoint(result.params, mconfig, run_dir / "checkpoint.json")
-    print(f"best val MSE {result.best_val_mse:.6f} at epoch {result.best_epoch} "
-          f"({result.steps} steps)")
+    _publish(args, cfg, record, "record.json", None, files=lambda run_dir: save_checkpoint(
+        result.params, mconfig, run_dir / "checkpoint.json"), **cache_input)
+    _say(f"best val MSE {result.best_val_mse:.6f} at epoch {result.best_epoch} "
+         f"({result.steps} steps)")
     return 0
 
 
@@ -328,16 +327,18 @@ def cmd_evaluate(args) -> int:
     report = {"horizons": per_horizon,
               "avg_mse": sum(v["mse"] for v in per_horizon.values()) / len(horizons),
               "avg_mae": sum(v["mae"] for v in per_horizon.values()) / len(horizons)}
-    unread = ("horizon", *(key for key in _TRAIN_KEYS if key not in _MODEL_KEYS))
-    run_dir = _publish(args, cfg, report, "report.json", render_forecast_table, unread,
-                       horizons=horizons, max_windows=args.max_windows,
-                       checkpoint_sha256=_sha256(args.checkpoint))
-    if args.plot_data:
+
+    def showcase(run_dir):
         w, pred = test_w[0], preds[0]
         with open(run_dir / "showcase.csv", "w", encoding="utf-8") as fh:
             fh.write("t,truth,prediction\n")
             for i in range(top):
                 fh.write(f"{i},{repr(float(w.target[i]))},{repr(float(pred[i]))}\n")
+
+    unread = ("horizon", *(key for key in _TRAIN_KEYS if key not in _MODEL_KEYS))
+    _publish(args, cfg, report, "report.json", render_forecast_table, unread,
+             showcase if args.plot_data else None, horizons=horizons,
+             max_windows=args.max_windows, checkpoint_sha256=_sha256(args.checkpoint))
     return 0
 
 
@@ -379,18 +380,18 @@ def cmd_sweep(args) -> int:
                       "mae": float(result.best_val_mae)})
     best = min(curve, key=lambda row: row["mse"])
     report = {"curve": curve, "best_value": best["value"], "best_mse": best["mse"]}
-    print(f"best {args.axis}: {report['best_value']} (val MSE {report['best_mse']:.6f})")
     _publish(args, cfg, report, "sweep.json", None, (args.axis,), axis=args.axis, values=values)
+    _say(f"best {args.axis}: {report['best_value']} (val MSE {report['best_mse']:.6f})")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
     report = gradient_check(seed=args.seed, h=args.h)
     for name in sorted(report):
-        print(f"{name:16s} max rel err {report[name]:.3e}")
+        _say(f"{name:16s} max rel err {report[name]:.3e}")
     worst = max(report.values(), key=lambda err: err if err == err else float("inf"))  # NaN worst
     ok = worst <= 1e-4
-    print(f"{'PASS' if ok else 'FAIL'}: worst {worst:.3e} (tolerance 1e-4)")
+    _say(f"{'PASS' if ok else 'FAIL'}: worst {worst:.3e} (tolerance 1e-4)")
     return 0 if ok else 1
 
 
@@ -402,9 +403,9 @@ def cmd_dump_prompts(args) -> int:
     for i, w in enumerate(windows[: args.windows]):
         _, prompts = window_segments(w.context, w.start, freq,
                                      cfg["segment_len"], cfg["decimals"])
-        print(f"window {i} channel {w.channel} starting {w.start}")
+        _say(f"window {i} channel {w.channel} starting {w.start}")
         for j, prompt in enumerate(prompts, start=1):
-            print(f"  [{j}] {prompt}")
+            _say(f"  [{j}] {prompt}")
     return 0
 
 
@@ -422,41 +423,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train one model and save its checkpoint")
-    p.add_argument("--data", required=True)
     p.add_argument("--emb-cache", default=None,
                    help="embedding cache file to reuse or create")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="rolling multi-horizon test evaluation")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
     p.add_argument("--horizons", default=",".join(map(str, HORIZONS)))
     p.add_argument("--max-windows", type=int, default=0)
     p.add_argument("--table", action="store_true")
     p.add_argument("--plot-data", action="store_true")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train the four toggle variants")
-    p.add_argument("--data", required=True)
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--table", action="store_true")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("promote", help="single-expert vs routed-experts comparison")
-    p.add_argument("--data", required=True)
     p.add_argument("--sizes", required=True, help="comma-separated hidden sizes")
     p.add_argument("--table", action="store_true")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_promote)
 
     p = sub.add_parser("sweep", help="train once per value of one hyperparameter")
-    p.add_argument("--data", required=True)
     p.add_argument("--axis", required=True, choices=("context_len", "hidden_dim", "segment_len"))
     p.add_argument("--values", required=True, help="comma-separated values")
-    _add_config_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every gradient block")
@@ -465,11 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("dump-prompts", help="print rendered prompts for inspection")
-    p.add_argument("--data", required=True)
     p.add_argument("--split", default="train", choices=("train", "val", "test"))
     p.add_argument("--windows", type=int, default=1)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_dump_prompts)
+
+    for name, p in sub.choices.items():  # every command but these two reads data and the config
+        if name not in ("synth", "gradcheck"):
+            p.add_argument("--data", required=True)
+            p.add_argument("--config", default=None, help="flat key=value config file")
+            p.add_argument("--out-root", default="runs", help="directory holding run outputs")
+            for key in _SCHEMA:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", default=None,
+                               metavar="V")
 
     # argparse takes only -5 and -0.5 forms as negative numbers; read anything that starts
     # with a minus and a digit (-1e-3, -.5e1, -4,8), and -inf or -nan, as a value, not a flag

@@ -41,8 +41,8 @@ _ARRAY_COST = 26  # parameters' worth of what an array holds beside its values: 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    segment_len: int
-    dim: int
+    segment_len: int = 24
+    dim: int = 64
     experts: int = 4
     layers: int = 2
     heads: int = 2

@@ -6,7 +6,8 @@ sparsity penalty on the gate matrix. In literal mode the penalty is the
 entrywise L1 norm of the row-stochastic gate, which is constant (it always
 equals the number of rows) and therefore contributes zero gradient up to rounding;
 it is kept as a selectable mode so the constancy is demonstrable. Entropy
-mode actually pushes gate rows toward one-hot.
+mode actually pushes gate rows toward one-hot. Either mode at lambda 0 trains
+on the mean squared error alone.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .descriptors import render_prompt, segment_series
 from .errors import ConfigError, NonFiniteGradient, ShapeError
 from .model import ModelConfig, backward, forward, init_params
 
-SPARSITY_MODES = ("literal", "entropy", "none")
+SPARSITY_MODES = ("literal", "entropy")
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
 
@@ -82,9 +83,6 @@ def compute_loss(targets, predictions, gate_weights, lam: float, mode: str):
         log_w = _gate_log(gate_weights)
         exp_part = lam * float(-(gate_weights * log_w).sum())
         d_gate = lam * (-(log_w + 1.0))
-    elif mode == "none":
-        exp_part = 0.0
-        d_gate = np.zeros_like(gate_weights)
     else:
         raise ConfigError(f"unknown sparsity mode {mode!r}")
     return mse_part + exp_part, mse_part, exp_part, 2.0 * diff / targets.size, d_gate

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from fusecast.errors import ConfigError
 from fusecast.evaluation import render_forecast_table
 from fusecast.model import ModelConfig, load_checkpoint
 from fusecast.synth import SynthSpec, generate, spec_comment
-from fusecast.train import assemble_windows
+from fusecast.textenc import TEXT_MODES
+from fusecast.train import SPARSITY_MODES, TrainConfig, assemble_windows
 
 BASE = [
     "--context-len", "12", "--segment-len", "4", "--hidden-dim", "8",
@@ -152,6 +154,21 @@ class TestConfigResolution:
                 assert stated == cli._BOUNDS[key], key
             else:  # a stated ceiling must be an enforced one
                 assert stated[1] == math.inf, key
+        # a mode key's row lists its values before the first ";"
+        listed = {key: re.findall(r"`(\w+)`", meaning.split(";")[0]) for key, _, meaning in rows}
+        assert listed["sparsity_mode"] == list(SPARSITY_MODES)
+        assert listed["text_mode"] == list(TEXT_MODES)
+
+    def test_a_field_key_takes_its_fields_type_and_default(self):
+        # _SCHEMA writes out only the keys that set no ModelConfig or TrainConfig field
+        convert = {int: int, float: float, str: str, bool: _bool}
+        for cls, keys in ((ModelConfig, cli._MODEL_KEYS), (TrainConfig, cli._TRAIN_KEYS)):
+            types = get_type_hints(cls)
+            for key, name in keys.items():
+                assert cli._SCHEMA[key] == (convert[types[name]], getattr(cls, name)), key
+        assert set(cli._SCHEMA) - set(cli._MODEL_KEYS) - set(cli._TRAIN_KEYS) == {
+            "context_len", "split_counts", "stride", "horizon", "text_seed", "text_mode",
+            "decimals"}
 
     def test_every_stated_floor_is_enforced_and_names_its_key(self):
         # a floor outside _BOUNDS is the config classes' to enforce, under the key's own name
@@ -272,6 +289,19 @@ class TestTrainCommand:
         assert dirs == [run_dir]  # same resolved inputs, same hash
         assert (run_dir / "checkpoint.json").read_bytes() == first
         assert (run_dir / "record.json").read_bytes() == record_first
+
+    def test_lambda_0_trains_alike_under_either_mode(self, tmp_path, data_csv):
+        # no penalty at lambda 0, whatever the mode: what a mode without a penalty would train
+        records, checkpoints = [], []
+        for mode in SPARSITY_MODES:
+            out_root = tmp_path / mode
+            assert main(["train", "--data", str(data_csv), "--out-root", str(out_root),
+                         "--lambda", "0", "--sparsity-mode", mode] + BASE) == 0
+            (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+            records.append(json.loads((run_dir / "record.json").read_text())["epochs"])
+            checkpoints.append((run_dir / "checkpoint.json").read_bytes())
+        assert records[0] == records[1]
+        assert checkpoints[0] == checkpoints[1]
 
     def test_data_bytes_name_the_run_dir(self, tmp_path):
         # editing the CSV in place must not overwrite the run trained on the old bytes
@@ -407,6 +437,19 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert "bogus" in err["message"]
+
+    @pytest.mark.parametrize("layer", ["flag", "config"])
+    def test_sparsity_mode_none_is_refused(self, tmp_path, data_csv, capsys, layer):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("sparsity_mode=none\n")
+        given = ["--sparsity-mode", "none"] if layer == "flag" else ["--config", str(cfg_file)]
+        out_root = tmp_path / "runs"
+        rc = main(["train", "--data", str(data_csv), "--out-root", str(out_root)] + BASE + given)
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ConfigError" and "sparsity_mode" in err["message"]
+        assert not out_root.exists()
 
     def test_parse_error_carries_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -1073,3 +1116,56 @@ class TestInspectionCommands:
         assert "window 0 channel 0" in out
         assert "The time range of this sequence is from" in out
         assert "[3]" in out  # context_len 12 / segment_len 4 gives 3 segments
+
+
+def _run_with_stdout_closed(argv, unbuffered, patch="pass"):
+    """Run the CLI in a child whose stdout is a pipe with its read end already closed."""
+    read, write = os.pipe()
+    os.close(read)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(evaluation.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = f"import sys; from fusecast import cli; {patch}; sys.exit(cli.main(sys.argv[1:]))"
+    try:
+        return subprocess.run([sys.executable, "-c", code, *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+class TestClosedStdout:
+    """Every artifact is written before the first line, so a closed stdout ends with 0."""
+
+    def test_train_writes_what_a_normal_run_writes(self, tmp_path, data_csv, trained,
+                                                   unbuffered):
+        out_root = tmp_path / "runs"
+        done = _run_with_stdout_closed(["train", "--data", str(data_csv), "--out-root",
+                                        str(out_root)] + BASE, unbuffered)
+        assert (done.returncode, done.stderr) == (0, "")
+        (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
+        assert run_dir.name == trained.name
+        assert sorted(os.listdir(run_dir)) == sorted(os.listdir(trained))
+        for name in os.listdir(trained):
+            assert (run_dir / name).read_bytes() == (trained / name).read_bytes(), name
+
+    def test_sweep_publishes(self, tmp_path, data_csv, unbuffered):
+        argv = ["sweep", "--data", str(data_csv), "--axis", "hidden_dim", "--values", "8,16"]
+        done = _run_with_stdout_closed(argv + ["--out-root", str(tmp_path / "closed")] + BASE,
+                                       unbuffered)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert main(argv + ["--out-root", str(tmp_path / "open")] + BASE) == 0
+        (closed,) = (tmp_path / "closed").iterdir()
+        (opened,) = (tmp_path / "open").iterdir()
+        assert (closed / "sweep.json").read_bytes() == (opened / "sweep.json").read_bytes()
+
+    def test_dump_prompts(self, data_csv, unbuffered):
+        done = _run_with_stdout_closed(["dump-prompts", "--data", str(data_csv),
+                                        "--windows", "3"] + BASE, unbuffered)
+        assert (done.returncode, done.stderr) == (0, "")
+
+    def test_a_failing_gradcheck_still_fails(self, unbuffered):
+        patch = "cli.gradient_check = lambda seed, h: {'a': float('nan')}"
+        done = _run_with_stdout_closed(["gradcheck"], unbuffered, patch)
+        assert (done.returncode, done.stderr) == (1, "")

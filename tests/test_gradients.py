@@ -38,7 +38,7 @@ class TestGradientCheck:
             gradient_check(seed=0, h=h)
 
     def test_plain_mse_path_too(self):
-        report = gradient_check(seed=0, h=1e-5, sparsity_mode="none", lam=0.0)
+        report = gradient_check(seed=0, h=1e-5, sparsity_mode="literal", lam=0.0)
         assert max(report.values()) <= 1e-4
 
 

@@ -46,7 +46,7 @@ class TestLoss:
         targets = np.array([[1.0, 2.0], [3.0, 4.0]])
         preds = np.array([[1.5, 2.0], [3.0, 2.0]])
         gate = np.full((2, 2), 0.5)
-        total, mse, exp, _, _ = compute_loss(targets, preds, gate, lam=0.0, mode="none")
+        total, mse, exp, _, _ = compute_loss(targets, preds, gate, lam=0.0, mode="literal")
         # squared errors: 0.25 + 0 + 0 + 4 over B*S = 4 cells
         assert mse == pytest.approx(4.25 / 4, abs=1e-15)
         assert exp == 0.0 and total == mse
@@ -67,9 +67,9 @@ class TestLoss:
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
-            compute_loss(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 2)), 0.1, "none")
+            compute_loss(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 2)), 0.1, "literal")
         with pytest.raises(ShapeError):
-            compute_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)), 0.1, "none")
+            compute_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)), 0.1, "literal")
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -93,7 +93,7 @@ class TestLoss:
                 fd[idx] = (up - loss_of(bumped)) / (2 * h)
             return fd
 
-        for mode in ("literal", "entropy", "none"):
+        for mode in ("literal", "entropy"):
             _, _, _, d_pred, d_gate = compute_loss(targets, preds, gate, 0.3, mode)
             assert d_pred.shape == preds.shape and d_gate.shape == gate.shape
             fd_gate = numeric(gate, lambda g: compute_loss(targets, preds, g, 0.3, mode)[2])
@@ -185,6 +185,7 @@ class TestTrainConfig:
             dict(epochs=0),
             dict(batch=0),
             dict(sparsity_mode="l1"),
+            dict(sparsity_mode="none"),  # lambda 0 trains without a penalty
             dict(seed=-1),
             dict(max_steps=-1),
             dict(lr=float("inf")),
@@ -479,7 +480,7 @@ class TestTrainingLoop:
         train = dense_windows(x=x, te=te, future=x[:, -1, :] * 0.5)
         val = dense_windows(x=x[:8], te=te[:8], future=train.future[:8])
         params = init_params(self.CONFIG)
-        config = TrainConfig(lr=1e-2, epochs=10, batch=16, sparsity_mode="none")
+        config = TrainConfig(lr=1e-2, lam=0.0, epochs=10, batch=16, sparsity_mode="literal")
         result = train_model(params, self.CONFIG, config, train, val)
         assert result.curve[-1]["train_loss"] < result.curve[0]["train_loss"]
 
