@@ -39,7 +39,7 @@ from .evaluation import (
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate, save_csv, spec_comment
 from .textenc import TEXT_MODES, load_cache, precompute_cache, save_cache, text_source
-from .train import TrainConfig, gradient_check, window_segments
+from .train import SPARSITY_MODES, TrainConfig, gradient_check, window_segments
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -132,8 +132,9 @@ def resolve_config(config_path, overrides: dict, checkpoint=None) -> dict:
             if any(key in layer for layer in layers) and resolved[key] != value:
                 raise ConfigError(f"{key} {resolved[key]!r} != the checkpoint's {value!r}")
             resolved[key] = value
-    if resolved["text_mode"] not in TEXT_MODES:
-        raise ConfigError(f"text_mode must be one of {TEXT_MODES}, got {resolved['text_mode']!r}")
+    for key, modes in (("text_mode", TEXT_MODES), ("sparsity_mode", SPARSITY_MODES)):
+        if resolved[key] not in modes:
+            raise ConfigError(f"{key} must be one of {modes}, got {resolved[key]!r}")
     for key, (low, high) in _BOUNDS.items():
         if not low <= resolved[key] <= high:
             bound = f">= {low}" if resolved[key] < low else f"<= {high}"
@@ -184,7 +185,7 @@ def _publish(args, cfg, report: dict, name: str, render, unread=(), files=None, 
     command never reads or a list in `inputs` states instead, the data file as its base
     name and SHA-256 (not the path as typed, so the same run from two paths writes the same
     bytes) and the command's own `inputs`. The directory is named by the command and that
-    stamp. Then prints the artifact's path, after its `render`ing when --table is given.
+    stamp. Then prints the artifact's `render`ing, if the command has one, and its path.
     """
     cfg = {key: value for key, value in cfg.items() if key not in unread}
     stamp = {"data": Path(args.data).name, "data_sha256": _sha256(args.data)}
@@ -193,7 +194,7 @@ def _publish(args, cfg, report: dict, name: str, render, unread=(), files=None, 
     write_json(run_dir / name, report)
     if files is not None:
         files(run_dir)
-    if render is not None and args.table:
+    if render is not None:
         _say(render(report))
     _say(f"report: {run_dir / name}")
 
@@ -336,9 +337,9 @@ def cmd_evaluate(args) -> int:
                 fh.write(f"{i},{repr(float(w.target[i]))},{repr(float(pred[i]))}\n")
 
     unread = ("horizon", *(key for key in _TRAIN_KEYS if key not in _MODEL_KEYS))
-    _publish(args, cfg, report, "report.json", render_forecast_table, unread,
-             showcase if args.plot_data else None, horizons=horizons,
-             max_windows=args.max_windows, checkpoint_sha256=_sha256(args.checkpoint))
+    _publish(args, cfg, report, "report.json", render_forecast_table, unread, showcase,
+             horizons=horizons, max_windows=args.max_windows,
+             checkpoint_sha256=_sha256(args.checkpoint))
     return 0
 
 
@@ -431,18 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--horizons", default=",".join(map(str, HORIZONS)))
     p.add_argument("--max-windows", type=int, default=0)
-    p.add_argument("--table", action="store_true")
-    p.add_argument("--plot-data", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train the four toggle variants")
     p.add_argument("--seeds", default="0,1,2")
-    p.add_argument("--table", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("promote", help="single-expert vs routed-experts comparison")
     p.add_argument("--sizes", required=True, help="comma-separated hidden sizes")
-    p.add_argument("--table", action="store_true")
     p.set_defaults(func=cmd_promote)
 
     p = sub.add_parser("sweep", help="train once per value of one hyperparameter")

@@ -451,6 +451,47 @@ class TestErrorReporting:
         assert err["error"] == "ConfigError" and "sparsity_mode" in err["message"]
         assert not out_root.exists()
 
+    @pytest.mark.parametrize("layer", ["flag", "config"])
+    @pytest.mark.parametrize("command,value", [("evaluate", "bogus"), ("dump-prompts", "none")],
+                             ids=["evaluate", "dump-prompts"])
+    def test_every_command_checks_the_sparsity_mode(self, tmp_path, data_csv, trained, capsys,
+                                                    command, value, layer):
+        # neither command builds a TrainConfig, so the key is checked where the config resolves
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"sparsity_mode={value}\n")
+        given = ["--sparsity-mode", value] if layer == "flag" else ["--config", str(cfg_file)]
+        if command == "evaluate":
+            given += ["--checkpoint", str(trained / "checkpoint.json")]
+        out_root = tmp_path / "runs"
+        assert main([command, "--data", str(data_csv), "--out-root", str(out_root)]
+                    + BASE + given) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {
+            "error": "ConfigError",
+            "message": f"sparsity_mode must be one of {SPARSITY_MODES}, got {value!r}"}
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--checkpoint", "c.json", "--table"],
+        ["evaluate", "--checkpoint", "c.json", "--plot-data"],
+        ["ablate", "--table"],
+        ["promote", "--sizes", "8", "--table"],
+    ], ids=["evaluate-table", "evaluate-plot-data", "ablate-table", "promote-table"])
+    def test_presentation_flags_are_unknown(self, tmp_path, data_csv, capsys, argv):
+        # every run prints its table and every evaluate writes its showcase, so no flag asks
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--help"])
+        assert exc.value.code == 0 and argv[-1] not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--data", str(data_csv), "--out-root", str(tmp_path / "runs")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: ")
+        assert f"unrecognized arguments: {argv[-1]}" in captured.err
+        assert not (tmp_path / "runs").exists()
+
     def test_parse_error_carries_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -738,8 +779,7 @@ class TestEvaluateCommand:
         out_root = tmp_path / "runs"
         rc = main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
                    "--data", str(data_csv), "--horizons", "4,8",
-                   "--max-windows", "2", "--table", "--plot-data",
-                   "--out-root", str(out_root)] + BASE)
+                   "--max-windows", "2", "--out-root", str(out_root)] + BASE)
         assert rc == 0
         out = capsys.readouterr().out
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
@@ -754,6 +794,29 @@ class TestEvaluateCommand:
         showcase = (run_dir / "showcase.csv").read_text().splitlines()
         assert showcase[0] == "t,truth,prediction"
         assert len(showcase) == 1 + 8
+
+    def test_every_run_writes_its_showcase_and_prints_its_table(self, tmp_path, data_csv,
+                                                                 trained, capsys):
+        out_root = tmp_path / "runs"
+        rc = main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
+                   "--data", str(data_csv), "--horizons", "8,4",
+                   "--out-root", str(out_root), *DATA])
+        assert rc == 0
+        (run_dir,) = out_root.iterdir()
+        assert sorted(os.listdir(run_dir)) == ["report.json", "showcase.csv"]
+        report = json.loads((run_dir / "report.json").read_text())
+        out = capsys.readouterr().out
+        assert out == f"{render_forecast_table(report)}\nreport: {run_dir / 'report.json'}\n"
+        # the first test window up to the largest horizon, floats in shortest round-trip form
+        cfg = resolve_config(None, {"context_len": "12", "stride": "4",
+                                    "split_counts": "72,24,24"})
+        _, (test_w,) = cli.prepare(cfg, data_csv, 8, ("test",))
+        rows = (run_dir / "showcase.csv").read_text().splitlines()
+        assert rows[0] == "t,truth,prediction" and len(rows) == 1 + 8
+        for i, row in enumerate(rows[1:]):
+            t, truth, prediction = row.split(",")
+            assert t == str(i) and truth == repr(float(test_w[0].target[i]))
+            assert prediction == repr(float(prediction))
 
     def test_report_records_the_checkpoint_model(self, tmp_path, data_csv, trained):
         # the model comes from the checkpoint, so the report's config must say so,
@@ -888,7 +951,7 @@ class TestEvaluateCommand:
 class TestHarnessCommands:
     def test_ablate(self, tmp_path, data_csv, capsys):
         out_root = tmp_path / "runs"
-        rc = main(["ablate", "--data", str(data_csv), "--seeds", "0", "--table",
+        rc = main(["ablate", "--data", str(data_csv), "--seeds", "0",
                    "--out-root", str(out_root)] + BASE)
         assert rc == 0
         assert "w/o MoE" in capsys.readouterr().out
@@ -912,7 +975,7 @@ class TestHarnessCommands:
 
     def test_promote(self, tmp_path, data_csv, capsys):
         out_root = tmp_path / "runs"
-        rc = main(["promote", "--data", str(data_csv), "--sizes", "8", "--table",
+        rc = main(["promote", "--data", str(data_csv), "--sizes", "8",
                    "--out-root", str(out_root)] + BASE)
         assert rc == 0
         assert "promotion" in capsys.readouterr().out
@@ -1164,6 +1227,22 @@ class TestClosedStdout:
         done = _run_with_stdout_closed(["dump-prompts", "--data", str(data_csv),
                                         "--windows", "3"] + BASE, unbuffered)
         assert (done.returncode, done.stderr) == (0, "")
+
+    def test_evaluate_writes_what_a_normal_run_writes(self, tmp_path, data_csv, trained,
+                                                      unbuffered):
+        # evaluate prints its table's lines before report:, so the pipe breaks at the first
+        argv = ["evaluate", "--checkpoint", str(trained / "checkpoint.json"), "--data",
+                str(data_csv), "--horizons", "4,8", *DATA]
+        done = _run_with_stdout_closed(argv + ["--out-root", str(tmp_path / "closed")],
+                                       unbuffered)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert main(argv + ["--out-root", str(tmp_path / "open")]) == 0
+        (closed,) = (tmp_path / "closed").iterdir()
+        (opened,) = (tmp_path / "open").iterdir()
+        assert closed.name == opened.name
+        assert sorted(os.listdir(closed)) == ["report.json", "showcase.csv"]
+        for name in ("report.json", "showcase.csv"):
+            assert (closed / name).read_bytes() == (opened / name).read_bytes(), name
 
     def test_a_failing_gradcheck_still_fails(self, unbuffered):
         patch = "cli.gradient_check = lambda seed, h: {'a': float('nan')}"
