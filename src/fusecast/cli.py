@@ -21,6 +21,7 @@ import os
 import re
 import sys
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -257,31 +258,29 @@ def _fit(cfg, data_path, emb_cache=None):
 
     With emb_cache, prompts are embedded from that cache file, which is built
     from the train and val prompts first if it does not exist yet. The cache
-    holds builtin-encoder vectors, so it needs text_mode=builtin.
+    holds builtin-encoder vectors, so it needs text_mode=builtin. The text
+    source, cache or encoder, is made inside train_variants and dies with assembly.
     """
     if emb_cache and cfg["text_mode"] != "builtin":
         raise ConfigError(f"--emb-cache needs text_mode=builtin, got {cfg['text_mode']!r}")
     freq, (train_w, val_w) = prepare(cfg, data_path, cfg["horizon"], ("train", "val"))
-    mconfig = _model_config(cfg)
-    tconfig = _train_config(cfg)
-    source = text_source(cfg["text_mode"], mconfig.dim, cfg["text_seed"])
-    if emb_cache:
-        cache_path = Path(emb_cache)
-        if cache_path.exists():
-            source = load_cache(cache_path)
-            if source.dim != mconfig.dim:
-                raise ConfigError(f"cache dim {source.dim} != hidden_dim {mconfig.dim}")
-        else:
-            prompts = []
-            for w in train_w + val_w:
-                prompts.extend(
-                    window_segments(w.context, w.start, freq, mconfig.segment_len,
-                                    cfg["decimals"])[1]
-                )
-            source = precompute_cache(prompts, mconfig.dim, cfg["text_seed"])
-            save_cache(source, cache_path)
-
-    (result,) = train_variants(train_w, val_w, freq, [(mconfig, tconfig, source)],
+    mconfig, tconfig = _model_config(cfg), _train_config(cfg)
+    if not emb_cache:
+        make = partial(text_source, cfg["text_mode"], mconfig.dim, cfg["text_seed"])
+    elif Path(emb_cache).exists():
+        def make():
+            cache = load_cache(emb_cache)
+            if cache.dim != mconfig.dim:
+                raise ConfigError(f"cache dim {cache.dim} != hidden_dim {mconfig.dim}")
+            return cache
+    else:
+        def make():  # builds and writes the cache, and hands it over without reading it back
+            prompts = [p for w in train_w + val_w for p in window_segments(
+                w.context, w.start, freq, mconfig.segment_len, cfg["decimals"])[1]]
+            cache = precompute_cache(prompts, mconfig.dim, cfg["text_seed"])
+            save_cache(cache, emb_cache)
+            return cache
+    (result,) = train_variants(train_w, val_w, freq, [(mconfig, tconfig, make)],
                                cfg["decimals"])
     return mconfig, result
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, InvalidHorizon, ShapeError
 from .model import ModelConfig, forward, init_params
-from .textenc import text_source
+from .textenc import TEXT_MODES, text_source
 from .train import TrainConfig, assemble_windows, metrics, train_model, window_tensors
 
 HORIZONS = (96, 192, 336, 720)
@@ -108,18 +109,20 @@ def ablation_variants(config: ModelConfig) -> dict:
 
 
 def train_variants(train_windows, val_windows, freq, rows, decimals: int) -> list:
-    """Train one model per (ModelConfig, TrainConfig, text source) row; results in row order.
+    """Train one model per (ModelConfig, TrainConfig, text-source maker) row; results in row order.
 
-    The windows are assembled once per (segment_len, text source object) among the rows.
+    A maker takes no arguments and returns a text source. Each distinct (segment_len, maker
+    object) calls its maker once and assembles train and val with that source, which then
+    dies: every table is built before the first row trains, and no source outlives assembly.
     """
-    assembled, results = {}, []
-    for mconfig, tconfig, source in rows:
-        key = (mconfig.segment_len, source)  # a source is keyed by identity
-        if key not in assembled:
+    assembled = {}
+    for mconfig, _, make in rows:
+        key = (mconfig.segment_len, make)  # a maker is keyed by identity
+        if key not in assembled:  # the source lives only inside this comprehension
             assembled[key] = [assemble_windows(w, freq, mconfig.segment_len, source, decimals)
-                              for w in (train_windows, val_windows)]
-        results.append(train_model(init_params(mconfig), mconfig, tconfig, *assembled[key]))
-    return results
+                              for source in [make()] for w in (train_windows, val_windows)]
+    return [train_model(init_params(mconfig), mconfig, tconfig,
+                        *assembled[mconfig.segment_len, make]) for mconfig, tconfig, make in rows]
 
 
 def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
@@ -130,9 +133,10 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
     Returns {"rows": {row: {"per_seed_mse", "per_seed_mae", "mean_mse",
     "std_mse", "mean_mae", "std_mae"}}}.
     """
-    sources = {mode: text_source(mode, config.dim, text_seed) for mode in ("builtin", "zero")}
+    makers = {mode: partial(text_source, mode, config.dim, text_seed)
+              for mode in ("builtin", "zero")}
     variants = ablation_variants(config)
-    grid = [(replace(variant, seed=seed), replace(tconfig, seed=seed), sources[mode])
+    grid = [(replace(variant, seed=seed), replace(tconfig, seed=seed), makers[mode])
             for variant, mode in variants.values() for seed in seeds]
     results = iter(train_variants(train_windows, val_windows, freq, grid, decimals))
     rows = {}
@@ -162,12 +166,14 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
     """
     if not sizes:
         raise ConfigError("promotion needs at least one backbone size")
+    if text_mode not in TEXT_MODES:  # the makers would refuse it only once training began
+        raise ConfigError(f"text_mode must be one of {TEXT_MODES}, got {text_mode!r}")
     bases = [replace(config, dim=dim) for dim in sizes]  # every width is checked before training
     table = []
     for base in bases:  # one harness call per size keeps one size's windows in memory
-        source = text_source(text_mode, base.dim, text_seed)
-        pair = [(replace(base, experts=1, gated=False), tconfig, source),
-                (replace(base, gated=True), tconfig, source)]
+        make = partial(text_source, text_mode, base.dim, text_seed)
+        pair = [(replace(base, experts=1, gated=False), tconfig, make),
+                (replace(base, gated=True), tconfig, make)]
         results = train_variants(train_windows, val_windows, freq, pair, decimals)
         original, moe = ({"mse": r.best_val_mse, "mae": r.best_val_mae} for r in results)
         table.append({

@@ -19,7 +19,8 @@ A forward that no backward follows (validation scoring, rolling forecasts)
 passes keep_trace=False. That is the full forward run one slab of _SLAB_ROWS
 windows at a time, keeping three outputs of each slab: pred, the gate weights
 and alpha. Its memory is one slab's trace plus the outputs, whatever the batch
-size.
+size. Given a table of distinct segments and a row index, as validation passes
+its windows, it gathers each slab from the table, so no dense batch exists.
 """
 
 from __future__ import annotations
@@ -446,29 +447,38 @@ def _forward_rows(params, config: ModelConfig, x, te) -> ForwardTrace:
     )
 
 
-def forward(params: dict, config: ModelConfig, x, te, *, keep_trace: bool = True) -> ForwardTrace:
+def forward(params: dict, config: ModelConfig, x, te, *, keep_trace: bool = True,
+            rows=None) -> ForwardTrace:
     """Full forward pass over a batch of windows.
 
     x: (B, N, S) segment values; te: (B, N, D) prompt embeddings. Position i
     of the output predicts the values of segment i+1. With keep_trace=False
     the same forward runs _SLAB_ROWS windows at a time, and the result keeps
     only pred, the gate weights and alpha of each slab; backward refuses it.
+    With `rows`, a (B, N) index, x and te are a table of segments, (U, S)
+    values and (U, D) text, and window b is the segments rows[b]; without a
+    trace, each slab is gathered as it runs, so the batch is never dense.
     """
     x = np.asarray(x, dtype=np.float64)
     te = np.asarray(te, dtype=np.float64)
-    if x.ndim != 3 or x.shape[-1] != config.segment_len:
-        raise ShapeError(f"segment batch shape {x.shape}, want (B, N, {config.segment_len})")
-    if te.shape != x.shape[:2] + (config.dim,):
-        raise ShapeError(f"text batch shape {te.shape}, want {x.shape[:2] + (config.dim,)}")
+    table = rows is not None
+    if table and np.ndim(rows) != 2:
+        raise ShapeError(f"row index shape {np.shape(rows)}, want (B, N)")
+    if x.ndim != 3 - table or x.shape[-1] != config.segment_len:
+        want = "U" if table else "B, N"
+        raise ShapeError(f"segment shape {x.shape}, want ({want}, {config.segment_len})")
+    if te.shape != x.shape[:-1] + (config.dim,):
+        raise ShapeError(f"text shape {te.shape}, want {x.shape[:-1] + (config.dim,)}")
     if keep_trace:
-        return _forward_rows(params, config, x, te)
-    batch, n = x.shape[:2]
+        return _forward_rows(params, config, *((x[rows], te[rows]) if table else (x, te)))
+    batch, n = np.shape(rows)[:2] if table else x.shape[:2]
     pred = np.empty((batch, n, config.segment_len))
     weights = np.empty((batch, n, config.experts))
     for lo in range(0, max(batch, 1), _SLAB_ROWS):  # one pass at batch 0 still sets alpha
-        rows = slice(lo, lo + _SLAB_ROWS)
-        slab = _forward_rows(params, config, x[rows], te[rows])
-        pred[rows], weights[rows], alpha = slab.pred, slab.gate.weights, slab.alpha
+        span = slice(lo, lo + _SLAB_ROWS)
+        idx = rows[span] if table else span
+        slab = _forward_rows(params, config, x[idx], te[idx])
+        pred[span], weights[span], alpha = slab.pred, slab.gate.weights, slab.alpha
         del slab  # else the next slab's trace would be built while this one is held
     return ForwardTrace(config=config, alpha=alpha, gate=GateMatrix(weights=weights), pred=pred)
 

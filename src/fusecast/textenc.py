@@ -5,17 +5,17 @@ fixed random sign vector, a causal exponential moving average contextualizes
 the token stream, and the final state is the prompt embedding. It is a pure
 function of (prompt bytes, dim, seed), so embeddings can be precomputed once
 and cached. `encode_prompt` is the one encoder: with decay 0.5 its moving
-average is an exact running sum, so no per-token loop runs. Token vectors are
-memoized per process, keyed by (token, dim, seed). `PromptEncoder` is the text
-source the commands embed through. Each instance memoizes its prompt vectors,
-so a prompt that overlapping windows share is encoded once per source; the
-memo lives and dies with the source, and the vectors it hands out are
-read-only. `precompute_cache` builds the offline cache.
+average is an exact running sum, so no per-token loop runs. It takes an optional
+token memo, a dict from token to sign vector for one (dim, seed). `PromptEncoder`
+is the text source the commands embed through. Each instance memoizes its token
+and prompt vectors, so a token or a prompt that overlapping windows share is
+encoded once per source; both memos live and die with the source, not with the
+process, and the vectors they hand out are read-only. `precompute_cache` builds
+the offline cache, with a token memo that dies with the call.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import re
@@ -46,20 +46,19 @@ class TextEmbedding:
     sha: str  # SHA-256 of the prompt bytes, which tells a key collision from a hit
 
 
-@functools.lru_cache(maxsize=None)
 def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
-    """Fixed ±1/√D sign vector for a token, keyed by (token, seed); memoized, read-only."""
+    """Fixed ±1/√D sign vector for a token, keyed by (token, seed); read-only."""
     digest = hashlib.blake2b(
         token.encode("utf-8"), digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     ).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "little"))
     signs = rng.integers(0, 2, size=dim).astype(np.float64) * 2.0 - 1.0
     vector = signs / np.sqrt(dim)
-    vector.flags.writeable = False  # shared by every caller through the memo
+    vector.flags.writeable = False  # shared by every prompt through a token memo
     return vector
 
 
-def encode_prompt(prompt: str, dim: int, seed: int) -> np.ndarray:
+def encode_prompt(prompt: str, dim: int, seed: int, memo=None) -> np.ndarray:
     """Embed a prompt: hash tokens to sign vectors, causal EMA, take the final state.
 
     Zero-init EMA with bias correction, so a single-token prompt returns that
@@ -68,13 +67,16 @@ def encode_prompt(prompt: str, dim: int, seed: int) -> np.ndarray:
     0.5, s_t = 0.5*v_t + 0.5*s_{t-1} rounds like (v_t + s_{t-1}) / 2, so 2^t*s_t
     is the running sum of 2^(t-1)*v_t: a sequential np.add.accumulate per
     512-token block (2^t cannot overflow) and an exact ldexp give the loop's bits.
+    `memo`, a dict from token to vector for this (dim, seed), is read and filled.
     """
     if dim < 1:
         raise ShapeError(f"embedding dim must be >= 1, got {dim}")
     tokens = re.findall(r"\w+", prompt)
     if not tokens:
         raise EmptyPrompt("prompt has no tokens")
-    vectors = np.array([_token_vector(token, dim, seed) for token in tokens])
+    memo = {} if memo is None else memo
+    memo.update({token: _token_vector(token, dim, seed) for token in set(tokens).difference(memo)})
+    vectors = np.array([memo[token] for token in tokens])
     state = np.zeros(dim, dtype=np.float64)
     for lo in range(0, len(tokens), len(_POW2)):
         block = vectors[lo:lo + len(_POW2)] * _POW2[: len(tokens) - lo]
@@ -88,19 +90,21 @@ class PromptEncoder:
 
     `embed` memoizes by prompt string: a prompt this source has seen returns
     the vector it encoded the first time, bit-equal to `encode_prompt`, as one
-    shared read-only array. The memo belongs to the instance: it is freed with
-    the source, and no two sources share one.
+    shared read-only array. It also memoizes each token's sign vector. Both
+    memos belong to the instance: they are freed with the source, and no two
+    sources share one, so a token is hashed again by every new source.
     """
 
     def __init__(self, dim: int, seed: int):
         self.dim = dim
         self.seed = seed
         self._vectors: dict[str, np.ndarray] = {}
+        self._tokens: dict[str, np.ndarray] = {}
 
     def embed(self, prompt: str) -> np.ndarray:
         vector = self._vectors.get(prompt)
         if vector is None:
-            vector = encode_prompt(prompt, self.dim, self.seed)
+            vector = encode_prompt(prompt, self.dim, self.seed, self._tokens)
             vector.flags.writeable = False  # shared by every later embed of this prompt
             self._vectors[prompt] = vector
         return vector
@@ -161,11 +165,11 @@ class EmbeddingCache:
 
 
 def precompute_cache(prompts, dim: int, seed: int) -> EmbeddingCache:
-    """Encode every distinct prompt once."""
-    cache = EmbeddingCache(dim=dim)
+    """Encode every distinct prompt once, each token once; the token memo dies with the call."""
+    cache, tokens = EmbeddingCache(dim=dim), {}
     for prompt in prompts:
         if prompt not in cache:
-            cache.add(prompt, encode_prompt(prompt, dim, seed))
+            cache.add(prompt, encode_prompt(prompt, dim, seed, tokens))
     return cache
 
 

@@ -230,12 +230,12 @@ def _train_step(params, mconfig, tconfig, state, x, te) -> float:
 def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors):
     """Forecast quality of the final position against each window's true future.
 
-    Returns (mse, mae, mean gate entropy, alpha). Only the first
-    min(segment_len, F) future values are scored; longer horizons need
-    autoregressive rolling and are the evaluation module's job. No backward
-    follows, so the forward keeps no trace.
+    Returns (mse, mae, mean gate entropy, alpha). Only the first min(segment_len, F)
+    future values are scored; longer horizons need autoregressive rolling and are the
+    evaluation module's job. The forward keeps no trace and gathers its slabs from the
+    table itself, so the windows are never gathered whole.
     """
-    trace = forward(params, mconfig, *data.gather(), keep_trace=False)
+    trace = forward(params, mconfig, data.values, data.text, keep_trace=False, rows=data.rows)
     horizon = min(mconfig.segment_len, data.future.shape[1])
     mse, mae = metrics(trace.pred[:, -1, :horizon], data.future[:, :horizon])
     weights = trace.gate.weights

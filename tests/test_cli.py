@@ -290,6 +290,16 @@ class TestTrainCommand:
         assert (run_dir / "checkpoint.json").read_bytes() == first
         assert (run_dir / "record.json").read_bytes() == record_first
 
+    @pytest.mark.parametrize("cache", [False, True], ids=["encoder", "cache-build"])
+    def test_no_text_memo_is_alive_while_training(self, tmp_path, data_csv, memos_at_first_train,
+                                                  cache):
+        extra = ["--emb-cache", str(tmp_path / "emb.txt")] if cache else []
+        assert main(["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs")]
+                    + BASE + extra) == 0
+        made = memos_at_first_train["made"]
+        assert made["tokens"] > 0 and made["encoders"] == (0 if cache else 1)
+        assert memos_at_first_train["alive"] == {"encoders": 0, "tokens": 0}
+
     def test_lambda_0_trains_alike_under_either_mode(self, tmp_path, data_csv):
         # no penalty at lambda 0, whatever the mode: what a mode without a penalty would train
         records, checkpoints = [], []

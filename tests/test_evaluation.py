@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ class TestHarnesses:
     def test_train_variants_match_direct_training(self, monkeypatch):
         windows = tiny_windows()
         train_w, val_w = windows[:8], windows[8:]
-        builtin, zero = PromptEncoder(8, 0), ZeroTextSource(8)
+        builtin, zero = partial(PromptEncoder, 8, 0), partial(ZeroTextSource, 8)  # makers
         rows = [
             (self.CONFIG, self.TCONFIG, builtin),
             (replace(self.CONFIG, fused=False, seed=1), replace(self.TCONFIG, seed=1), builtin),
@@ -264,12 +265,13 @@ class TestHarnesses:
 
         monkeypatch.setattr(evaluation, "assemble_windows", spy)
         results = train_variants(train_w, val_w, HOURLY, rows, 2)
-        # train and val once per distinct (segment_len, source object)
+        # train and val once per distinct (segment_len, maker object)
         assert Counter(calls) == {(4, "PromptEncoder"): 2, (4, "ZeroTextSource"): 2,
                                   (2, "PromptEncoder"): 2}
         assert len(results) == len(rows)
-        for (mconfig, tconfig, source), result in zip(rows, results):
+        for (mconfig, tconfig, make), result in zip(rows, results):
             # each command's own assemble-then-train code, kept as the reference
+            source = make()
             direct = train_model(init_params(mconfig), mconfig, tconfig,
                                  assemble_windows(train_w, HOURLY, mconfig.segment_len, source, 2),
                                  assemble_windows(val_w, HOURLY, mconfig.segment_len, source, 2))
@@ -294,6 +296,17 @@ class TestHarnesses:
         windows = tiny_windows()
         harness(windows[:8], windows[8:], HOURLY, self.CONFIG, self.TCONFIG, **kwargs)
         assert Counter(calls) == sources
+
+    @pytest.mark.parametrize("harness,kwargs", [
+        (ablation_run, {"seeds": (0, 1)}),
+        (promotion_run, {"sizes": (8, 16)}),
+    ], ids=["ablation", "promotion"])
+    def test_no_text_memo_is_alive_while_training(self, memos_at_first_train, harness, kwargs):
+        windows = tiny_windows()
+        harness(windows[:8], windows[8:], HOURLY, self.CONFIG, self.TCONFIG, **kwargs)
+        made = memos_at_first_train["made"]
+        assert made["encoders"] > 0 and made["tokens"] > 0
+        assert memos_at_first_train["alive"] == {"encoders": 0, "tokens": 0}
 
     def test_promotion_needs_sizes(self):
         with pytest.raises(ConfigError):

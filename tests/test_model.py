@@ -32,7 +32,7 @@ from fusecast.model import (
     save_checkpoint,
     sigmoid,
 )
-from fusecast.train import TrainConfig
+from fusecast.train import TrainConfig, WindowTensors, evaluate_windows
 
 TINY = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, seed=0)
 
@@ -382,6 +382,39 @@ class TestTraceFreeForward:
         assert np.array_equal(free.gate.weights, full.gate.weights)
         assert free.alpha == full.alpha
 
+    @pytest.mark.parametrize("config", [
+        DEFAULT,
+        ModelConfig(segment_len=24, dim=64, experts=1, gated=False),
+        ModelConfig(segment_len=24, dim=64, layers=0),
+        ModelConfig(segment_len=24, dim=64, fused=False),
+    ], ids=["default", "ungated", "layers0", "unfused"])
+    @pytest.mark.parametrize("batch", [1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1,
+                                       769])  # 769: the default val split, a one-row last slab
+    def test_table_rows_bit_equal_to_the_full_forward(self, config, batch):
+        """Stride-1 windows share segments: window b is table rows b..b+6."""
+        params = init_params(config)
+        if config.fused:
+            params["theta"] = np.array(0.3)
+        values, text = (part[0] for part in make_inputs(config, batch=1, n=batch + 6, seed=batch))
+        rows = np.arange(batch)[:, None] + np.arange(7)
+        full = forward(params, config, values[rows], text[rows])
+        for keep_trace in (False, True):
+            table = forward(params, config, values, text, keep_trace=keep_trace, rows=rows)
+            assert np.array_equal(table.pred, full.pred)
+            assert np.array_equal(table.gate.weights, full.gate.weights)
+            assert table.alpha == full.alpha
+
+    @pytest.mark.parametrize("x_shape,te_shape,rows_shape", [
+        ((2, 3, 4), (2, 3, 8), (2, 3)),  # x is a batch, not a table
+        ((6, 4), (5, 8), (2, 3)),  # te has another row count
+        ((6, 4), (6, 8), (6,)),  # rows is not (B, N)
+    ], ids=["x-not-2d", "te-rows-differ", "rows-not-2d"])
+    def test_a_malformed_table_is_refused(self, x_shape, te_shape, rows_shape):
+        rows = np.arange(math.prod(rows_shape)).reshape(rows_shape) % 5
+        with pytest.raises(ShapeError):
+            forward(init_params(TINY), TINY, np.zeros(x_shape), np.zeros(te_shape),
+                    keep_trace=False, rows=rows)
+
     def test_keeps_nothing_for_backward(self):
         params = init_params(TINY)
         x, te = make_inputs(TINY)
@@ -420,27 +453,37 @@ class TestTraceFreeForward:
 
     def test_scoring_peaks_no_higher_than_a_train_step(self):
         """Scoring the 769 default val windows peaks within 10% of a training forward at
-        TrainConfig's batch plus the scores themselves."""
+        TrainConfig's batch plus the scores themselves, whether the windows come as a dense
+        batch or as validation's table of segments, which is never gathered whole."""
         params = init_params(DEFAULT)
         x1, te1 = make_inputs(DEFAULT, batch=1, n=7)
 
-        def peak(batch, keep_trace):  # stride-0 views, so the inputs cost nothing
-            x = np.broadcast_to(x1, (batch,) + x1.shape[1:])
-            te = np.broadcast_to(te1, (batch,) + te1.shape[1:])
-            forward(params, DEFAULT, x, te, keep_trace=keep_trace)  # leaves lazy set-up out
+        def peak(score):
+            score()  # leaves lazy set-up out
             tracemalloc.start()
             try:
-                forward(params, DEFAULT, x, te, keep_trace=keep_trace)
+                score()
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        step = peak(TrainConfig().batch, keep_trace=True)
+        def dense(batch, keep_trace):  # stride-0 views, so the inputs cost nothing
+            x = np.broadcast_to(x1, (batch,) + x1.shape[1:])
+            te = np.broadcast_to(te1, (batch,) + te1.shape[1:])
+            return lambda: forward(params, DEFAULT, x, te, keep_trace=keep_trace)
+
+        values, text = (part[0] for part in make_inputs(DEFAULT, batch=1, n=769 + 6))
+        table = WindowTensors(values=values, text=text,
+                              rows=np.arange(769)[:, None] + np.arange(7),  # stride-1 windows
+                              future=np.zeros((769, DEFAULT.segment_len)))
+        step = peak(dense(TrainConfig().batch, keep_trace=True))
         outputs = 769 * 7 * (DEFAULT.segment_len + DEFAULT.experts) * 8  # pred and gate weights
-        scoring = peak(769, keep_trace=False)
         # measured: 4.39 MB scoring against 3.18 MB for a B=32 step plus 1.21 MB of scores;
-        # slabs of 128 rows peaked at 7.91 MB
-        assert scoring <= 1.1 * (step + outputs), f"scoring peaks at {scoring / 1e6:.2f} MB"
+        # slabs of 128 rows peaked at 7.91 MB, and a dense gather of the table adds 3.79 MB
+        for name, score in (("dense", dense(769, keep_trace=False)),
+                            ("table", lambda: evaluate_windows(params, DEFAULT, table))):
+            scoring = peak(score)
+            assert scoring <= 1.1 * (step + outputs), f"{name} peaks at {scoring / 1e6:.2f} MB"
 
 
 class TestCheckpoint:

@@ -1,7 +1,9 @@
 """Deterministic prompt encoder and the embedding cache file format."""
 
+import gc
 import hashlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +121,15 @@ class TestEncoder:
         a, b = PromptEncoder(dim=16, seed=5), PromptEncoder(dim=16, seed=6)
         assert not np.array_equal(a.embed("one two"), b.embed("one two"))
         assert PromptEncoder(dim=16, seed=5).embed("one two") is not a.embed("one two")
+
+    def test_token_vectors_die_with_their_encoder(self):
+        enc = PromptEncoder(dim=16, seed=5)
+        enc.embed("one two three")
+        refs = [weakref.ref(vector) for vector in enc._tokens.values()]
+        assert len(refs) == 3
+        del enc
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_zero_source(self):
         z = ZeroTextSource(dim=7)

@@ -333,9 +333,9 @@ class TestWindowAssembly:
         encode_prompt = fusecast.textenc.encode_prompt
         encoded = []
 
-        def spy(prompt, dim, seed):
+        def spy(prompt, dim, seed, memo):
             encoded.append(prompt)
-            return encode_prompt(prompt, dim, seed)
+            return encode_prompt(prompt, dim, seed, memo)
 
         monkeypatch.setattr(fusecast.textenc, "encode_prompt", spy)
         data = assemble_windows(windows, HOURLY, 4, PromptEncoder(dim=6, seed=0))
@@ -376,7 +376,8 @@ class TestEvaluateWindows:
 
         monkeypatch.setattr(fusecast.train, "forward", spy)
         evaluate_windows(init_params(config), config, data)
-        assert calls == [{"keep_trace": False}]
+        assert len(calls) == 1 and calls[0].keys() == {"keep_trace", "rows"}
+        assert calls[0]["keep_trace"] is False and calls[0]["rows"] is data.rows
 
 
 def build_training_sets(seed=0, windows=24, n=3, s=4, dim=8):
