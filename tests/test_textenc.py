@@ -57,10 +57,11 @@ class TestEncoder:
         )
 
     def test_result_does_not_alias_the_memo(self):
-        # token vectors are memoized per process; writing to a result must not reach them
-        v = encode_prompt("Mean", 4, seed=0)
+        # a token memo serves every prompt it is passed with; writing to a result must not reach it
+        memo = {}
+        v = encode_prompt("Mean", 4, 0, memo)
         v[:] = 0.0
-        np.testing.assert_array_equal(encode_prompt("Mean", 4, seed=0), [-0.5, 0.5, 0.5, -0.5])
+        np.testing.assert_array_equal(encode_prompt("Mean", 4, 0, memo), [-0.5, 0.5, 0.5, -0.5])
 
     def test_two_token_closed_form(self):
         # decay 0.5, zero init, bias corrected: state = (v1 + 2 v2) / 3
