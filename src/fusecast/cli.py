@@ -83,9 +83,9 @@ _SCHEMA = {
 }
 
 # key -> (lowest, highest) accepted value. float64 carries 17 significant digits, so
-# more decimals would only slow rendering down
+# more decimals would only slow rendering down; the encoder reads its seed as 64 bits
 _BOUNDS = {"context_len": (1, math.inf), "segment_len": (1, math.inf), "stride": (1, math.inf),
-           "horizon": (1, math.inf), "decimals": (0, 17)}
+           "horizon": (1, math.inf), "decimals": (0, 17), "text_seed": (0, 2**64 - 1)}
 
 
 def parse_config_file(path) -> dict:

@@ -19,15 +19,15 @@ A forward that no backward follows (validation scoring, rolling forecasts)
 passes keep_trace=False. That is the full forward run one slab of _SLAB_ROWS
 windows at a time, keeping three outputs of each slab: pred, the gate weights
 and alpha. Its memory is one slab's trace plus the outputs, whatever the batch
-size. Given a table of distinct segments and a row index, as validation passes
-its windows, it gathers each slab from the table, so no dense batch exists.
+size. Train steps and validation pass a table of distinct segments and a row
+index; forward alone gathers windows from it, for validation one slab at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from typing import Optional
 
 import numpy as np
@@ -227,13 +227,6 @@ def init_params(config: ModelConfig) -> dict:
     return params
 
 
-@dataclass(frozen=True)
-class GateMatrix:
-    """Row-stochastic expert weights, one row per position."""
-
-    weights: np.ndarray
-
-
 def _blend(weights, experts_out):
     """s_hat: each position's gate-weighted sum of its expert outputs."""
     return (weights[..., None, :] @ experts_out)[..., 0, :]
@@ -252,7 +245,7 @@ class ForwardTrace:
 
     config: ModelConfig
     alpha: float
-    gate: GateMatrix
+    gate: np.ndarray  # (B, N, K) row-stochastic expert weights, one row per position
     pred: np.ndarray  # (B, N, S)
     x: Optional[np.ndarray] = None  # (B, N, S) segment values
     te: Optional[np.ndarray] = None  # (B, N, D) text embeddings
@@ -275,7 +268,7 @@ class ForwardTrace:
     @property
     def s_hat(self) -> np.ndarray:
         """The gate blend of experts_out, as moe_forward computes it."""
-        return _blend(self.gate.weights, self._kept(self.experts_out))
+        return _blend(self.gate, self._kept(self.experts_out))
 
 
 def _segment_embed(values, params):
@@ -409,8 +402,8 @@ def backbone_forward(e, params, config: ModelConfig):
 def moe_forward(e_hat, params, config: ModelConfig):
     """Softmax-gated blend of per-expert linear projections.
 
-    Returns (s_hat, GateMatrix, experts_out). With a single ungated expert the
-    gate weights are identically 1 and s_hat is a plain linear map.
+    Returns (s_hat, the (..., K) gate weights, experts_out). With a single
+    ungated expert the weights are identically 1 and s_hat is a plain linear map.
     """
     e_hat = np.asarray(e_hat, dtype=np.float64)
     k, d, _ = params["experts_W"].shape
@@ -420,7 +413,7 @@ def moe_forward(e_hat, params, config: ModelConfig):
         weights = _softmax(e_hat @ params["gate_W"] + params["gate_b"], axis=-1)
     else:
         weights = np.ones(e_hat.shape[:-1] + (1,))
-    return _blend(weights, experts_out), GateMatrix(weights=weights), experts_out
+    return _blend(weights, experts_out), weights, experts_out
 
 
 def predict_segment(s_hat, params):
@@ -456,8 +449,8 @@ def forward(params: dict, config: ModelConfig, x, te, *, keep_trace: bool = True
     the same forward runs _SLAB_ROWS windows at a time, and the result keeps
     only pred, the gate weights and alpha of each slab; backward refuses it.
     With `rows`, a (B, N) index, x and te are a table of segments, (U, S)
-    values and (U, D) text, and window b is the segments rows[b]; without a
-    trace, each slab is gathered as it runs, so the batch is never dense.
+    values and (U, D) text, and window b is the segments rows[b]: gathered
+    whole for a trace, else one slab at a time, so the batch is never dense.
     """
     x = np.asarray(x, dtype=np.float64)
     te = np.asarray(te, dtype=np.float64)
@@ -478,9 +471,9 @@ def forward(params: dict, config: ModelConfig, x, te, *, keep_trace: bool = True
         span = slice(lo, lo + _SLAB_ROWS)
         idx = rows[span] if table else span
         slab = _forward_rows(params, config, x[idx], te[idx])
-        pred[span], weights[span], alpha = slab.pred, slab.gate.weights, slab.alpha
+        pred[span], weights[span], alpha = slab.pred, slab.gate, slab.alpha
         del slab  # else the next slab's trace would be built while this one is held
-    return ForwardTrace(config=config, alpha=alpha, gate=GateMatrix(weights=weights), pred=pred)
+    return ForwardTrace(config=config, alpha=alpha, gate=weights, pred=pred)
 
 
 def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
@@ -503,7 +496,7 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
     grads["out_W"] = _weight_grad(trace.s_hat, d_pred)
     d_s_hat = d_pred @ params["out_W"].T
 
-    weights = trace.gate.weights
+    weights = trace.gate
     d_weights = (trace.experts_out @ d_s_hat[..., None])[..., 0]
     if d_gate is not None:
         d_gate = np.asarray(d_gate, dtype=np.float64)
@@ -548,8 +541,9 @@ def save_checkpoint(params: dict, config: ModelConfig, path) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
-        # json.dumps runs the C encoder; json.dump streams through the Python one
-        fh.write(json.dumps(blob, sort_keys=True) + "\n")
+        # json.dumps runs the C encoder; json.dump streams through the Python one. print
+        # writes the newline on its own, where + "\n" would copy the whole text at its peak
+        print(json.dumps(blob, sort_keys=True), file=fh)
 
 
 def load_checkpoint(path):
@@ -559,6 +553,9 @@ def load_checkpoint(path):
             blob = json.load(fh)
         if blob.get("format") != _CHECKPOINT_FORMAT:
             raise ConfigError(f"unrecognized checkpoint format: {blob.get('format')!r}")
+        for f in fields(ModelConfig):  # json.load keeps 24.0 a float and 1 an int
+            if type(blob["config"].get(f.name, f.default)) is not type(f.default):
+                raise ConfigError(f"checkpoint config {f.name!r} must be {type(f.default).__name__}")
         config = ModelConfig(**blob["config"])
         expected = param_shapes(config)
         params = {}

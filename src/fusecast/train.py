@@ -161,24 +161,19 @@ def window_tensors(values, start, freq, segment_len: int, text_source, decimals:
 @dataclass
 class WindowTensors:
     """Windows as a table of distinct segments: window w's N segments are rows[w]
-    of values and text, and gather expands windows into the arrays forward takes."""
+    of values and text, and forward(values, text, rows=...) gathers the windows."""
 
     values: np.ndarray  # (U, S) distinct segment values
     text: np.ndarray  # (U, D) their prompt embeddings
     rows: np.ndarray  # (W, N) intp index into values and text
     future: np.ndarray  # (W, F) true continuation of each window; F <= S once assembled
 
-    def gather(self, idx=slice(None)):
-        """(x (B, N, S), te (B, N, D)) of the windows idx selects."""
-        rows = self.rows[idx]
-        return self.values[rows], self.text[rows]
-
 
 def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int = 4) -> WindowTensors:
     """Every window's segments as a table that stores each distinct one once.
 
     A segment's key is (prompt, value bytes): equal keys hold equal values and
-    embed to an equal vector, so gather reproduces window_tensors bit for bit.
+    embed to an equal vector, so a window's rows reproduce window_tensors bit for bit.
     The values are the keys' bytes, so no window's array outlives its window.
     A future keeps its first segment only, the span evaluate_windows scores.
     """
@@ -201,28 +196,28 @@ def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int
                          rows=rows, future=future)
 
 
-def _batch_step(params, mconfig, tconfig, x, te):
-    """Forward and loss on one batch; returns (trace, total, d_pred, d_gate) for backward."""
-    trace = forward(params, mconfig, x, te)
+def _batch_step(params, mconfig, tconfig, x, te, rows=None):
+    """Forward and loss on a batch or a table's rows; returns (trace, total, d_pred, d_gate)."""
+    trace = forward(params, mconfig, x, te, rows=rows)
     # position i predicts segment i + 1, so the final position is not scored
     total, _, _, d_scored_pred, d_scored_gate = compute_loss(
-        x[:, 1:, :], trace.pred[:, :-1, :], trace.gate.weights[:, :-1, :],
+        trace.x[:, 1:, :], trace.pred[:, :-1, :], trace.gate[:, :-1, :],
         tconfig.lam, tconfig.sparsity_mode,
     )
     d_pred = np.zeros_like(trace.pred)
     d_pred[:, :-1, :] = d_scored_pred
-    d_gate = np.zeros_like(trace.gate.weights)
+    d_gate = np.zeros_like(trace.gate)
     d_gate[:, :-1, :] = d_scored_gate
     return trace, total, d_pred, d_gate
 
 
-def _train_step(params, mconfig, tconfig, state, x, te) -> float:
-    """Forward, backward and one AdamW update on a batch; returns its loss.
+def _train_step(params, mconfig, tconfig, state, values, text, rows) -> float:
+    """Forward, backward and one AdamW update on a table's `rows`; returns the loss.
 
     The trace and gradients die with this frame, so validation never holds
     them as well.
     """
-    trace, total, d_pred, d_gate = _batch_step(params, mconfig, tconfig, x, te)
+    trace, total, d_pred, d_gate = _batch_step(params, mconfig, tconfig, values, text, rows)
     adamw_step(params, backward(params, mconfig, trace, d_pred, d_gate), state, tconfig)
     return total
 
@@ -238,8 +233,7 @@ def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors):
     trace = forward(params, mconfig, data.values, data.text, keep_trace=False, rows=data.rows)
     horizon = min(mconfig.segment_len, data.future.shape[1])
     mse, mae = metrics(trace.pred[:, -1, :horizon], data.future[:, :horizon])
-    weights = trace.gate.weights
-    entropy = float(-(weights * _gate_log(weights)).sum(axis=-1).mean())
+    entropy = float(-(trace.gate * _gate_log(trace.gate)).sum(axis=-1).mean())
     return mse, mae, entropy, trace.alpha
 
 
@@ -271,9 +265,9 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
         order = np.random.default_rng([tconfig.seed, epoch]).permutation(n_windows)
         batch_losses = []
         for lo in range(0, n_windows, tconfig.batch):
-            idx = order[lo : lo + tconfig.batch]
+            rows = train_data.rows[order[lo : lo + tconfig.batch]]
             batch_losses.append(_train_step(params, mconfig, tconfig, state,
-                                            *train_data.gather(idx)))
+                                            train_data.values, train_data.text, rows))
             if tconfig.max_steps and state.step >= tconfig.max_steps:
                 done = True
                 break

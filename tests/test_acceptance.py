@@ -129,7 +129,7 @@ def test_criterion_02_gate_invariants():
         b, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         x = rng.normal(size=(b, n, 4))
         te = rng.normal(size=(b, n, 8))
-        rows = forward(params, config, x, te).gate.weights.reshape(-1, 3)
+        rows = forward(params, config, x, te).gate.reshape(-1, 3)
         worst_row = max(worst_row, float(np.abs(rows.sum(axis=1) - 1.0).max()))
         worst_total = max(worst_total, abs(float(np.abs(rows).sum()) - rows.shape[0]))
 

@@ -82,6 +82,26 @@ def _readme_config_rows():
     return re.findall(r"^\| `(\w+)` \| ([^|]+?) \| (.+) \|$", table, re.M)
 
 
+def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
+    """Each `fusecast` line of the Quick start, with one epoch and train's real run hash."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start\n")[1].split("```sh\n")[1].split("```")[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line and not line.startswith("#")]
+    assert [line.split()[:2] for line in commands] == [
+        ["fusecast", "synth"], ["fusecast", "train"], ["fusecast", "evaluate"]]
+    assert block.count("--epochs 60") == 1 and block.count("<hash>") == 1
+    monkeypatch.chdir(tmp_path)
+    run_hash = None
+    for line in commands:
+        line = line.replace("--epochs 60", "--epochs 1").replace("<hash>", str(run_hash))
+        assert main(line.split()[1:]) == 0, line
+        out = capsys.readouterr().out
+        if line.split()[1] == "train":
+            (run_hash,) = re.findall(r"^report: runs/train-([0-9a-f]{12})/record\.json$", out, re.M)
+    assert len(list((tmp_path / "runs").iterdir())) == 2  # train's and evaluate's run directories
+
+
 class TestConfigResolution:
     def test_defaults(self):
         cfg = resolve_config(None, {})
@@ -771,10 +791,13 @@ class TestErrorReporting:
         ("dump-prompts", ["--decimals", "18"], "decimals"),
         ("dump-prompts", ["--segment-len", "0"], "segment_len"),
         ("dump-prompts", ["--windows", "-1"], "windows"),
+        # the encoder reads its seed modulo 2**64, so a seed outside 0..2**64-1 would alias one
+        ("train", ["--text-seed=-1"], "text_seed"),
+        ("dump-prompts", ["--text-seed", str(2**64)], "text_seed"),
     ], ids=["stride-0", "stride-neg", "context-len-neg", "horizon-0", "horizon-neg",
             "train-decimals-neg", "train-decimals-18", "max-steps-neg", "dump-decimals-neg",
             "dump-decimals-18", "dump-segment-len-0",
-            "dump-windows-neg"])
+            "dump-windows-neg", "train-text-seed-neg", "dump-text-seed-2-64"])
     def test_out_of_range_integer(self, tmp_path, data_csv, capsys, command, bad, key):
         argv = [command, "--data", str(data_csv), "--out-root", str(tmp_path / "runs")]
         assert main(argv + BASE + bad) == 1
@@ -955,6 +978,21 @@ class TestEvaluateCommand:
         assert err.count("\n") == 1
         payload = json.loads(err)
         assert payload["error"] == "ConfigError" and "out_b" in payload["message"]
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key,value", [("segment_len", 4.0), ("gated", 1)])
+    def test_wrongly_typed_checkpoint_config_is_json_error(self, tmp_path, data_csv, trained,
+                                                          capsys, key, value):
+        blob = json.loads((trained / "checkpoint.json").read_text())
+        assert blob["config"][key] == value  # the same value, in JSON's other type
+        blob["config"][key] = value
+        (tmp_path / "edited").mkdir()
+        (tmp_path / "edited" / "checkpoint.json").write_text(json.dumps(blob))
+        assert self._evaluate(tmp_path / "runs", data_csv, tmp_path / "edited") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError" and repr(key) in payload["message"]
         assert not (tmp_path / "runs").exists()
 
 

@@ -98,7 +98,7 @@ class TestSparsityGradient:
         x = rng.normal(size=(2, 3, 4))
         te = rng.normal(size=(2, 3, 8))
         trace = forward(params, config, x, te)
-        d_gate = 0.1 * np.sign(trace.gate.weights)  # literal-mode penalty gradient
+        d_gate = 0.1 * np.sign(trace.gate)  # literal-mode penalty gradient
         grads = backward(params, config, trace, np.zeros_like(trace.pred), d_gate)
         for name, grad in grads.items():
             assert np.abs(grad).max() <= 1e-12, name
@@ -110,7 +110,7 @@ class TestSparsityGradient:
         x = rng.normal(size=(2, 3, 4))
         te = rng.normal(size=(2, 3, 8))
         trace = forward(params, config, x, te)
-        w = trace.gate.weights
+        w = trace.gate
         d_gate = 0.1 * (-(np.log(w) + 1.0))
         grads = backward(params, config, trace, np.zeros_like(trace.pred), d_gate)
         assert np.abs(grads["gate_W"]).max() > 1e-8
@@ -194,7 +194,7 @@ def _oracle_backward(params, config, trace, d_pred, d_gate):
     grads = {"out_b": d_pred.sum(axis=(0, 1)),
              "out_W": np.einsum("bnd,bns->ds", trace.s_hat, d_pred)}
     d_s_hat = d_pred @ params["out_W"].T
-    weights = trace.gate.weights
+    weights = trace.gate
     d_weights = np.einsum("bnd,bnkd->bnk", d_s_hat, trace.experts_out) + d_gate
     d_experts_out = weights[..., None] * d_s_hat[..., None, :]
     grads["experts_W"] = np.einsum("bnd,bnke->kde", trace.e_hat, d_experts_out)

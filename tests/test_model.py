@@ -232,9 +232,9 @@ class TestMoE:
         params = init_params(TINY)
         x, te = make_inputs(TINY, batch=3, n=4)
         trace = forward(params, TINY, x, te)
-        sums = trace.gate.weights.sum(axis=-1)
+        sums = trace.gate.sum(axis=-1)
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
-        assert (trace.gate.weights > 0).all()
+        assert (trace.gate > 0).all()
 
     def test_single_expert_is_plain_linear(self):
         config = ModelConfig(segment_len=4, dim=8, experts=1, layers=1, heads=1, gated=False)
@@ -242,7 +242,7 @@ class TestMoE:
         e_hat = np.random.default_rng(5).normal(size=(2, 3, 8))
         s_hat, gate, _ = moe_forward(e_hat, params, config)
         np.testing.assert_allclose(s_hat, e_hat @ params["experts_W"][0], atol=1e-12)
-        np.testing.assert_array_equal(gate.weights, np.ones((2, 3, 1)))
+        np.testing.assert_array_equal(gate, np.ones((2, 3, 1)))
 
     def test_gated_single_expert_matches_ungated(self):
         gated = ModelConfig(segment_len=4, dim=8, experts=1, layers=0, gated=True)
@@ -270,7 +270,7 @@ class TestMoE:
         params = init_params(TINY)
         x, te = make_inputs(TINY)
         trace = forward(params, TINY, x, te)
-        manual = np.einsum("bnk,bnkd->bnd", trace.gate.weights, trace.experts_out)
+        manual = np.einsum("bnk,bnkd->bnd", trace.gate, trace.experts_out)
         np.testing.assert_allclose(trace.s_hat, manual, atol=0)
 
 
@@ -379,7 +379,7 @@ class TestTraceFreeForward:
         full = forward(params, config, x, te)
         free = forward(params, config, x, te, keep_trace=False)
         assert np.array_equal(free.pred, full.pred)
-        assert np.array_equal(free.gate.weights, full.gate.weights)
+        assert np.array_equal(free.gate, full.gate)
         assert free.alpha == full.alpha
 
     @pytest.mark.parametrize("config", [
@@ -401,7 +401,7 @@ class TestTraceFreeForward:
         for keep_trace in (False, True):
             table = forward(params, config, values, text, keep_trace=keep_trace, rows=rows)
             assert np.array_equal(table.pred, full.pred)
-            assert np.array_equal(table.gate.weights, full.gate.weights)
+            assert np.array_equal(table.gate, full.gate)
             assert table.alpha == full.alpha
 
     @pytest.mark.parametrize("x_shape,te_shape,rows_shape", [
@@ -443,7 +443,7 @@ class TestTraceFreeForward:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return peak, out.pred.nbytes + out.gate.weights.nbytes
+            return peak, out.pred.nbytes + out.gate.nbytes
 
         one, _ = peak(_SLAB_ROWS)
         eight, outputs = peak(8 * _SLAB_ROWS)
@@ -555,6 +555,20 @@ class TestCheckpoint:
         save_checkpoint(init_params(TINY), TINY, path)
         path.write_text(mangle(path.read_text()))
         with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("segment_len", 4.0, "int"), ("seed", False, "int"), ("heads", "1", "int"),
+        ("gated", 1, "bool"), ("fused", None, "bool"),
+    ])
+    def test_wrongly_typed_config_value(self, tmp_path, key, value, kind):
+        # json.load reads 4.0 as a float and 1 as an int, and ModelConfig itself takes either
+        path = tmp_path / "m.json"
+        save_checkpoint(init_params(TINY), TINY, path)
+        blob = json.loads(path.read_text())
+        blob["config"][key] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=rf"^checkpoint config {key!r} must be {kind}$"):
             load_checkpoint(path)
 
     def test_wrong_shape(self, tmp_path):

@@ -247,7 +247,7 @@ class TestWindowAssembly:
         windows = list(sample_windows(frame, (0, 40), context_len=12, horizon=8))
         data = assemble_windows(windows, HOURLY, 4, ZeroTextSource(6))
         w = len(windows)
-        x, te = data.gather()
+        x, te = data.values[data.rows], data.text[data.rows]
         assert x.shape == (w, 3, 4)
         assert te.shape == (w, 3, 6)
         assert data.rows.shape == (w, 3) and data.rows.dtype == np.intp
@@ -267,7 +267,7 @@ class TestWindowAssembly:
         data = assemble_windows(windows, HOURLY, segment_len, source)
         tensors = [window_tensors(w.context, w.start, HOURLY, segment_len, source)
                    for w in windows]
-        x, te = data.gather()
+        x, te = data.values[data.rows], data.text[data.rows]
         for got, want in ((x, np.stack([t[0] for t in tensors])),
                           (te, np.stack([t[1] for t in tensors])),
                           (data.future, np.stack([w.target[:segment_len] for w in windows]))):
@@ -292,7 +292,7 @@ class TestWindowAssembly:
             assert window_segments(a.context, a.start, HOURLY, 4)[1] == \
                 window_segments(b.context, b.start, HOURLY, 4)[1]
         assert not np.intersect1d(data.rows[:half], data.rows[half:]).size
-        x, _ = data.gather()
+        x = data.values[data.rows]
         want = np.stack([window_segments(w.context, w.start, HOURLY, 4)[0] for w in windows])
         assert x.tobytes() == want.tobytes()
 
@@ -341,7 +341,7 @@ class TestWindowAssembly:
         data = assemble_windows(windows, HOURLY, 4, PromptEncoder(dim=6, seed=0))
         assert sorted(encoded) == sorted(distinct)
         direct = np.stack([[encode_prompt(p, 6, 0) for p in window] for window in prompts])
-        np.testing.assert_array_equal(data.gather()[1], direct)
+        np.testing.assert_array_equal(data.text[data.rows], direct)
 
 
 class TestEvaluateWindows:
@@ -355,7 +355,7 @@ class TestEvaluateWindows:
             future=rng.normal(size=(6, 2)),  # shorter than a segment
         )
         mse, mae, entropy, alpha = evaluate_windows(params, config, data)
-        trace = forward(params, config, *data.gather())
+        trace = forward(params, config, data.values[data.rows], data.text[data.rows])
         diff = trace.pred[:, -1, :2] - data.future
         assert mse == pytest.approx(float((diff**2).mean()), abs=1e-15)
         assert mae == pytest.approx(float(np.abs(diff).mean()), abs=1e-15)
@@ -378,6 +378,30 @@ class TestEvaluateWindows:
         evaluate_windows(init_params(config), config, data)
         assert len(calls) == 1 and calls[0].keys() == {"keep_trace", "rows"}
         assert calls[0]["keep_trace"] is False and calls[0]["rows"] is data.rows
+
+
+class TestBatchStep:
+    @pytest.mark.parametrize("config", [
+        ModelConfig(segment_len=4, dim=8, experts=3, layers=1, heads=2, seed=1),
+        ModelConfig(segment_len=4, dim=8, experts=1, layers=0, gated=False, fused=False),
+    ], ids=["gated", "ungated"])
+    def test_table_rows_bit_equal_to_their_dense_gather(self, config):
+        """Stride-1 windows share segments: window b is table rows b..b+3, some rows twice."""
+        rng = np.random.default_rng(11)
+        values, text = rng.normal(size=(9, 4)), rng.normal(size=(9, 8)) / 4.0
+        rows = np.concatenate([np.arange(6)[:, None] + np.arange(4), [[0, 1, 2, 3]]])
+        params = init_params(config)
+        tconfig = TrainConfig(lam=0.05, sparsity_mode="entropy")
+        table = _batch_step(params, config, tconfig, values, text, rows)
+        dense = _batch_step(params, config, tconfig, values[rows], text[rows])
+        assert table[1] == dense[1]  # the loss
+        for got, want in zip(table[2:], dense[2:]):  # d_pred and d_gate
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        table_grads, dense_grads = (backward(params, config, step[0], *step[2:])
+                                    for step in (table, dense))
+        assert table_grads.keys() == dense_grads.keys() == params.keys()
+        for name in params:
+            assert table_grads[name].tobytes() == dense_grads[name].tobytes(), name
 
 
 def build_training_sets(seed=0, windows=24, n=3, s=4, dim=8):
@@ -452,6 +476,27 @@ class TestTrainingLoop:
                     train, val)
         assert len(step_refs) > 0
         assert alive_at_validation == [0, 0]
+
+    def test_each_step_passes_the_table_and_its_rows(self, monkeypatch):
+        """A train step hands forward the table itself; forward alone gathers the batch."""
+        train, val = build_training_sets(0), build_training_sets(1, windows=8)
+        calls = []
+
+        def spy(params, mconfig, x, te, **kwargs):
+            calls.append((x, te, kwargs))
+            return forward(params, mconfig, x, te, **kwargs)
+
+        monkeypatch.setattr(fusecast.train, "forward", spy)
+        train_model(init_params(self.CONFIG), self.CONFIG, TrainConfig(epochs=2, batch=8),
+                    train, val)
+        steps = [call for call in calls if call[2].get("keep_trace", True)]
+        assert len(steps) == 6  # 24 windows make 3 batches of 8 in each epoch
+        for x, te, kwargs in steps:
+            assert x is train.values and te is train.text
+            assert kwargs["rows"].shape == (8, 3)
+        for epoch in (steps[:3], steps[3:]):  # each epoch visits every window once
+            seen = np.concatenate([kwargs["rows"] for _, _, kwargs in epoch])
+            assert sorted(map(tuple, seen)) == sorted(map(tuple, train.rows))
 
     def test_max_steps(self):
         train, val = build_training_sets(0), build_training_sets(1, windows=8)
