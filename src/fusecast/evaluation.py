@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidHorizon, ShapeError
 from .model import ModelConfig, forward, init_params
-from .textenc import TEXT_MODES, text_source
+from .textenc import text_source
 from .train import TrainConfig, assemble_windows, metrics, train_model, window_tensors
 
 HORIZONS = (96, 192, 336, 720)
@@ -92,22 +92,6 @@ def format_promotion(mse_original: float, mse_new: float) -> str:
     return f"{value:+.1f}%"
 
 
-def ablation_variants(config: ModelConfig) -> dict:
-    """The four toggle rows, all sharing the base config's shape and seed.
-
-    w/o Context zeroes the text embedding but keeps every parameter, so rows
-    compare information content at equal capacity. w/o Fusion drops the gate
-    parameter and passes the value pathway through (alpha fixed at 1).
-    w/o MoE collapses to one ungated expert.
-    """
-    return {
-        "Original": (config, "builtin"),
-        "w/o Context": (config, "zero"),
-        "w/o Fusion": (replace(config, fused=False), "builtin"),
-        "w/o MoE": (replace(config, experts=1, gated=False), "builtin"),
-    }
-
-
 def train_variants(train_windows, val_windows, freq, rows, decimals: int) -> list:
     """Train one model per (ModelConfig, TrainConfig, text-source maker) row; results in row order.
 
@@ -128,16 +112,26 @@ def train_variants(train_windows, val_windows, freq, rows, decimals: int) -> lis
 def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
                  tconfig: TrainConfig, seeds=(0, 1, 2), text_seed: int = 0,
                  decimals: int = 4) -> dict:
-    """Train all four ablation rows under each seed; report validation MSE/MAE.
+    """Train the four ABLATION_ROWS under each seed; report validation MSE/MAE.
+
+    Each row is a (ModelConfig, text-source maker) pair on the base config and seed.
+    w/o Context zeroes the text embedding but keeps every parameter, so rows compare
+    information content at equal capacity. w/o Fusion drops the gate parameter and
+    passes the value pathway through (alpha fixed at 1). w/o MoE collapses to one
+    ungated expert.
 
     Returns {"rows": {row: {"per_seed_mse", "per_seed_mae", "mean_mse",
     "std_mse", "mean_mae", "std_mae"}}}.
     """
-    makers = {mode: partial(text_source, mode, config.dim, text_seed)
-              for mode in ("builtin", "zero")}
-    variants = ablation_variants(config)
-    grid = [(replace(variant, seed=seed), replace(tconfig, seed=seed), makers[mode])
-            for variant, mode in variants.values() for seed in seeds]
+    if not seeds:
+        raise ConfigError("ablation needs at least one seed")
+    builtin = partial(text_source, "builtin", config.dim, text_seed)
+    zero = partial(text_source, "zero", config.dim, text_seed)
+    variants = dict(zip(ABLATION_ROWS, [(config, builtin), (config, zero),
+                                        (replace(config, fused=False), builtin),
+                                        (replace(config, experts=1, gated=False), builtin)]))
+    grid = [(replace(variant, seed=seed), replace(tconfig, seed=seed), make)
+            for variant, make in variants.values() for seed in seeds]
     results = iter(train_variants(train_windows, val_windows, freq, grid, decimals))
     rows = {}
     for row in variants:  # the grid runs row by row, seed by seed
@@ -162,12 +156,11 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
 
     For each hidden size, trains a one-expert ungated model and a gated
     model with config.experts experts, everything else identical, and
-    reports the relative MSE/MAE reduction.
+    reports the relative MSE/MAE reduction. An unknown text_mode is refused
+    by `text_source` when the first size assembles, before any training.
     """
     if not sizes:
         raise ConfigError("promotion needs at least one backbone size")
-    if text_mode not in TEXT_MODES:  # the makers would refuse it only once training began
-        raise ConfigError(f"text_mode must be one of {TEXT_MODES}, got {text_mode!r}")
     bases = [replace(config, dim=dim) for dim in sizes]  # every width is checked before training
     table = []
     for base in bases:  # one harness call per size keeps one size's windows in memory

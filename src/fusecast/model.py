@@ -531,19 +531,20 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
 
 
 def save_checkpoint(params: dict, config: ModelConfig, path) -> None:
-    """Versioned JSON checkpoint; float repr keeps the roundtrip bit-exact."""
-    blob = {
-        "format": _CHECKPOINT_FORMAT,
-        "config": asdict(config),
-        "params": {
-            name: {"shape": list(value.shape), "data": np.asarray(value).ravel().tolist()}
-            for name, value in params.items()
-        },
-    }
+    """Versioned JSON checkpoint; float repr keeps the roundtrip bit-exact.
+
+    The text is json.dumps's, keys sorted, plus a newline, written one parameter block at
+    a time so that only one block's floats and text are alive at once.
+    """
+    head = json.dumps({"config": asdict(config), "format": _CHECKPOINT_FORMAT}, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        # json.dumps runs the C encoder; json.dump streams through the Python one. print
-        # writes the newline on its own, where + "\n" would copy the whole text at its peak
-        print(json.dumps(blob, sort_keys=True), file=fh)
+        fh.write(head[:-1] + ', "params": {')
+        for i, name in enumerate(sorted(params)):
+            value = np.asarray(params[name])
+            block = {"data": value.ravel().tolist(), "shape": list(value.shape)}
+            # json.dumps runs the C encoder; json.dump(block, fh) would run the Python one
+            fh.write(f'{", " if i else ""}{json.dumps(name)}: {json.dumps(block)}')
+        fh.write("}}\n")
 
 
 def load_checkpoint(path):
@@ -554,7 +555,7 @@ def load_checkpoint(path):
         if blob.get("format") != _CHECKPOINT_FORMAT:
             raise ConfigError(f"unrecognized checkpoint format: {blob.get('format')!r}")
         for f in fields(ModelConfig):  # json.load keeps 24.0 a float and 1 an int
-            if type(blob["config"].get(f.name, f.default)) is not type(f.default):
+            if type(blob["config"][f.name]) is not type(f.default):  # a missing key is no default
                 raise ConfigError(f"checkpoint config {f.name!r} must be {type(f.default).__name__}")
         config = ModelConfig(**blob["config"])
         expected = param_shapes(config)

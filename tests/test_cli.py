@@ -995,8 +995,42 @@ class TestEvaluateCommand:
         assert payload["error"] == "ConfigError" and repr(key) in payload["message"]
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("keys,named", [(("heads",), "heads"),
+                                            (("gated", "experts"), "experts")],
+                             ids=["heads", "gated-experts"])
+    def test_checkpoint_missing_a_config_key_is_json_error(self, tmp_path, data_csv, trained,
+                                                           capsys, keys, named):
+        blob = json.loads((trained / "checkpoint.json").read_text())
+        for key in keys:
+            del blob["config"][key]
+        (tmp_path / "edited").mkdir()
+        (tmp_path / "edited" / "checkpoint.json").write_text(json.dumps(blob))
+        assert self._evaluate(tmp_path / "runs", data_csv, tmp_path / "edited") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ConfigError" and repr(named) in payload["message"]
+        assert not (tmp_path / "runs").exists()
+
 
 class TestHarnessCommands:
+    @pytest.mark.parametrize("argv,name,run_dir,digest", [
+        (["ablate", "--seeds", "0,1"], "ablation.json", "ablate-cf415c298683",
+         "1c79df31e5179d6a445123551b654392d089db9ebc5c3fe4d4250e30d6ec9719"),
+        (["promote", "--sizes", "8,16"], "promotion.json", "promote-21921f2c9d11",
+         "b556c461419ba9c81adb72aa7bb8d906a579cc80d50a11f8cd5eaf6ac7a4b579"),
+    ], ids=["ablate", "promote"])
+    def test_harness_file_bytes_pinned(self, tmp_path, data_csv, argv, name, run_dir, digest):
+        """A harness report is fixed byte for byte, under a fixed run-directory name.
+
+        The reports hold trained numbers: the digests were taken with OpenBLAS's Haswell
+        kernels, and another CPU's kernels may round the tiny GEMMs differently.
+        """
+        out_root = tmp_path / "runs"
+        assert main([*argv, "--data", str(data_csv), "--out-root", str(out_root)] + BASE) == 0
+        assert [p.name for p in out_root.iterdir()] == [run_dir]
+        assert cli._sha256(out_root / run_dir / name) == digest
+
     def test_ablate(self, tmp_path, data_csv, capsys):
         out_root = tmp_path / "runs"
         rc = main(["ablate", "--data", str(data_csv), "--seeds", "0",

@@ -3,6 +3,7 @@
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from fusecast.evaluation import (
     ABLATION_ROWS,
     HORIZONS,
     ablation_run,
-    ablation_variants,
     forecast_windows,
     format_promotion,
     metrics,
@@ -196,16 +196,24 @@ class TestForecastWindows:
 
 
 class TestAblationVariants:
-    def test_four_toggle_rows(self):
-        variants = ablation_variants(CONFIG)
-        assert tuple(variants) == ABLATION_ROWS
-        original, text = variants["Original"]
-        assert original == CONFIG and text == "builtin"
-        assert variants["w/o Context"] == (CONFIG, "zero")
-        no_fusion, _ = variants["w/o Fusion"]
-        assert no_fusion.fused is False and no_fusion.experts == CONFIG.experts
-        no_moe, _ = variants["w/o MoE"]
-        assert no_moe.experts == 1 and no_moe.gated is False and no_moe.fused is True
+    def test_four_toggle_rows(self, monkeypatch):
+        seen = []
+
+        def spy(train_windows, val_windows, freq, rows, decimals):
+            seen.extend((mconfig, tconfig.seed, type(make()).__name__)
+                        for mconfig, tconfig, make in rows)
+            return [SimpleNamespace(best_val_mse=0.0, best_val_mae=0.0) for _ in rows]
+
+        monkeypatch.setattr(evaluation, "train_variants", spy)
+        report = ablation_run([], [], HOURLY, CONFIG, TrainConfig(), seeds=(0, 1))
+        assert tuple(report["rows"]) == ABLATION_ROWS
+        # w/o Context keeps every parameter and zeroes the text; w/o Fusion drops the
+        # gate; w/o MoE collapses to one ungated expert
+        rows = [(CONFIG, "PromptEncoder"), (CONFIG, "ZeroTextSource"),
+                (replace(CONFIG, fused=False), "PromptEncoder"),
+                (replace(CONFIG, experts=1, gated=False), "PromptEncoder")]
+        assert seen == [(replace(config, seed=seed), seed, source)
+                        for config, source in rows for seed in (0, 1)]
 
 
 def tiny_windows():
@@ -312,8 +320,13 @@ class TestHarnesses:
         with pytest.raises(ConfigError):
             promotion_run([], [], HOURLY, self.CONFIG, self.TCONFIG, sizes=())
 
+    def test_ablation_needs_seeds(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "assemble_windows", None)  # refused before assembly
+        with pytest.raises(ConfigError, match="seed"):
+            ablation_run([], [], HOURLY, self.CONFIG, self.TCONFIG, seeds=())
+
     def test_promotion_refuses_an_unknown_text_mode(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "train_variants", None)  # refused before training
+        monkeypatch.setattr(evaluation, "train_model", None)  # refused before training
         with pytest.raises(ConfigError, match="bogus"):
             promotion_run([], [], HOURLY, self.CONFIG, self.TCONFIG, sizes=(8,),
                           text_mode="bogus")
