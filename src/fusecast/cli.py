@@ -25,6 +25,8 @@ from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import data as dataio
 from .errors import ConfigError, FusecastError
 from .evaluation import (
@@ -476,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a diverging run reports its one JSON error, no warning
+            return args.func(args)
     except (FusecastError, argparse.ArgumentError) as exc:
         if isinstance(exc, argparse.ArgumentError):  # a bad flag value, refused like a config one
             exc = ConfigError(str(exc))

@@ -3,8 +3,8 @@
 A trained model emits one segment per step; longer horizons are produced
 autoregressively by appending each prediction to the context and sliding the
 window, then truncating to the requested length. The harnesses train
-variant grids (ablation toggles, expert-count promotion, hyperparameter
-sweeps) and report validation MSE/MAE per variant.
+variant grids (ablation toggles and expert-count promotion) and report
+validation MSE/MAE per variant.
 
 Metrics are computed on the normalized scale throughout.
 """
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, InvalidHorizon, ShapeError
 from .model import ModelConfig, forward, init_params
 from .textenc import text_source
-from .train import TrainConfig, assemble_windows, metrics, train_model, window_tensors
+from .train import TrainConfig, assemble_windows, metrics, train_model, window_segments
 
 HORIZONS = (96, 192, 336, 720)
 ABLATION_ROWS = ("Original", "w/o Context", "w/o Fusion", "w/o MoE")
@@ -51,8 +51,9 @@ def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon:
     buf = context.copy()
     for _ in range(math.ceil(horizon / config.segment_len)):
         tail_start = start + (buf.shape[0] - width) * freq
-        x, te = window_tensors(buf[-width:], tail_start, freq, config.segment_len,
-                               text_source, decimals)
+        x, prompts = window_segments(buf[-width:], tail_start, freq, config.segment_len,
+                                     decimals)
+        te = np.stack([text_source.embed(p) for p in prompts])
         trace = forward(params, config, x[None], te[None], keep_trace=False)
         buf = np.concatenate([buf, trace.pred[0, -1]])
     return buf[width : width + horizon]

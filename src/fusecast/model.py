@@ -215,9 +215,7 @@ def init_params(config: ModelConfig) -> dict:
     rng = np.random.default_rng(config.seed)
     params = {}
     for name, shape in param_shapes(config).items():
-        if name == "theta":
-            params[name] = np.zeros(())
-        elif name.startswith("ln"):
+        if name.startswith("ln"):
             params[name] = np.ones(shape)
         elif len(shape) <= 1:
             params[name] = np.zeros(shape)
@@ -273,7 +271,6 @@ class ForwardTrace:
 
 def _segment_embed(values, params):
     """SE = GeLU(values @ seg_W + seg_b); returns (pre-activation, SE, phi) for backward."""
-    values = np.asarray(values, dtype=np.float64)
     seg_w = params["seg_W"]
     if values.shape[-1] != seg_w.shape[0]:
         raise ShapeError(f"segment length {values.shape[-1]} != seg_W rows {seg_w.shape[0]}")
@@ -416,13 +413,6 @@ def moe_forward(e_hat, params, config: ModelConfig):
     return _blend(weights, experts_out), weights, experts_out
 
 
-def predict_segment(s_hat, params):
-    """Project a gated representation to the next segment's values."""
-    pred = np.asarray(s_hat, dtype=np.float64) @ params["out_W"]
-    pred += params["out_b"]  # in place: this runs at the peak of a forward
-    return pred
-
-
 def _forward_rows(params, config: ModelConfig, x, te) -> ForwardTrace:
     """The forward math on a batch of windows, with everything backward consumes."""
     se_pre, se, se_phi = _segment_embed(x, params)
@@ -433,10 +423,11 @@ def _forward_rows(params, config: ModelConfig, x, te) -> ForwardTrace:
         h, cache = _block_forward(h, params, config, layer)
         layer_caches.append(cache)
     s_hat, gate, experts_out = moe_forward(h, params, config)
+    pred = s_hat @ params["out_W"]
+    pred += params["out_b"]  # in place: this runs at the peak of a forward
     return ForwardTrace(
         config=config, x=x, te=te, se_pre=se_pre, se_phi=se_phi, alpha=alpha,
-        layers=tuple(layer_caches), e_hat=h, gate=gate, experts_out=experts_out,
-        pred=predict_segment(s_hat, params),
+        layers=tuple(layer_caches), e_hat=h, gate=gate, experts_out=experts_out, pred=pred,
     )
 
 

@@ -152,12 +152,6 @@ def window_segments(values, start, freq, segment_len: int, decimals: int = 4):
     return np.stack([seg.values for seg in segments]), prompts
 
 
-def window_tensors(values, start, freq, segment_len: int, text_source, decimals: int = 4):
-    """window_segments with its prompts embedded: (x (N, S), te (N, D))."""
-    x, prompts = window_segments(values, start, freq, segment_len, decimals)
-    return x, np.stack([text_source.embed(p) for p in prompts])
-
-
 @dataclass
 class WindowTensors:
     """Windows as a table of distinct segments: window w's N segments are rows[w]
@@ -173,7 +167,7 @@ def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int
     """Every window's segments as a table that stores each distinct one once.
 
     A segment's key is (prompt, value bytes): equal keys hold equal values and
-    embed to an equal vector, so a window's rows reproduce window_tensors bit for bit.
+    embed to an equal vector, so a window's rows are its window_segments, embedded, bit for bit.
     The values are the keys' bytes, so no window's array outlives its window.
     A future keeps its first segment only, the span evaluate_windows scores.
     """
@@ -182,15 +176,19 @@ def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int
     table, text = {}, []
     for i, w in enumerate(windows):
         x, prompts = window_segments(w.context, w.start, freq, segment_len, decimals)
+        kept = w.target[:segment_len]
         if i == 0:
             rows = np.empty((len(windows), len(prompts)), dtype=np.intp)
-            future = np.empty((len(windows),) + w.target[:segment_len].shape)
+            future = np.empty((len(windows),) + kept.shape)
+        elif (len(prompts), len(kept)) != (rows.shape[1], future.shape[1]):
+            raise ShapeError(f"window {i} has {len(prompts)} segments and {len(kept)} future "
+                             f"values, window 0 has {rows.shape[1]} and {future.shape[1]}")
         for j, (segment, prompt) in enumerate(zip(x, prompts)):
-            vector = text_source.embed(prompt)  # every prompt, as window_tensors does
+            vector = text_source.embed(prompt)  # every prompt, as rolling_forecast does
             row = rows[i, j] = table.setdefault((prompt, segment.tobytes()), len(table))
             if row == len(text):
                 text.append(vector)
-        future[i] = w.target[:segment_len]
+        future[i] = kept
     values = np.frombuffer(b"".join(raw for _, raw in table), dtype=np.float64)
     return WindowTensors(values=values.reshape(len(table), -1), text=np.array(text),
                          rows=rows, future=future)
@@ -272,6 +270,9 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
                 done = True
                 break
         val_mse, val_mae, entropy, alpha = evaluate_windows(params, mconfig, val_data)
+        if not math.isfinite(val_mse):  # nothing of a diverged run may be kept or published
+            raise ConfigError(f"validation MSE {val_mse} at epoch {epoch}: training diverged; "
+                              "lower lr")
         result.curve.append({
             "epoch": epoch,
             "train_loss": float(np.mean(batch_losses)),

@@ -55,6 +55,13 @@ def trained(tmp_path_factory, data_csv):
     return run_dir
 
 
+@pytest.fixture(scope="module")
+def two_regime_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli-two-regime") / "two_regime.csv"
+    assert main(["synth", "--kind", "two-regime", "--length", "720", "--out", str(path)]) == 0
+    return path
+
+
 def test_cli_import_loads_every_module():
     # perfbench/probe.py imports fusecast.cli alone, then traces these modules
     modules = {f"fusecast.{name}" for name in ("cli", "data", "descriptors", "textenc",
@@ -549,6 +556,25 @@ class TestErrorReporting:
         (line,) = err.splitlines()
         assert json.loads(line) == {"error": "MemoryError",
                                     "message": "Unable to allocate 745. GiB for an array"}
+
+    @pytest.mark.parametrize("argv, error, where", [
+        (["--epochs", "1", "--max-steps", "1", "--lr", "1e300"], "ConfigError", "at epoch 0: "),
+        (["--epochs", "3", "--batch", "4", "--lr", "1e40"], "NonFiniteGradient", "at step 2"),
+    ], ids=["val-mse", "gradient"])
+    def test_a_diverging_train_is_one_json_line(self, tmp_path, two_regime_csv, capsys, argv,
+                                                error, where):
+        # the suite turns NumPy's overflow warnings into errors, so none may be raised either
+        out_root = tmp_path / "runs"
+        rc = main(["train", "--data", str(two_regime_csv), "--out-root", str(out_root),
+                   "--split-counts", "432,144,144", "--context-len", "96", "--segment-len", "24",
+                   "--hidden-dim", "8", "--experts", "2", "--layers", "1", "--heads", "1",
+                   "--stride", "24", "--horizon", "24", *argv])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == error and where in err["message"]
+        assert not out_root.exists()  # no run directory, so no checkpoint of a diverged run
 
     @pytest.mark.parametrize("argv", [
         ["train", "--hidden-dim", "100000000"],

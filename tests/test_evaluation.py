@@ -31,7 +31,7 @@ from fusecast.evaluation import (
 )
 from fusecast.model import ModelConfig, forward, init_params
 from fusecast.textenc import PromptEncoder, ZeroTextSource
-from fusecast.train import TrainConfig, assemble_windows, train_model, window_tensors
+from fusecast.train import TrainConfig, assemble_windows, train_model, window_segments
 from fusecast.synth import SynthSpec, generate
 
 HOURLY = timedelta(hours=1)
@@ -132,7 +132,8 @@ class TestRollingForecast:
     def test_single_roll_matches_direct_forward(self):
         context = make_context(12)  # exact multiple of segment_len
         params = init_params(CONFIG)
-        x, te = window_tensors(context, T0, HOURLY, 4, self.ENC)
+        x, prompts = window_segments(context, T0, HOURLY, 4)
+        te = np.stack([self.ENC.embed(p) for p in prompts])
         direct = forward(params, CONFIG, x[None], te[None]).pred[0, -1]
         for horizon in (1, 2, 4):
             got = rolling_forecast(params, CONFIG, context, T0, HOURLY, horizon, self.ENC)

@@ -28,7 +28,6 @@ from fusecast.model import (
     load_checkpoint,
     moe_forward,
     param_shapes,
-    predict_segment,
     save_checkpoint,
     sigmoid,
 )
@@ -291,13 +290,29 @@ class TestForward:
         assert trace.experts_out.shape == (3, 5, 2, 8)
         assert trace.pred.dtype == np.float64
 
+    def test_params_for_another_segment_len_are_refused(self):
+        params = init_params(ModelConfig(segment_len=6, dim=8, experts=2, layers=1, heads=1))
+        x, te = make_inputs(TINY)  # inputs of TINY's segment_len pass forward's own checks
+        with pytest.raises(ShapeError, match="seg_W rows 6"):
+            forward(params, TINY, x, te)
+
+    @pytest.mark.parametrize("layers", [0, 1])
+    def test_only_a_backbone_reads_earlier_segments(self, layers):
+        """At layers 0 the final position's forecast depends on the last segment alone."""
+        config = ModelConfig(segment_len=4, dim=8, experts=2, layers=layers, heads=1)
+        params = init_params(config)
+        x, te = make_inputs(config, n=4)
+        x2, te2 = make_inputs(config, n=4, seed=12)
+        x2[:, -1], te2[:, -1] = x[:, -1], te[:, -1]  # other earlier segments and text
+        last, last2 = (forward(params, config, *pair).pred[:, -1] for pair in ((x, te), (x2, te2)))
+        assert (last.tobytes() == last2.tobytes()) == (layers == 0)
+
     def test_prediction_head(self):
         params = init_params(TINY)
         x, te = make_inputs(TINY)
         trace = forward(params, TINY, x, te)
-        np.testing.assert_allclose(
-            trace.pred, predict_segment(trace.s_hat, params), atol=0
-        )
+        want = trace.s_hat @ params["out_W"] + params["out_b"]
+        assert trace.pred.tobytes() == want.tobytes()
 
     def test_fusion_and_backbone_match_trace(self):
         params = init_params(TINY)

@@ -209,6 +209,17 @@ class TestCache:
         for p in prompts:
             np.testing.assert_array_equal(loaded.embed(p), cache.embed(p))
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        cache, prompts = self.build()
+        path = tmp_path / "emb.cache"
+        save_cache(cache, path)
+        header, *entries = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", entries[0], "  ", *entries[1:], ""]) + "\n")
+        loaded = load_cache(path)
+        assert len(loaded) == len(cache)
+        for p in prompts:
+            np.testing.assert_array_equal(loaded.embed(p), cache.embed(p))
+
     def test_stored_vectors_are_read_only(self, tmp_path):
         cache, prompts = self.build()
         path = tmp_path / "emb.cache"

@@ -10,7 +10,7 @@ from datetime import datetime, timedelta
 
 import fusecast.textenc
 import fusecast.train
-from fusecast.data import TimeSeriesFrame, sample_windows
+from fusecast.data import TimeSeriesFrame, WindowSample, sample_windows
 from fusecast.descriptors import render_prompt, segment_series
 from fusecast.errors import ConfigError, NonFiniteGradient, ShapeError
 from fusecast.model import ModelConfig, backward, forward, init_params
@@ -27,7 +27,6 @@ from fusecast.train import (
     init_opt_state,
     train_model,
     window_segments,
-    window_tensors,
 )
 
 HOURLY = timedelta(hours=1)
@@ -227,14 +226,6 @@ class TestWindowAssembly:
         with pytest.raises(ConfigError):
             window_segments(np.arange(3.0), T0, HOURLY, segment_len=4)
 
-    def test_window_tensors_embed_prompts(self):
-        enc = PromptEncoder(dim=6, seed=0)
-        values = np.arange(8.0)
-        x, te = window_tensors(values, T0, HOURLY, 4, enc)
-        _, prompts = window_segments(values, T0, HOURLY, 4)
-        assert x.shape == (2, 4) and te.shape == (2, 6)
-        np.testing.assert_array_equal(te[0], enc.embed(prompts[0]))
-
     def make_frame(self, length=40, channels=1):
         t = np.arange(length, dtype=np.float64)
         values = np.stack([np.sin(t / 3.0 + c) + 0.01 * (c + 1) * t for c in range(channels)],
@@ -265,11 +256,11 @@ class TestWindowAssembly:
         windows = list(sample_windows(frame, (0, length), context, horizon, stride))
         source = PromptEncoder(dim=6, seed=0)
         data = assemble_windows(windows, HOURLY, segment_len, source)
-        tensors = [window_tensors(w.context, w.start, HOURLY, segment_len, source)
-                   for w in windows]
+        # the per-window path: each window's segments, each prompt embedded by the source
+        tensors = [window_segments(w.context, w.start, HOURLY, segment_len) for w in windows]
         x, te = data.values[data.rows], data.text[data.rows]
         for got, want in ((x, np.stack([t[0] for t in tensors])),
-                          (te, np.stack([t[1] for t in tensors])),
+                          (te, np.array([[source.embed(p) for p in t[1]] for t in tensors])),
                           (data.future, np.stack([w.target[:segment_len] for w in windows]))):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -319,6 +310,21 @@ class TestWindowAssembly:
         assert len(data.values) < 2 * len(windows)  # stride 1: one new segment per window
         assert table + 4096 < dense_te
         assert kept <= table + 4096, f"assembly keeps {kept} bytes for a {table}-byte table"
+
+    @pytest.mark.parametrize("contexts, futures", [((96, 48), (24, 24)), ((48, 96), (24, 24)),
+                                                   ((96, 96), (24, 12))])
+    def test_assembly_refuses_windows_of_unequal_shape(self, contexts, futures):
+        windows = [WindowSample(channel=0, context=np.arange(float(c)), target=np.zeros(f),
+                                start=T0) for c, f in zip(contexts, futures)]
+        with pytest.raises(ShapeError, match="^window 1 "):
+            assemble_windows(windows, HOURLY, 24, ZeroTextSource(6))
+
+    def test_assembly_takes_a_trimmed_window_of_equal_shape(self):
+        windows = [WindowSample(channel=0, context=np.arange(float(c)), target=np.zeros(24),
+                                start=T0) for c in (96, 100)]  # 100 trims to 96's 4 segments
+        data = assemble_windows(windows, HOURLY, 24, ZeroTextSource(6))
+        assert data.values[data.rows].tobytes() == np.stack(
+            [window_segments(w.context, w.start, HOURLY, 24)[0] for w in windows]).tobytes()
 
     def test_assemble_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -510,6 +516,12 @@ class TestTrainingLoop:
         config = TrainConfig(epochs=2, batch=8, max_steps=0)
         result = train_model(init_params(self.CONFIG), self.CONFIG, config, train, val)
         assert result.steps == 6  # 24 windows make 3 batches of 8 in each epoch
+
+    def test_a_non_finite_validation_mse_is_refused(self):
+        train, val = build_training_sets(0), build_training_sets(1, windows=8)
+        config = TrainConfig(lr=1e300, epochs=1, batch=8, max_steps=1)
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="at epoch 0: "):
+            train_model(init_params(self.CONFIG), self.CONFIG, config, train, val)
 
     def test_needs_two_segments(self):
         train = build_training_sets(0, n=1)
