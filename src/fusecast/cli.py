@@ -164,7 +164,12 @@ def make_run_dir(out_root, command: str, payload: dict) -> Path:
 
 
 def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The file's SHA-256, read in 64 KiB blocks so the file is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(partial(fh.read, 1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def write_json(path, payload) -> None:
@@ -259,7 +264,8 @@ def _fit(cfg, data_path, emb_cache=None):
     """Train one model on the train/val windows; returns (mconfig, result).
 
     With emb_cache, prompts are embedded from that cache file, which is built
-    from the train and val prompts first if it does not exist yet. The cache
+    first if it does not exist yet: from the distinct train and val prompts, each
+    encoded once in first-seen order, and written one entry per line. The cache
     holds builtin-encoder vectors, so it needs text_mode=builtin. The text
     source, cache or encoder, is made inside train_variants and dies with assembly.
     """
@@ -277,8 +283,8 @@ def _fit(cfg, data_path, emb_cache=None):
             return cache
     else:
         def make():  # builds and writes the cache, and hands it over without reading it back
-            prompts = [p for w in train_w + val_w for p in window_segments(
-                w.context, w.start, freq, mconfig.segment_len, cfg["decimals"])[1]]
+            prompts = dict.fromkeys(p for w in train_w + val_w for p in window_segments(
+                w.context, w.start, freq, mconfig.segment_len, cfg["decimals"])[1])
             cache = precompute_cache(prompts, mconfig.dim, cfg["text_seed"])
             save_cache(cache, emb_cache)
             return cache
@@ -325,6 +331,8 @@ def cmd_evaluate(args) -> int:
     for h in horizons:  # ascending, so `preds` ends as the forecasts at the top horizon
         mse, mae, preds = forecast_windows(params, mconfig, test_w, freq, h, source,
                                            cfg["decimals"])
+        if not (math.isfinite(mse) and math.isfinite(mae)):  # JSON has no inf or NaN
+            raise ConfigError(f"horizon {h}: forecast MSE {mse} and MAE {mae} are not finite")
         per_horizon[h] = {"mse": mse, "mae": mae}
     report = {"horizons": per_horizon,
               "avg_mse": sum(v["mse"] for v in per_horizon.values()) / len(horizons),

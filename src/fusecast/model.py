@@ -363,19 +363,24 @@ def _block_backward(d_out, params, config, layer, cache, grads):
     y2 = params[f"ln2_{layer}"] * cache["xhat2"]
     grads[f"ff_W1_{layer}"] = _weight_grad(y2, d_ff_pre)
     d_y2 = d_ff_pre @ params[f"ff_W1_{layer}"].T
+    del d_ff_pre, y2  # each temporary goes at its last use, so the peak holds only live ones
     d_x_mid, grads[f"ln2_{layer}"] = _layer_norm_backward(
         d_y2, params[f"ln2_{layer}"], cache["xhat2"], cache["inv2"]
     )
+    del d_y2
     d_x_mid = d_x_mid + d_out  # residual
     # attention sublayer
     ctx = _merge_heads(cache["attn"] @ cache["v"])
     grads[f"attn_Wo_{layer}"] = _weight_grad(ctx, d_x_mid)
+    del ctx
     d_ctx = _split_heads(d_x_mid @ params[f"attn_Wo_{layer}"].T, h)
     d_attn = d_ctx @ cache["v"].transpose(0, 1, 3, 2)
     d_v = cache["attn"].transpose(0, 1, 3, 2) @ d_ctx
+    del d_ctx
     d_scores = _softmax_grad(d_attn, cache["attn"])  # masked cells carry zero weight
     d_q = (d_scores @ cache["k"]) * scale
     d_k = (d_scores.transpose(0, 1, 3, 2) @ cache["q"]) * scale
+    del d_attn, d_scores
     y1 = params[f"ln1_{layer}"] * cache["xhat1"]
     d_y1 = np.zeros_like(y1)
     for name, d_proj in (("attn_Wq", d_q), ("attn_Wk", d_k), ("attn_Wv", d_v)):
@@ -504,6 +509,7 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
         grads["gate_b"] = d_logits.sum(axis=(0, 1))
         grads["gate_W"] = _weight_grad(trace.e_hat, d_logits)
         d_h = d_h + d_logits @ params["gate_W"].T
+    del d_experts, d_s_hat, d_weights  # the blocks below need only d_h
 
     for layer in range(config.layers - 1, -1, -1):
         d_h = _block_backward(d_h, params, config, layer, trace.layers[layer], grads)

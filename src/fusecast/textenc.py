@@ -174,22 +174,17 @@ def precompute_cache(prompts, dim: int, seed: int) -> EmbeddingCache:
 
 
 def save_cache(cache: EmbeddingCache, path) -> None:
-    """Write the cache file; entries sorted by key so rebuilds are byte-identical."""
-    lines = [f"SMET-EMB v1 dim={cache.dim}"]
-    for key in sorted(cache._entries):
-        entry = cache._entries[key]
-        lines.append(
-            json.dumps(
-                {
-                    "key": key,
-                    "prompt_sha256": entry.sha,
-                    "values": entry.vector.tolist(),
-                },
-                separators=(",", ":"),
-            )
-        )
+    """Write the cache file; entries sorted by key so rebuilds are byte-identical.
+
+    The header line, then one JSON line per entry, each written as it is made, so only
+    one entry's text is alive at once.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        print(f"SMET-EMB v1 dim={cache.dim}", file=fh)
+        for key in sorted(cache._entries):
+            entry = cache._entries[key]
+            print(json.dumps({"key": key, "prompt_sha256": entry.sha,
+                              "values": entry.vector.tolist()}, separators=(",", ":")), file=fh)
 
 
 def load_cache(path) -> EmbeddingCache:

@@ -1,11 +1,13 @@
 """End-to-end command tests, run in process through main(argv)."""
 
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -255,6 +257,27 @@ class TestRunDir:
         path = tmp_path / "x.json"
         write_json(path, {"b": 1, "a": [2, 3]})
         assert path.read_text() == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+
+class TestSha256:
+    @pytest.mark.parametrize("size", [0, 1000, 3 * 65536 + 7], ids=["empty", "one-block",
+                                                                  "multi-block"])
+    def test_digest_equals_the_whole_file_hash(self, tmp_path, size):
+        path = tmp_path / "file.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_peak_memory(self, tmp_path):
+        path = tmp_path / "big.bin"
+        path.write_bytes(np.random.default_rng(0).bytes(4_000_000))
+        tracemalloc.start()
+        try:
+            cli._sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: 0.14 MB in 64 KiB blocks, 4.0 MB reading the file whole
+        assert peak <= 0.5e6, f"hashing peaks at {peak / 1e6:.2f} MB"
 
 
 class TestSynthCommand:
@@ -1004,6 +1027,20 @@ class TestEvaluateCommand:
         assert err.count("\n") == 1
         payload = json.loads(err)
         assert payload["error"] == "ConfigError" and "out_b" in payload["message"]
+        assert not (tmp_path / "runs").exists()
+
+    def test_non_finite_forecast_is_json_error(self, tmp_path, data_csv, trained, capsys):
+        # 1e200 is finite, so the checkpoint loads; its squared errors overflow to inf
+        blob = json.loads((trained / "checkpoint.json").read_text())
+        blob["params"]["out_b"]["data"] = [1e200] * len(blob["params"]["out_b"]["data"])
+        (tmp_path / "edited").mkdir()
+        (tmp_path / "edited" / "checkpoint.json").write_text(json.dumps(blob))
+        assert self._evaluate(tmp_path / "runs", data_csv, tmp_path / "edited") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("horizon 4: ") and "not finite" in payload["message"]
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("key,value", [("segment_len", 4.0), ("gated", 1)])

@@ -380,6 +380,25 @@ class TestForward:
         assert kept <= 26.4 * unit, f"trace keeps {kept / unit:.2f} units"
         assert peak <= 27.7 * unit, f"forward peaks at {peak / unit:.2f} units"
 
+    def test_backward_peak_memory_at_the_default_config(self):
+        """Backward frees each temporary at its last use; keeping them all until its frame
+        returns breaks the budget."""
+        config = ModelConfig(segment_len=24, dim=64)  # the CLI's default model
+        params = init_params(config)
+        x, te = make_inputs(config, batch=32, n=7)  # TrainConfig's batch
+        trace = forward(params, config, x, te)
+        rng = np.random.default_rng(3)
+        d_pred, d_gate = rng.normal(size=trace.pred.shape), rng.normal(size=trace.gate.shape)
+        backward(params, config, trace, d_pred, d_gate)  # leaves lazy set-up out of the count
+        tracemalloc.start()
+        try:
+            backward(params, config, trace, d_pred, d_gate)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: 2.07 MB, against 3.39 MB when every temporary lived until its frame returned
+        assert peak <= 2.3e6, f"backward peaks at {peak / 1e6:.2f} MB"
+
 
 DEFAULT = ModelConfig(segment_len=24, dim=64)  # the CLI's default model
 

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -252,6 +253,21 @@ class TestCache:
         save_cache(a, pa)
         save_cache(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_save_peak_memory(self, tmp_path):
+        # as many entries as the cache_small benchmark's cache, at its dim
+        prompts = [f"the mean is {i / 7:.4f}, the change is {-i / 3:.4f} and the std is {i % 13}"
+                   for i in range(3409)]
+        cache, path = precompute_cache(prompts, dim=32, seed=0), tmp_path / "emb.cache"
+        tracemalloc.start()
+        try:
+            save_cache(cache, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 2.6e6
+        # measured: 0.05 MB writing one line at a time, 8.13 MB joining the lines first
+        assert peak <= 0.5e6, f"saving peaks at {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("dim,seed,digest", [
         (8, 0, "1e42fe852337e52b9d5d52686b7e629943cf901492e01fea2d6c674f5bf03bfe"),
