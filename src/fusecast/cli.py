@@ -91,10 +91,10 @@ _BOUNDS = {"context_len": (1, math.inf), "segment_len": (1, math.inf), "stride":
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value lines; blank lines and # comments are skipped."""
+    """Flat key=value lines; blank lines and # comments are skipped, and so is a leading BOM."""
     out = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None

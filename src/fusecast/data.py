@@ -245,13 +245,12 @@ def sample_windows(
     ``extend_back``) when contexts should borrow history from the left.
     """
     start, end = split
-    length = end - start
-    if length < context_len + horizon:
-        raise SplitTooShort(
-            f"range of {length} rows cannot hold context {context_len} + horizon {horizon}"
-        )
+    count = window_count(end - start, context_len, horizon, stride)
+    if count == 0:
+        raise SplitTooShort(f"range of {end - start} rows cannot hold context {context_len} "
+                            f"+ horizon {horizon}")
     for channel in range(frame.channels):
-        for t in range(start, end - context_len - horizon + 1, stride):
+        for t in range(start, start + count * stride, stride):
             yield WindowSample(
                 channel=channel,
                 context=frame.values[t : t + context_len, channel],

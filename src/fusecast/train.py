@@ -194,9 +194,9 @@ def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int
                          rows=rows, future=future)
 
 
-def _batch_step(params, mconfig, tconfig, x, te, rows=None):
-    """Forward and loss on a batch or a table's rows; returns (trace, total, d_pred, d_gate)."""
-    trace = forward(params, mconfig, x, te, rows=rows)
+def _batch_step(params, mconfig, tconfig, values, text, rows):
+    """Forward and loss on a table's `rows`; returns (trace, total, d_pred, d_gate)."""
+    trace = forward(params, mconfig, values, text, rows=rows)
     # position i predicts segment i + 1, so the final position is not scored
     total, _, _, d_scored_pred, d_scored_gate = compute_loss(
         trace.x[:, 1:, :], trace.pred[:, :-1, :], trace.gate[:, :-1, :],
@@ -223,14 +223,13 @@ def _train_step(params, mconfig, tconfig, state, values, text, rows) -> float:
 def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors):
     """Forecast quality of the final position against each window's true future.
 
-    Returns (mse, mae, mean gate entropy, alpha). Only the first min(segment_len, F)
-    future values are scored; longer horizons need autoregressive rolling and are the
+    Returns (mse, mae, mean gate entropy, alpha). Assembly keeps at most segment_len
+    future values, all scored; longer horizons need autoregressive rolling and are the
     evaluation module's job. The forward keeps no trace and gathers its slabs from the
     table itself, so the windows are never gathered whole.
     """
     trace = forward(params, mconfig, data.values, data.text, keep_trace=False, rows=data.rows)
-    horizon = min(mconfig.segment_len, data.future.shape[1])
-    mse, mae = metrics(trace.pred[:, -1, :horizon], data.future[:, :horizon])
+    mse, mae = metrics(trace.pred[:, -1, :data.future.shape[1]], data.future)
     entropy = float(-(trace.gate * _gate_log(trace.gate)).sum(axis=-1).mean())
     return mse, mae, entropy, trace.alpha
 
@@ -295,28 +294,27 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
 GRADCHECK_CONFIG = dict(segment_len=4, dim=8, experts=2, layers=1, heads=1)
 
 
-def gradient_check(seed: int = 0, h: float = 1e-5, sparsity_mode: str = "entropy",
-                   lam: float = 0.05) -> dict:
+def gradient_check(seed: int = 0, h: float = 1e-5) -> dict:
     """Analytic vs central-finite-difference gradients on a tiny model.
 
-    Uses the full training loss (entropy penalty by default, so the gate path
-    carries a real gradient). Returns {parameter block: max relative error};
-    anything above 1e-4 indicates a backward-pass bug.
+    The full training loss, entropy penalty included, on three windows that share
+    rows of a segment table, gathered as a stride-1 train step gathers them. Returns
+    {parameter block: max relative error}; above 1e-4 means a backward-pass bug.
     """
     if not 0.0 < h < float("inf"):
         raise ConfigError(f"finite-difference step h must be finite and > 0, got {h}")
     mconfig = ModelConfig(seed=seed, **GRADCHECK_CONFIG)
-    tconfig = TrainConfig(lam=lam, sparsity_mode=sparsity_mode, seed=seed)
+    tconfig = TrainConfig(lam=0.05, sparsity_mode="entropy", seed=seed)
     rng = np.random.default_rng([seed, 2718281828])
-    batch, n = 3, 3
-    x = rng.normal(size=(batch, n, mconfig.segment_len))
-    te = rng.normal(size=(batch, n, mconfig.dim)) / np.sqrt(mconfig.dim)
+    values = rng.normal(size=(5, mconfig.segment_len))
+    text = rng.normal(size=(5, mconfig.dim)) / np.sqrt(mconfig.dim)
+    rows = np.arange(3)[:, None] + np.arange(3)  # window b is segments b..b+2
     params = init_params(mconfig)
-    trace, _, d_pred, d_gate = _batch_step(params, mconfig, tconfig, x, te)
+    trace, _, d_pred, d_gate = _batch_step(params, mconfig, tconfig, values, text, rows)
     analytic = backward(params, mconfig, trace, d_pred, d_gate)
 
     def loss_now():
-        return _batch_step(params, mconfig, tconfig, x, te)[1]
+        return _batch_step(params, mconfig, tconfig, values, text, rows)[1]
 
     report = {}
     for name, value in params.items():

@@ -498,6 +498,14 @@ class TestErrorReporting:
         assert err["error"] == "ConfigError"
         assert "bogus" in err["message"]
 
+    def test_a_config_file_with_a_byte_order_mark_runs(self, tmp_path, data_csv, capsys):
+        # Windows Notepad often writes UTF-8 with a BOM in front of the first key
+        cfg_file = tmp_path / "notepad.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfcontext_len=12\n")
+        assert main(["dump-prompts", "--data", str(data_csv), "--config", str(cfg_file),
+                     "--out-root", str(tmp_path / "runs")] + BASE) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("layer", ["flag", "config"])
     def test_sparsity_mode_none_is_refused(self, tmp_path, data_csv, capsys, layer):
         cfg_file = tmp_path / "run.cfg"

@@ -167,6 +167,30 @@ class TestRollingForecast:
             self.forecast(4, context=np.zeros(3))
 
 
+class TestValidationIsTheFirstRoll:
+    @pytest.mark.parametrize("config, context_len", [
+        (ModelConfig(), 168),  # the default config
+        (ModelConfig(dim=32, layers=0), 96),  # the Quick start's model
+    ], ids=["default", "quick"])
+    def test_final_position_of_a_val_table_is_one_roll(self, config, context_len):
+        """Validation scores forward's final position over an assembled stride-1 table;
+        a horizon-segment_len roll of each window forecasts the same values."""
+        frame = generate(SynthSpec(kind="two-regime", length=context_len + 64))
+        horizon = config.segment_len
+        windows = list(sample_windows(frame, (0, frame.length), context_len, horizon, stride=1))
+        assert len(windows) > 32  # more than one slab of the trace-free forward
+        enc = PromptEncoder(config.dim, 0)
+        params = init_params(config)
+        table = assemble_windows(windows, HOURLY, config.segment_len, enc)
+        got = forward(params, config, table.values, table.text, keep_trace=False,
+                      rows=table.rows).pred[:, -1]
+        want = np.stack([rolling_forecast(params, config, w.context, w.start, HOURLY, horizon,
+                                          enc) for w in windows])
+        # another BLAS may block a slab of windows differently from one window alone
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestForecastWindows:
     def test_averages_per_window_metrics(self):
         frame = generate(SynthSpec(kind="sine", length=60))

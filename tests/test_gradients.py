@@ -21,6 +21,13 @@ from fusecast.train import TrainConfig, gradient_check
 from fusecast.train import _batch_step  # loss plumbing shared with training
 
 
+def _dense_step(params, config, tconfig, x, te):
+    """_batch_step on (B, N, S) x and (B, N, D) te, as a table with a row per segment."""
+    b, n, s = x.shape
+    return _batch_step(params, config, tconfig, x.reshape(-1, s), te.reshape(-1, te.shape[-1]),
+                       np.arange(b * n).reshape(b, n))
+
+
 class TestGradientCheck:
     def test_all_blocks_within_tolerance(self):
         report = gradient_check(seed=0, h=1e-5)
@@ -36,10 +43,6 @@ class TestGradientCheck:
     def test_step_must_be_finite_and_positive(self, h):
         with pytest.raises(ConfigError, match="h must be"):
             gradient_check(seed=0, h=h)
-
-    def test_plain_mse_path_too(self):
-        report = gradient_check(seed=0, h=1e-5, sparsity_mode="literal", lam=0.0)
-        assert max(report.values()) <= 1e-4
 
 
 class TestThetaClosedForm:
@@ -78,13 +81,13 @@ class TestThetaClosedForm:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 3, 4))
         te = rng.normal(size=(2, 3, 8))
-        trace, _, d_pred, d_gate = _batch_step(params, config, tconfig, x, te)
+        trace, _, d_pred, d_gate = _dense_step(params, config, tconfig, x, te)
         analytic = float(backward(params, config, trace, d_pred, d_gate)["theta"])
         h = 1e-6
         params["theta"] = np.asarray(h)
-        up = _batch_step(params, config, tconfig, x, te)[1]
+        up = _dense_step(params, config, tconfig, x, te)[1]
         params["theta"] = np.asarray(-h)
-        down = _batch_step(params, config, tconfig, x, te)[1]
+        down = _dense_step(params, config, tconfig, x, te)[1]
         assert analytic == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
 
@@ -222,24 +225,28 @@ def _assert_close(got, want, what):
     assert err <= 1e-12 * np.abs(want).max(), f"{what}: max abs diff {err}"
 
 
+_ENTROPY = dict(lam=0.1, sparsity_mode="entropy")
+
+
 class TestEinsumOracle:
-    @pytest.mark.parametrize("overrides", [
-        {},  # the default CLI model
-        {"experts": 1, "gated": False},
-        {"layers": 0},
-        {"fused": False},
-    ], ids=["default", "ungated", "layers0", "unfused"])
-    def test_forward_and_backward_match_the_einsums(self, overrides):
+    @pytest.mark.parametrize("overrides, loss", [
+        ({}, _ENTROPY),  # the default CLI model
+        ({"experts": 1, "gated": False}, _ENTROPY),
+        ({"layers": 0}, _ENTROPY),
+        ({"fused": False}, _ENTROPY),
+        ({}, dict(lam=0.0, sparsity_mode="literal")),  # the mean squared error alone
+    ], ids=["default", "ungated", "layers0", "unfused", "plain_mse"])
+    def test_forward_and_backward_match_the_einsums(self, overrides, loss):
         config = ModelConfig(**{"segment_len": 24, "dim": 64, "experts": 4, "layers": 2,
                                 "heads": 2, "seed": 3, **overrides})
         params = init_params(config)
         if config.fused:
             params["theta"] = np.asarray(0.3)
-        tconfig = TrainConfig(lam=0.1, sparsity_mode="entropy")
+        tconfig = TrainConfig(**loss)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(32, 7, 24))
         te = rng.normal(size=(32, 7, 64)) / 8.0
-        trace, _, d_pred, d_gate = _batch_step(params, config, tconfig, x, te)
+        trace, _, d_pred, d_gate = _dense_step(params, config, tconfig, x, te)
         for name, want in zip(("experts_out", "s_hat", "pred"),
                               _oracle_moe(trace.e_hat, params, config)):
             _assert_close(getattr(trace, name), want, name)

@@ -114,7 +114,9 @@ class TestLoss:
         rng = np.random.default_rng(7)
         x, te = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 8))
         tconfig = TrainConfig(lam=0.05, sparsity_mode="entropy")
-        trace, total, d_pred, d_gate = _batch_step(params, config, tconfig, x, te)
+        data = dense_windows(x, te, future=None)
+        trace, total, d_pred, d_gate = _batch_step(params, config, tconfig,
+                                                   data.values, data.text, data.rows)
         assert np.isfinite(total)
         grads = backward(params, config, trace, d_pred, d_gate)
         for name, grad in grads.items():
@@ -392,14 +394,16 @@ class TestBatchStep:
         ModelConfig(segment_len=4, dim=8, experts=1, layers=0, gated=False, fused=False),
     ], ids=["gated", "ungated"])
     def test_table_rows_bit_equal_to_their_dense_gather(self, config):
-        """Stride-1 windows share segments: window b is table rows b..b+3, some rows twice."""
+        """Stride-1 windows share segments: window b is table rows b..b+3, some rows twice.
+        The same windows as a table with a row for each of their segments agree bit for bit."""
         rng = np.random.default_rng(11)
         values, text = rng.normal(size=(9, 4)), rng.normal(size=(9, 8)) / 4.0
         rows = np.concatenate([np.arange(6)[:, None] + np.arange(4), [[0, 1, 2, 3]]])
         params = init_params(config)
         tconfig = TrainConfig(lam=0.05, sparsity_mode="entropy")
         table = _batch_step(params, config, tconfig, values, text, rows)
-        dense = _batch_step(params, config, tconfig, values[rows], text[rows])
+        gathered = dense_windows(values[rows], text[rows], future=None)
+        dense = _batch_step(params, config, tconfig, gathered.values, gathered.text, gathered.rows)
         assert table[1] == dense[1]  # the loss
         for got, want in zip(table[2:], dense[2:]):  # d_pred and d_gate
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
