@@ -195,11 +195,14 @@ def compute_norm_stats(frame: TimeSeriesFrame, train_range: tuple[int, int]) -> 
     """Per-channel mean and population std over the train rows."""
     lo, hi = train_range
     block = frame.values[lo:hi]
-    mean = block.mean(axis=0)
-    std = block.std(axis=0)  # population (1/N) convention
-    for v, s in enumerate(std):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mean = block.mean(axis=0)
+        std = block.std(axis=0)  # population (1/N) convention
+    for v, (m, s) in enumerate(zip(mean, std)):
         if s <= 0.0:
             raise DegenerateChannel(f"channel {frame.names[v]!r} is constant on the train range")
+        if not (np.isfinite(m) and s < np.inf):  # a NaN std fails this too
+            raise DegenerateChannel(f"channel {frame.names[v]!r}: train mean or std overflows")
     return NormStats(mean=mean, std=std)
 
 

@@ -31,7 +31,7 @@ class ShapeError(FusecastError):
 
 
 class DegenerateChannel(FusecastError):
-    """A channel has zero variance on the training range."""
+    """A channel is constant, or its mean or std overflows float64, on the training range."""
 
 
 class SegmentTooLong(FusecastError):

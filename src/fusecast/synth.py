@@ -115,6 +115,8 @@ def generate(spec: SynthSpec) -> TimeSeriesFrame:
             base = base + spec.noise * rng.standard_normal(spec.length)
         columns.append(base)
     values = np.stack(columns, axis=1)
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{spec.kind!r} settings give values that overflow float64")
     names = ("OT",) if spec.channels == 1 else tuple(f"v{i + 1}" for i in range(spec.channels))
     return TimeSeriesFrame(timestamps=timestamps, values=values, names=names, freq=FREQ)
 

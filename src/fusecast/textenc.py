@@ -132,24 +132,11 @@ def text_source(mode: str, dim: int, seed: int):
 
 
 class EmbeddingCache:
-    """Write-once map from prompt key to embedding; every stored vector is read-only."""
+    """Read-only embeddings by prompt key, filled once by `precompute_cache` or `load_cache`."""
 
     def __init__(self, dim: int):
         self.dim = dim
         self._entries: dict[str, TextEmbedding] = {}
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, prompt: str) -> bool:
-        return prompt_key(prompt) in self._entries
-
-    def add(self, prompt: str, vector: np.ndarray) -> None:
-        vector = np.array(vector, dtype=np.float64)  # a copy, so the caller's array stays apart
-        if vector.shape != (self.dim,):
-            raise ShapeError(f"embedding shape {vector.shape} != ({self.dim},)")
-        vector.flags.writeable = False  # every later lookup hands out this array
-        self._entries[prompt_key(prompt)] = TextEmbedding(vector=vector, sha=_prompt_sha(prompt))
 
     def lookup(self, prompt: str) -> TextEmbedding:
         key = prompt_key(prompt)
@@ -165,11 +152,12 @@ class EmbeddingCache:
 
 
 def precompute_cache(prompts, dim: int, seed: int) -> EmbeddingCache:
-    """Encode every distinct prompt once, each token once; the token memo dies with the call."""
+    """Fill a new cache from the encoder: each distinct prompt encoded once, each token once."""
     cache, tokens = EmbeddingCache(dim=dim), {}
-    for prompt in prompts:
-        if prompt not in cache:
-            cache.add(prompt, encode_prompt(prompt, dim, seed, tokens))
+    for prompt in dict.fromkeys(prompts):
+        vector = encode_prompt(prompt, dim, seed, tokens)
+        vector.flags.writeable = False  # every later lookup hands out this array
+        cache._entries[prompt_key(prompt)] = TextEmbedding(vector=vector, sha=_prompt_sha(prompt))
     return cache
 
 

@@ -24,10 +24,11 @@ from fusecast.cli import (
     resolve_config,
     write_json,
 )
+from fusecast.data import TimeSeriesFrame
 from fusecast.errors import ConfigError
 from fusecast.evaluation import render_forecast_table
 from fusecast.model import ModelConfig, load_checkpoint
-from fusecast.synth import SynthSpec, generate, spec_comment
+from fusecast.synth import SynthSpec, generate, save_csv, spec_comment
 from fusecast.textenc import TEXT_MODES
 from fusecast.train import SPARSITY_MODES, TrainConfig, assemble_windows
 
@@ -794,13 +795,42 @@ class TestErrorReporting:
         ("--amplitude=inf", "amplitude must be"),
         ("--level=-inf", "level must be"),
         ("--slope=nan", "slope must be"),
-    ], ids=["noise-neg", "noise-nan", "amplitude-inf", "level-inf", "slope-nan"])
+        # finite settings whose values overflow; a written inf fails every command that reads it
+        ("--kind=linear --slope=1e308", "'linear' settings give values that overflow"),
+        ("--noise=1e308", "'sine' settings give values that overflow"),
+        ("--level=1e308 --amplitude=1e308", "'sine' settings give values that overflow"),
+    ], ids=["noise-neg", "noise-nan", "amplitude-inf", "level-inf", "slope-nan",
+            "slope-overflow", "noise-overflow", "level-overflow"])
     def test_synth_rejects_bad_float(self, tmp_path, capsys, bad, message):
         out = tmp_path / "series.csv"
-        assert main(["synth", "--kind", "sine", "--length", "48", bad, "--out", str(out)]) == 1
+        argv = ["synth", "--kind", "sine", "--length", "48", *bad.split(), "--out", str(out)]
+        assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and message in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "dump-prompts"])
+    @pytest.mark.parametrize("values", [
+        np.full(300, 5.0),
+        np.where(np.arange(300) % 2, 1.7e308, 1.5e308),  # the train mean overflows
+        1e200 * np.sin(np.arange(300) / 3),  # the train std overflows
+    ], ids=["constant", "mean-overflow", "std-overflow"])
+    def test_a_degenerate_channel_is_refused(self, tmp_path, capsys, values, command):
+        # every cell is finite; unrefused, an overflow made train blame a parameter or fit zeros
+        frame = generate(SynthSpec(kind="sine", length=300))
+        path, out_root = tmp_path / "huge.csv", tmp_path / "runs"
+        save_csv(TimeSeriesFrame(frame.timestamps, values[:, None], ("OT",), frame.freq), path)
+        argv = [command, "--data", str(path), "--out-root", str(out_root),
+                "--split-counts", "180,60,60", "--context-len", "48", "--segment-len", "24",
+                "--horizon", "24", "--hidden-dim", "8", "--layers", "0", "--experts", "2",
+                "--epochs", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "DegenerateChannel" and "'OT'" in err["message"]
+        assert not out_root.exists()
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_sweep_resolves_each_config(self, tmp_path, data_csv, capsys, value):

@@ -212,6 +212,18 @@ class TestNormalization:
         with pytest.raises(DegenerateChannel):
             compute_norm_stats(flat, (0, 50))
 
+    @pytest.mark.parametrize("values", [
+        np.where(np.arange(300) % 2, 1.7e308, 1.5e308),  # the train mean overflows
+        1e200 * np.sin(np.arange(300) / 3),  # the mean is finite, the std overflows
+    ], ids=["mean", "std"])
+    def test_overflowing_statistics_rejected(self, values):
+        # every cell is finite, but an inf or NaN statistic would scale the channel to
+        # zeros or NaN; the refusal comes as the error, not as a RuntimeWarning first
+        frame = make_frame(300)
+        huge = TimeSeriesFrame(frame.timestamps, values[:, None], ("huge",), HOURLY)
+        with pytest.raises(DegenerateChannel, match="'huge'.*overflows"):
+            compute_norm_stats(huge, (0, 180))
+
     def test_roundtrip(self):
         frame = make_frame(120, channels=3)
         stats = compute_norm_stats(frame, (0, 80))

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fusecast import textenc
 from fusecast.errors import CacheMiss, ConfigError, CorruptCache, EmptyPrompt, ShapeError
 from fusecast.synth import SynthSpec, generate
 from fusecast.textenc import (
-    EmbeddingCache,
     PromptEncoder,
     ZeroTextSource,
     encode_prompt,
@@ -183,23 +183,25 @@ class TestCache:
         prompts = [f"prompt number {i}" for i in range(5)]
         return precompute_cache(prompts, dim=dim, seed=seed), prompts
 
-    def test_lookup_roundtrip(self):
+    @staticmethod
+    def entry_lines(cache, path):
+        """The entry lines of the cache saved to path: one per stored key."""
+        save_cache(cache, path)
+        return path.read_text().splitlines()[1:]
+
+    def test_lookup_roundtrip(self, tmp_path):
         cache, prompts = self.build()
-        assert len(cache) == 5
+        assert len(self.entry_lines(cache, tmp_path / "emb.cache")) == 5
         for p in prompts:
-            assert p in cache
+            assert cache.lookup(p).sha == hashlib.sha256(p.encode()).hexdigest()
             np.testing.assert_array_equal(cache.embed(p), encode_prompt(p, 6, 0))
 
     def test_miss(self):
         cache, _ = self.build()
-        assert "never seen" not in cache
         with pytest.raises(CacheMiss):
             cache.lookup("never seen")
-
-    def test_add_shape_checked(self):
-        cache = EmbeddingCache(dim=4)
-        with pytest.raises(ShapeError):
-            cache.add("p", np.zeros(5))
+        with pytest.raises(CacheMiss):
+            cache.embed("never seen")
 
     def test_file_roundtrip_bitwise(self, tmp_path):
         cache, prompts = self.build()
@@ -217,7 +219,7 @@ class TestCache:
         header, *entries = path.read_text().splitlines()
         path.write_text("\n".join([header, "", entries[0], "  ", *entries[1:], ""]) + "\n")
         loaded = load_cache(path)
-        assert len(loaded) == len(cache)
+        assert self.entry_lines(loaded, tmp_path / "resaved") == entries
         for p in prompts:
             np.testing.assert_array_equal(loaded.embed(p), cache.embed(p))
 
@@ -232,12 +234,6 @@ class TestCache:
                 vector[0] = 9.0
             np.testing.assert_array_equal(source.embed(prompts[0]), encode_prompt(prompts[0], 6, 0))
 
-    def test_add_keeps_its_own_copy(self):
-        cache, vector = EmbeddingCache(dim=3), np.arange(3.0)
-        cache.add("p", vector)
-        vector[0] = 9.0  # the caller's array stays writable and apart from the cache
-        np.testing.assert_array_equal(cache.embed("p"), [0.0, 1.0, 2.0])
-
     def test_header_line(self, tmp_path):
         cache, _ = self.build(dim=24)
         path = tmp_path / "emb.cache"
@@ -245,14 +241,28 @@ class TestCache:
         assert path.read_text().splitlines()[0] == "SMET-EMB v1 dim=24"
 
     def test_rebuild_is_byte_identical(self, tmp_path):
-        # entries are sorted by key, so insertion order must not matter
+        # entries are sorted by key, so insertion order and repeats must not matter
         prompts = [f"p {i}" for i in range(8)]
-        a = precompute_cache(prompts, dim=5, seed=2)
-        b = precompute_cache(list(reversed(prompts)), dim=5, seed=2)
-        pa, pb = tmp_path / "a", tmp_path / "b"
-        save_cache(a, pa)
-        save_cache(b, pb)
-        assert pa.read_bytes() == pb.read_bytes()
+        paths = []
+        for i, order in enumerate([prompts, prompts[::-1], [p for p in prompts for _ in "ab"]]):
+            paths.append(tmp_path / str(i))
+            save_cache(precompute_cache(order, dim=5, seed=2), paths[-1])
+        assert len(paths[0].read_text().splitlines()) == 1 + 8
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+    def test_each_distinct_prompt_is_encoded_once(self, monkeypatch):
+        encoded = []
+
+        def spy(prompt, *args):
+            encoded.append(prompt)
+            return encode_prompt(prompt, *args)
+
+        monkeypatch.setattr(textenc, "encode_prompt", spy)
+        prompts = ["b c", "a b", "b c", "c", "a b", "b c"]
+        cache = precompute_cache(prompts, dim=4, seed=1)
+        assert encoded == ["b c", "a b", "c"]  # first-seen order
+        for p in prompts:
+            np.testing.assert_array_equal(cache.embed(p), encode_prompt(p, 4, 1))
 
     def test_save_peak_memory(self, tmp_path):
         # as many entries as the cache_small benchmark's cache, at its dim
@@ -351,7 +361,8 @@ class TestCache:
             '{"key": "00", "prompt_sha256": "aa", "values": [0.5]}\n'
             '{"key": "00", "prompt_sha256": "aa", "values": [0.5]}\n'
         )
-        assert len(load_cache(path)) == 1
+        assert self.entry_lines(load_cache(path), tmp_path / "resaved") == [
+            '{"key":"00","prompt_sha256":"aa","values":[0.5]}']
 
     def test_lookup_detects_prompt_drift(self, tmp_path):
         # same key, different stored prompt hash: corrupt, not a silent hit
