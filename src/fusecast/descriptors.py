@@ -14,7 +14,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import SegmentTooLong
+from .errors import ConfigError
 
 # Fixed English month abbreviations; strftime's %b is locale-dependent and
 # would break prompt-byte determinism across machines.
@@ -41,7 +41,7 @@ def segment_series(
     values = np.asarray(values, dtype=np.float64)
     n_total = values.shape[0]
     if segment_len > n_total:
-        raise SegmentTooLong(f"segment length {segment_len} > series length {n_total}")
+        raise ConfigError(f"segment length {segment_len} > series length {n_total}")
     n = n_total // segment_len
     segments = []
     for i in range(n):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: each is a failure that a command reports."""
 
 
 class FusecastError(Exception):
@@ -34,24 +34,12 @@ class DegenerateChannel(FusecastError):
     """A channel is constant, or its mean or std overflows float64, on the training range."""
 
 
-class SegmentTooLong(FusecastError):
-    """Segment length exceeds the series being partitioned."""
-
-
-class EmptyPrompt(FusecastError):
-    """Prompt contains no encodable tokens."""
-
-
 class CacheMiss(FusecastError):
     """A prompt was not found in the embedding cache."""
 
 
 class CorruptCache(FusecastError):
     """Cache file holds conflicting vectors for one key."""
-
-
-class TraceError(FusecastError):
-    """Forward trace does not match the parameters handed to backward."""
 
 
 class NonFiniteGradient(FusecastError):
@@ -62,9 +50,5 @@ class NonFiniteGradient(FusecastError):
         self.param = param
 
 
-class InvalidHorizon(FusecastError):
-    """Requested forecast horizon is not a positive integer."""
-
-
 class ConfigError(FusecastError):
-    """Unknown or invalid configuration key/value."""
+    """An unknown config key, or an invalid setting or argument value."""

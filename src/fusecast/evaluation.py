@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, InvalidHorizon, ShapeError
+from .errors import ConfigError, ShapeError
 from .model import ModelConfig, forward, init_params
 from .textenc import text_source
 from .train import TrainConfig, assemble_windows, metrics, train_model, window_segments
@@ -30,7 +30,7 @@ def persistence_baseline(context, horizon: int):
     """Repeat the last observed value."""
     context = np.asarray(context, dtype=np.float64)
     if horizon < 1:
-        raise InvalidHorizon(f"horizon must be >= 1, got {horizon}")
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if context.shape[0] < 1:
         raise ShapeError("empty context")
     return np.full(horizon, context[-1])
@@ -45,7 +45,7 @@ def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon:
     ceil(horizon / segment_len) rolls run; the output is truncated exactly.
     """
     if horizon < 1:
-        raise InvalidHorizon(f"horizon must be >= 1, got {horizon}")
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     context = np.asarray(context, dtype=np.float64)
     width = context.shape[0]
     buf = context.copy()
@@ -126,6 +126,9 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
     """
     if not seeds:
         raise ConfigError("ablation needs at least one seed")
+    if not config.fused or config.experts < 2:  # else two or more rows are one model
+        raise ConfigError(f"ablation needs fused=True and experts >= 2, got fused={config.fused} "
+                          f"experts={config.experts}")
     builtin = partial(text_source, "builtin", config.dim, text_seed)
     zero = partial(text_source, "zero", config.dim, text_seed)
     variants = dict(zip(ABLATION_ROWS, [(config, builtin), (config, zero),
@@ -156,12 +159,14 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
     """Single-expert vs routed-experts comparison across backbone widths.
 
     For each hidden size, trains a one-expert ungated model and a gated
-    model with config.experts experts, everything else identical, and
+    model with config.experts (at least 2) experts, all else identical, and
     reports the relative MSE/MAE reduction. An unknown text_mode is refused
     by `text_source` when the first size assembles, before any training.
     """
     if not sizes:
         raise ConfigError("promotion needs at least one backbone size")
+    if config.experts < 2:  # else the MoE row is the one-expert row plus a one-way gate
+        raise ConfigError(f"promotion needs experts >= 2, got {config.experts}")
     bases = [replace(config, dim=dim) for dim in sizes]  # every width is checked before training
     table = []
     for base in bases:  # one harness call per size keeps one size's windows in memory

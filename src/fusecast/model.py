@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, TraceError
+from .errors import ConfigError, ShapeError
 
 _LN_EPS = 1e-5
 _CHECKPOINT_FORMAT = "fusecast-ckpt v1"
@@ -238,7 +238,7 @@ class ForwardTrace:
     k, v, attn, ff_pre and ff_phi; backward rebuilds y1, y2, ctx and ff_act.
     A trace-free forward (keep_trace=False) runs the full forward one slab at a
     time and keeps three outputs: it fills only config, alpha, gate and pred;
-    the rest stay None, and backward, `se` and `s_hat` raise TraceError.
+    the rest stay None, and backward, `se` and `s_hat` raise ConfigError.
     """
 
     config: ModelConfig
@@ -255,7 +255,7 @@ class ForwardTrace:
 
     def _kept(self, value):
         if value is None:
-            raise TraceError("a forward with keep_trace=False keeps nothing for backward")
+            raise ConfigError("a forward with keep_trace=False keeps nothing for backward")
         return value
 
     @property
@@ -482,11 +482,11 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
     the logits up to rounding.
     """
     if trace.config != config:
-        raise TraceError("trace was produced under a different model config")
+        raise ConfigError("trace was produced under a different model config")
     trace._kept(trace.e_hat)
     d_pred = np.asarray(d_pred, dtype=np.float64)
     if d_pred.shape != trace.pred.shape:
-        raise TraceError(f"d_pred shape {d_pred.shape} != pred shape {trace.pred.shape}")
+        raise ShapeError(f"d_pred shape {d_pred.shape} != pred shape {trace.pred.shape}")
     grads = {}
     grads["out_b"] = d_pred.sum(axis=(0, 1))
     grads["out_W"] = _weight_grad(trace.s_hat, d_pred)
@@ -497,7 +497,7 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
     if d_gate is not None:
         d_gate = np.asarray(d_gate, dtype=np.float64)
         if d_gate.shape != weights.shape:
-            raise TraceError(f"d_gate shape {d_gate.shape} != gate shape {weights.shape}")
+            raise ShapeError(f"d_gate shape {d_gate.shape} != gate shape {weights.shape}")
         d_weights = d_weights + d_gate
     k, d, _ = params["experts_W"].shape
     d_experts = (weights[..., None] * d_s_hat[..., None, :]).reshape(-1, k * d)

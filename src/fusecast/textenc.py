@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheMiss, ConfigError, CorruptCache, EmptyPrompt, ShapeError
+from .errors import CacheMiss, ConfigError, CorruptCache, ShapeError
 
 TEXT_MODES = ("builtin", "zero")  # the text sources text_source builds
 CACHE_HEADER_RE = re.compile(r"^SMET-EMB v1 dim=(\d+)$")
@@ -73,7 +73,7 @@ def encode_prompt(prompt: str, dim: int, seed: int, memo=None) -> np.ndarray:
         raise ShapeError(f"embedding dim must be >= 1, got {dim}")
     tokens = re.findall(r"\w+", prompt)
     if not tokens:
-        raise EmptyPrompt("prompt has no tokens")
+        raise ConfigError("prompt has no tokens")
     memo = {} if memo is None else memo
     memo.update({token: _token_vector(token, dim, seed) for token in set(tokens).difference(memo)})
     vectors = np.array([memo[token] for token in tokens])

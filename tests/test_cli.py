@@ -25,7 +25,7 @@ from fusecast.cli import (
     write_json,
 )
 from fusecast.data import TimeSeriesFrame
-from fusecast.errors import ConfigError
+from fusecast.errors import ConfigError, FusecastError
 from fusecast.evaluation import render_forecast_table
 from fusecast.model import ModelConfig, load_checkpoint
 from fusecast.synth import SynthSpec, generate, save_csv, spec_comment
@@ -188,6 +188,12 @@ class TestConfigResolution:
         listed = {key: re.findall(r"`(\w+)`", meaning.split(";")[0]) for key, _, meaning in rows}
         assert listed["sparsity_mode"] == list(SPARSITY_MODES)
         assert listed["text_mode"] == list(TEXT_MODES)
+
+    def test_readme_names_the_range_checked_keys(self):
+        # every command checks these keys, read or not; the README names them in _BOUNDS' order
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"has a range of its own \(([^)]*)\)", readme)[1]
+        assert re.findall(r"`(\w+)`", listed) == list(cli._BOUNDS)
 
     def test_a_field_key_takes_its_fields_type_and_default(self):
         # _SCHEMA writes out only the keys that set no ModelConfig or TrainConfig field
@@ -1156,6 +1162,27 @@ class TestHarnessCommands:
         assert payload["error"] == "ConfigError" and "text_mode" in payload["message"]
         assert not out_root.exists()
 
+    @pytest.mark.parametrize("argv,key", [
+        (["promote", "--sizes", "8", "--experts", "1"], "experts"),
+        (["ablate", "--seeds", "0", "--fused", "false"], "fused"),
+        (["ablate", "--seeds", "0", "--experts", "1"], "experts"),
+        (["ablate", "--seeds", "0", "--fused", "false", "--experts", "1", "--gated", "false"],
+         "experts"),
+    ], ids=["promote-one-expert", "ablate-unfused", "ablate-one-expert", "ablate-all-off"])
+    def test_harness_refuses_a_base_whose_rows_are_one_model(self, tmp_path, data_csv,
+                                                             monkeypatch, capsys, argv, key):
+        # rows that differ by no toggle would publish a difference that is only noise
+        monkeypatch.setattr(evaluation, "assemble_windows", None)  # refused before assembly
+        out_root = tmp_path / "runs"
+        assert main([argv[0], "--data", str(data_csv), "--out-root", str(out_root)]
+                    + BASE + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "ConfigError" and re.search(rf"\b{key}\b", payload["message"])
+        assert not out_root.exists()
+
     def test_promote(self, tmp_path, data_csv, capsys):
         out_root = tmp_path / "runs"
         rc = main(["promote", "--data", str(data_csv), "--sizes", "8",
@@ -1265,6 +1292,59 @@ class TestHarnessCommands:
         best = min(report["curve"], key=lambda row: row["mse"])
         assert (report["best_value"], report["best_mse"]) == (best["value"], best["mse"])
         assert report["curve"][0]["mse"] != report["curve"][1]["mse"]
+
+
+def _error_argv(name, tmp_path, data_csv, trained, two_regime_csv):
+    """A command line on which a command reports the error type `name`; None if there is none."""
+    def write(file_name, body):
+        (tmp_path / file_name).write_bytes(body)
+        return str(tmp_path / file_name)
+
+    train = ["train", "--data", str(data_csv), *BASE]
+    if name == "DegenerateChannel":
+        frame = generate(SynthSpec(kind="sine", length=120))
+        save_csv(TimeSeriesFrame(frame.timestamps, np.full((120, 1), 5.0), ("OT",), frame.freq),
+                 tmp_path / "constant.csv")
+    elif name == "ShapeError":  # seg_b holds hidden_dim values
+        checkpoint = json.loads((trained / "checkpoint.json").read_text())
+        checkpoint["params"]["seg_b"] = {"data": [0.0] * 4, "shape": [4]}
+        (tmp_path / "checkpoint.json").write_text(json.dumps(checkpoint))
+    return {
+        "ParseError": ["train", "--data", write("cell.csv", b"date,OT\n2020-01-01 00:00:00,1.0\n"
+                                                          b"2020-01-01 01:00:00,oops\n")],
+        "MalformedSeries": ["train", "--data", write("gap.csv", (
+            b"date,OT\n2020-01-01 00:00:00,1.0\n2020-01-01 01:00:00,2.0\n"
+            b"2020-01-01 03:00:00,3.0\n"))],
+        "TooShort": ["dump-prompts", "--data", write("one.csv",
+                                                     b"date,OT\n2020-01-01 00:00:00,1.0\n")],
+        "SplitTooShort": ["train", "--data", str(data_csv), "--split-counts", "100,10,10"],
+        "ShapeError": ["evaluate", "--data", str(data_csv), *DATA, "--horizons", "4",
+                       "--checkpoint", str(tmp_path / "checkpoint.json")],
+        "DegenerateChannel": ["train", "--data", str(tmp_path / "constant.csv"), *BASE],
+        "CacheMiss": train + ["--emb-cache", write("empty.emb", b"SMET-EMB v1 dim=8\n")],
+        "CorruptCache": train + ["--emb-cache", write("bad.emb", b"SMET-EMB v1 dim=8\n\xff\n")],
+        "NonFiniteGradient": [
+            "train", "--data", str(two_regime_csv), "--split-counts", "432,144,144",
+            "--context-len", "96", "--segment-len", "24", "--hidden-dim", "8", "--experts", "2",
+            "--layers", "1", "--heads", "1", "--stride", "24", "--horizon", "24",
+            "--epochs", "3", "--batch", "4", "--lr", "1e40"],
+        "ConfigError": ["dump-prompts", "--data", str(data_csv), "--text-seed", "-1"],
+    }.get(name)
+
+
+@pytest.mark.parametrize("name", [cls.__name__ for cls in FusecastError.__subclasses__()])
+def test_each_error_type_is_reachable_from_a_command(tmp_path, data_csv, trained,
+                                                     two_regime_csv, capsys, name):
+    # an error type that no command can raise is one no user can see; a new type needs a case
+    argv = _error_argv(name, tmp_path, data_csv, trained, two_regime_csv)
+    assert argv is not None, f"no command line reports {name}"
+    out_root = tmp_path / "runs"
+    assert main(argv + ["--out-root", str(out_root)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == name
+    assert not out_root.exists()
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert f"`{name}`" in readme.split("- **Errors**:")[1].split("\n\n")[0]
 
 
 def _readme_unread_keys():

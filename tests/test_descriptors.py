@@ -10,7 +10,7 @@ from datetime import datetime, timedelta
 from hypothesis import given, strategies as st
 
 from fusecast.descriptors import Segment, _instant, _stats, render_prompt, segment_series
-from fusecast.errors import SegmentTooLong
+from fusecast.errors import ConfigError
 
 HOURLY = timedelta(hours=1)
 T0 = datetime(2020, 1, 1)
@@ -35,7 +35,7 @@ class TestSegmentation:
         assert segs[1].start == T0 + 3 * HOURLY
 
     def test_segment_longer_than_series(self):
-        with pytest.raises(SegmentTooLong):
+        with pytest.raises(ConfigError, match="segment length 4 > series length 3"):
             segment_series(np.arange(3.0), T0, 4, HOURLY)
 
     @given(n=st.integers(1, 60), s=st.integers(1, 20))

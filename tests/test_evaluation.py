@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from fusecast import evaluation
 from fusecast.data import sample_windows
-from fusecast.errors import ConfigError, InvalidHorizon, ShapeError
+from fusecast.errors import ConfigError, ShapeError
 from fusecast.evaluation import (
     ABLATION_ROWS,
     HORIZONS,
@@ -66,7 +66,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_bad_horizon(self, horizon):
-        with pytest.raises(InvalidHorizon):
+        with pytest.raises(ConfigError, match=f"horizon must be >= 1, got {horizon}"):
             persistence_baseline([1.0], horizon)
 
     def test_empty_context(self):
@@ -159,7 +159,7 @@ class TestRollingForecast:
         np.testing.assert_array_equal(a, b)
 
     def test_bad_horizon(self):
-        with pytest.raises(InvalidHorizon):
+        with pytest.raises(ConfigError, match="horizon must be >= 1, got 0"):
             self.forecast(0)
 
     def test_short_context(self):

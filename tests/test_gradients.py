@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fusecast.errors import ConfigError, TraceError
+from fusecast.errors import ConfigError, ShapeError
 from fusecast.model import (
     ModelConfig,
     _gelu_grad,
@@ -126,7 +126,7 @@ class TestBackwardValidation:
         params = init_params(config)
         rng = np.random.default_rng(0)
         trace = forward(params, config, rng.normal(size=(1, 2, 4)), rng.normal(size=(1, 2, 8)))
-        with pytest.raises(TraceError):
+        with pytest.raises(ConfigError, match="different model config"):
             backward(init_params(other), other, trace, np.zeros((1, 2, 4)))
 
     def test_d_pred_shape(self):
@@ -134,7 +134,7 @@ class TestBackwardValidation:
         config = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1)
         rng = np.random.default_rng(0)
         trace = forward(params, config, rng.normal(size=(1, 2, 4)), rng.normal(size=(1, 2, 8)))
-        with pytest.raises(TraceError):
+        with pytest.raises(ShapeError, match="d_pred shape"):
             backward(params, config, trace, np.zeros((1, 2, 5)))
 
     def test_d_gate_shape(self):
@@ -142,7 +142,7 @@ class TestBackwardValidation:
         params = init_params(config)
         rng = np.random.default_rng(0)
         trace = forward(params, config, rng.normal(size=(1, 2, 4)), rng.normal(size=(1, 2, 8)))
-        with pytest.raises(TraceError):
+        with pytest.raises(ShapeError, match="d_gate shape"):
             backward(params, config, trace, np.zeros((1, 2, 4)), d_gate=np.zeros((1, 2, 3)))
 
 

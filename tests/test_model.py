@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusecast.errors import ConfigError, ShapeError, TraceError
+from fusecast.errors import ConfigError, ShapeError
 from fusecast.model import (
     ModelConfig,
     _ERF_CHUNK,
@@ -462,11 +462,11 @@ class TestTraceFreeForward:
         x, te = make_inputs(TINY)
         free = forward(params, TINY, x, te, keep_trace=False)
         assert free.layers is None and free.e_hat is None and free.experts_out is None
-        with pytest.raises(TraceError):
+        with pytest.raises(ConfigError, match="keep_trace=False"):
             backward(params, TINY, free, np.zeros_like(free.pred))
-        with pytest.raises(TraceError):
+        with pytest.raises(ConfigError, match="keep_trace=False"):
             free.se
-        with pytest.raises(TraceError):
+        with pytest.raises(ConfigError, match="keep_trace=False"):
             free.s_hat
 
     def test_memory_does_not_grow_with_the_batch(self):

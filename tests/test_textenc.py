@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fusecast import textenc
-from fusecast.errors import CacheMiss, ConfigError, CorruptCache, EmptyPrompt, ShapeError
+from fusecast.errors import CacheMiss, ConfigError, CorruptCache, ShapeError
 from fusecast.synth import SynthSpec, generate
 from fusecast.textenc import (
     PromptEncoder,
@@ -94,7 +94,7 @@ class TestEncoder:
 
     def test_empty_prompt_rejected(self):
         for bad in ("", "   ", "..,;!"):
-            with pytest.raises(EmptyPrompt):
+            with pytest.raises(ConfigError, match="prompt has no tokens"):
                 encode_prompt(bad, 8, seed=0)
 
     def test_bad_dim(self):
