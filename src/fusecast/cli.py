@@ -33,6 +33,7 @@ from .evaluation import (
     HORIZONS,
     ablation_run,
     forecast_windows,
+    persistence_baseline,
     promotion_run,
     render_ablation_table,
     render_forecast_table,
@@ -41,8 +42,8 @@ from .evaluation import (
 )
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .synth import SynthSpec, generate, save_csv, spec_comment
-from .textenc import TEXT_MODES, load_cache, precompute_cache, save_cache, text_source
-from .train import SPARSITY_MODES, TrainConfig, gradient_check, window_segments
+from .textenc import PromptEncoder, load_cache, precompute_cache, save_cache
+from .train import SPARSITY_MODES, TrainConfig, gradient_check, metrics, window_segments
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -80,7 +81,6 @@ _SCHEMA = {
     "stride": (int, 1),
     "horizon": (int, 96),
     "text_seed": (int, 0),
-    "text_mode": (str, "builtin"),  # one of textenc.TEXT_MODES
     "decimals": (int, 4),
 }
 
@@ -135,9 +135,9 @@ def resolve_config(config_path, overrides: dict, checkpoint=None) -> dict:
             if any(key in layer for layer in layers) and resolved[key] != value:
                 raise ConfigError(f"{key} {resolved[key]!r} != the checkpoint's {value!r}")
             resolved[key] = value
-    for key, modes in (("text_mode", TEXT_MODES), ("sparsity_mode", SPARSITY_MODES)):
-        if resolved[key] not in modes:
-            raise ConfigError(f"{key} must be one of {modes}, got {resolved[key]!r}")
+    if resolved["sparsity_mode"] not in SPARSITY_MODES:
+        raise ConfigError(f"sparsity_mode must be one of {SPARSITY_MODES}, "
+                          f"got {resolved['sparsity_mode']!r}")
     for key, (low, high) in _BOUNDS.items():
         if not low <= resolved[key] <= high:
             bound = f">= {low}" if resolved[key] < low else f"<= {high}"
@@ -265,16 +265,13 @@ def _fit(cfg, data_path, emb_cache=None):
 
     With emb_cache, prompts are embedded from that cache file, which is built
     first if it does not exist yet: from the distinct train and val prompts, each
-    encoded once in first-seen order, and written one entry per line. The cache
-    holds builtin-encoder vectors, so it needs text_mode=builtin. The text
+    encoded once in first-seen order, and written one entry per line. The text
     source, cache or encoder, is made inside train_variants and dies with assembly.
     """
-    if emb_cache and cfg["text_mode"] != "builtin":
-        raise ConfigError(f"--emb-cache needs text_mode=builtin, got {cfg['text_mode']!r}")
     freq, (train_w, val_w) = prepare(cfg, data_path, cfg["horizon"], ("train", "val"))
     mconfig, tconfig = _model_config(cfg), _train_config(cfg)
     if not emb_cache:
-        make = partial(text_source, cfg["text_mode"], mconfig.dim, cfg["text_seed"])
+        make = partial(PromptEncoder, mconfig.dim, cfg["text_seed"])
     elif Path(emb_cache).exists():
         def make():
             cache = load_cache(emb_cache)
@@ -326,14 +323,17 @@ def cmd_evaluate(args) -> int:
     freq, (test_w,) = prepare(cfg, args.data, top, ("test",))
     if args.max_windows:
         test_w = test_w[: args.max_windows]
-    source = text_source(cfg["text_mode"], mconfig.dim, cfg["text_seed"])
+    source = PromptEncoder(mconfig.dim, cfg["text_seed"])
     per_horizon = {}
     for h in horizons:  # ascending, so `preds` ends as the forecasts at the top horizon
         mse, mae, preds = forecast_windows(params, mconfig, test_w, freq, h, source,
                                            cfg["decimals"])
         if not (math.isfinite(mse) and math.isfinite(mae)):  # JSON has no inf or NaN
             raise ConfigError(f"horizon {h}: forecast MSE {mse} and MAE {mae} are not finite")
-        per_horizon[h] = {"mse": mse, "mae": mae}
+        base_mse, base_mae = zip(*(metrics(persistence_baseline(w.context, h), w.target[:h])
+                                   for w in test_w))  # averaged per window, as the model is
+        per_horizon[h] = {"mse": mse, "mae": mae, "persistence": {
+            "mse": float(np.mean(base_mse)), "mae": float(np.mean(base_mae))}}
     report = {"horizons": per_horizon,
               "avg_mse": sum(v["mse"] for v in per_horizon.values()) / len(horizons),
               "avg_mae": sum(v["mae"] for v in per_horizon.values()) / len(horizons)}
@@ -354,8 +354,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _config_from(args)
-    if cfg["text_mode"] != "builtin":  # each ablation row sets its own text mode
-        raise ConfigError(f"ablate needs text_mode=builtin, got {cfg['text_mode']!r}")
     seeds = _int_list(args.seeds, "seeds")
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
     report = ablation_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
@@ -370,8 +368,7 @@ def cmd_promote(args) -> int:
     config = _model_config({**cfg, "hidden_dim": sizes[0], "gated": True})  # the rows set both
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
     report = promotion_run(train_w, val_w, freq, config, _train_config(cfg),
-                           sizes, text_seed=cfg["text_seed"],
-                           text_mode=cfg["text_mode"], decimals=cfg["decimals"])
+                           sizes, text_seed=cfg["text_seed"], decimals=cfg["decimals"])
     _publish(args, cfg, report, "promotion.json", render_promotion_table,
              ("hidden_dim", "gated"), sizes=sizes)
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .model import ModelConfig, forward, init_params
-from .textenc import text_source
+from .textenc import PromptEncoder, ZeroTextSource
 from .train import TrainConfig, assemble_windows, metrics, train_model, window_segments
 
 HORIZONS = (96, 192, 336, 720)
@@ -129,8 +129,8 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
     if not config.fused or config.experts < 2:  # else two or more rows are one model
         raise ConfigError(f"ablation needs fused=True and experts >= 2, got fused={config.fused} "
                           f"experts={config.experts}")
-    builtin = partial(text_source, "builtin", config.dim, text_seed)
-    zero = partial(text_source, "zero", config.dim, text_seed)
+    builtin = partial(PromptEncoder, config.dim, text_seed)
+    zero = partial(ZeroTextSource, config.dim)
     variants = dict(zip(ABLATION_ROWS, [(config, builtin), (config, zero),
                                         (replace(config, fused=False), builtin),
                                         (replace(config, experts=1, gated=False), builtin)]))
@@ -154,14 +154,12 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
 
 
 def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
-                  tconfig: TrainConfig, sizes, text_seed: int = 0,
-                  text_mode: str = "builtin", decimals: int = 4) -> dict:
+                  tconfig: TrainConfig, sizes, text_seed: int = 0, decimals: int = 4) -> dict:
     """Single-expert vs routed-experts comparison across backbone widths.
 
     For each hidden size, trains a one-expert ungated model and a gated
     model with config.experts (at least 2) experts, all else identical, and
-    reports the relative MSE/MAE reduction. An unknown text_mode is refused
-    by `text_source` when the first size assembles, before any training.
+    reports the relative MSE/MAE reduction.
     """
     if not sizes:
         raise ConfigError("promotion needs at least one backbone size")
@@ -170,7 +168,7 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
     bases = [replace(config, dim=dim) for dim in sizes]  # every width is checked before training
     table = []
     for base in bases:  # one harness call per size keeps one size's windows in memory
-        make = partial(text_source, text_mode, base.dim, text_seed)
+        make = partial(PromptEncoder, base.dim, text_seed)
         pair = [(replace(base, experts=1, gated=False), tconfig, make),
                 (replace(base, gated=True), tconfig, make)]
         results = train_variants(train_windows, val_windows, freq, pair, decimals)
@@ -229,6 +227,7 @@ def render_promotion_table(report: dict) -> str:
 
 
 def render_forecast_table(report: dict) -> str:
-    rows = [[h, f"{v['mse']:.4f}", f"{v['mae']:.4f}"] for h, v in report["horizons"].items()]
-    rows.append(["avg", f"{report['avg_mse']:.4f}", f"{report['avg_mae']:.4f}"])
-    return render_table(["horizon", "MSE", "MAE"], rows)
+    rows = [[h, f"{v['mse']:.4f}", f"{v['mae']:.4f}", f"{v['persistence']['mse']:.4f}",
+             f"{v['persistence']['mae']:.4f}"] for h, v in report["horizons"].items()]
+    rows.append(["avg", f"{report['avg_mse']:.4f}", f"{report['avg_mae']:.4f}", "", ""])
+    return render_table(["horizon", "MSE", "MAE", "persistence MSE", "persistence MAE"], rows)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import CacheMiss, ConfigError, CorruptCache, ShapeError
 
-TEXT_MODES = ("builtin", "zero")  # the text sources text_source builds
 CACHE_HEADER_RE = re.compile(r"^SMET-EMB v1 dim=(\d+)$")
 _EMA_DECAY = 0.5  # encode_prompt's running sum is exact only for this decay
 _POW2 = np.ldexp(1.0, np.arange(512))[:, None]  # 2^(t-1) for token t of a block
@@ -122,13 +121,6 @@ class ZeroTextSource:
 
     def embed(self, prompt: str) -> np.ndarray:
         return np.zeros(self.dim, dtype=np.float64)
-
-
-def text_source(mode: str, dim: int, seed: int):
-    """The text source a text mode names: the builtin encoder or "zero"."""
-    if mode not in TEXT_MODES:
-        raise ConfigError(f"text_mode must be one of {TEXT_MODES}, got {mode!r}")
-    return ZeroTextSource(dim) if mode == "zero" else PromptEncoder(dim, seed)
 
 
 class EmbeddingCache:

@@ -269,12 +269,13 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
                 done = True
                 break
         val_mse, val_mae, entropy, alpha = evaluate_windows(params, mconfig, val_data)
-        if not math.isfinite(val_mse):  # nothing of a diverged run may be kept or published
-            raise ConfigError(f"validation MSE {val_mse} at epoch {epoch}: training diverged; "
-                              "lower lr")
+        loss = float(np.mean(batch_losses))
+        if not (math.isfinite(loss) and math.isfinite(val_mse)):  # a diverged run is not kept
+            raise ConfigError(f"train loss {loss} and validation MSE {val_mse} at epoch {epoch}: "
+                              "training diverged; lower lr or lambda")
         result.curve.append({
             "epoch": epoch,
-            "train_loss": float(np.mean(batch_losses)),
+            "train_loss": loss,
             "val_mse": val_mse,
             "val_mae": val_mae,
             "mean_gate_entropy": entropy,

@@ -26,11 +26,10 @@ from fusecast.cli import (
 )
 from fusecast.data import TimeSeriesFrame
 from fusecast.errors import ConfigError, FusecastError
-from fusecast.evaluation import render_forecast_table
+from fusecast.evaluation import persistence_baseline, render_forecast_table
 from fusecast.model import ModelConfig, load_checkpoint
 from fusecast.synth import SynthSpec, generate, save_csv, spec_comment
-from fusecast.textenc import TEXT_MODES
-from fusecast.train import SPARSITY_MODES, TrainConfig, assemble_windows
+from fusecast.train import SPARSITY_MODES, TrainConfig, assemble_windows, metrics
 
 BASE = [
     "--context-len", "12", "--segment-len", "4", "--hidden-dim", "8",
@@ -146,7 +145,7 @@ class TestConfigResolution:
             resolve_config(None, {"epochs": "three"})
 
     def test_text_mode_guard(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="unknown config key 'text_mode'"):
             resolve_config(None, {"text_mode": "oracle"})
 
     def test_config_file_syntax(self, tmp_path):
@@ -187,7 +186,6 @@ class TestConfigResolution:
         # a mode key's row lists its values before the first ";"
         listed = {key: re.findall(r"`(\w+)`", meaning.split(";")[0]) for key, _, meaning in rows}
         assert listed["sparsity_mode"] == list(SPARSITY_MODES)
-        assert listed["text_mode"] == list(TEXT_MODES)
 
     def test_readme_names_the_range_checked_keys(self):
         # every command checks these keys, read or not; the README names them in _BOUNDS' order
@@ -203,8 +201,7 @@ class TestConfigResolution:
             for key, name in keys.items():
                 assert cli._SCHEMA[key] == (convert[types[name]], getattr(cls, name)), key
         assert set(cli._SCHEMA) - set(cli._MODEL_KEYS) - set(cli._TRAIN_KEYS) == {
-            "context_len", "split_counts", "stride", "horizon", "text_seed", "text_mode",
-            "decimals"}
+            "context_len", "split_counts", "stride", "horizon", "text_seed", "decimals"}
 
     def test_every_stated_floor_is_enforced_and_names_its_key(self):
         # a floor outside _BOUNDS is the config classes' to enforce, under the key's own name
@@ -481,18 +478,6 @@ class TestTrainCommand:
         payload = json.loads(err)
         assert payload["error"] == "CorruptCache" and payload["message"].startswith("line 2: ")
 
-    def test_embedding_cache_needs_builtin_text(self, tmp_path, data_csv, capsys):
-        # the cache holds builtin-encoder vectors, so a zero-text run must not use it
-        cache = tmp_path / "emb.jsonl"
-        argv = ["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs"),
-                "--emb-cache", str(cache), "--text-mode", "zero"] + BASE
-        assert main(argv) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-        assert not cache.exists()
-        cache.write_text("not a cache\n")  # refused before the file is read
-        assert main(argv) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-
 
 class TestErrorReporting:
     def test_bad_config_key_is_json_on_stderr(self, tmp_path, data_csv, capsys):
@@ -567,6 +552,25 @@ class TestErrorReporting:
         assert f"unrecognized arguments: {argv[-1]}" in captured.err
         assert not (tmp_path / "runs").exists()
 
+    def test_text_mode_is_no_flag_and_no_key(self, tmp_path, data_csv, capsys):
+        # every command embeds with the builtin encoder; ablate's w/o Context row is zero text
+        out_root = tmp_path / "runs"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--data", str(data_csv), "--out-root", str(out_root),
+                  "--text-mode", "zero"] + BASE)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --text-mode zero" in captured.err
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("text_mode=builtin\n")
+        assert main(["train", "--data", str(data_csv), "--out-root", str(out_root),
+                     "--config", str(cfg_file)] + BASE) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert captured.out == "" and json.loads(line) == {
+            "error": "ConfigError", "message": "unknown config key 'text_mode'"}
+        assert not out_root.exists()
+
     def test_parse_error_carries_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -598,7 +602,8 @@ class TestErrorReporting:
     @pytest.mark.parametrize("argv, error, where", [
         (["--epochs", "1", "--max-steps", "1", "--lr", "1e300"], "ConfigError", "at epoch 0: "),
         (["--epochs", "3", "--batch", "4", "--lr", "1e40"], "NonFiniteGradient", "at step 2"),
-    ], ids=["val-mse", "gradient"])
+        (["--epochs", "1", "--lambda", "1e308"], "ConfigError", "at epoch 0: "),
+    ], ids=["val-mse", "gradient", "train-loss"])
     def test_a_diverging_train_is_one_json_line(self, tmp_path, two_regime_csv, capsys, argv,
                                                 error, where):
         # the suite turns NumPy's overflow warnings into errors, so none may be raised either
@@ -912,10 +917,23 @@ class TestEvaluateCommand:
         assert re.fullmatch(r"evaluate-[0-9a-f]{12}", run_dir.name)
         report = json.loads((run_dir / "report.json").read_text())
         assert set(report["horizons"]) == {"4", "8"}
-        for cell in report["horizons"].values():
-            assert set(cell) == {"mse", "mae"}
+        # persistence is scored on the same windows and averaged per window, as the model is
+        cfg = resolve_config(None, {"context_len": "12", "stride": "4",
+                                    "split_counts": "72,24,24"})
+        _, (test_w,) = cli.prepare(cfg, data_csv, 8, ("test",))
+        for h, cell in report["horizons"].items():
+            assert set(cell) == {"mse", "mae", "persistence"}
+            scores = [metrics(persistence_baseline(w.context, int(h)), w.target[: int(h)])
+                      for w in test_w[:2]]
+            assert cell["persistence"] == {"mse": float(np.mean([mse for mse, _ in scores])),
+                                           "mae": float(np.mean([mae for _, mae in scores]))}
         table = render_forecast_table(report)
         assert "horizon" in table and "avg" in table and f"{report['avg_mse']:.4f}" in table
+        assert table.splitlines()[0].split() == ["horizon", "MSE", "MAE", "persistence", "MSE",
+                                                 "persistence", "MAE"]
+        assert f"{report['horizons']['8']['persistence']['mae']:.4f}" in table.splitlines()[3]
+        assert table.splitlines()[-1].split() == ["avg", f"{report['avg_mse']:.4f}",
+                                                  f"{report['avg_mae']:.4f}"]
         assert f"{table}\nreport: {run_dir / 'report.json'}\n" in out
         showcase = (run_dir / "showcase.csv").read_text().splitlines()
         assert showcase[0] == "t,truth,prediction"
@@ -1122,10 +1140,10 @@ class TestEvaluateCommand:
 
 class TestHarnessCommands:
     @pytest.mark.parametrize("argv,name,run_dir,digest", [
-        (["ablate", "--seeds", "0,1"], "ablation.json", "ablate-cf415c298683",
-         "1c79df31e5179d6a445123551b654392d089db9ebc5c3fe4d4250e30d6ec9719"),
-        (["promote", "--sizes", "8,16"], "promotion.json", "promote-21921f2c9d11",
-         "b556c461419ba9c81adb72aa7bb8d906a579cc80d50a11f8cd5eaf6ac7a4b579"),
+        (["ablate", "--seeds", "0,1"], "ablation.json", "ablate-8bd5ed99c6f7",
+         "eba07f0c58c4400c054e4ed34d27769537610d1377865ce879e7161d3d5b8a19"),
+        (["promote", "--sizes", "8,16"], "promotion.json", "promote-2488d9dea4c9",
+         "ceb2a742291ee0d8677cd740bf447932200da60863c0c1691e5d70384c7d17e4"),
     ], ids=["ablate", "promote"])
     def test_harness_file_bytes_pinned(self, tmp_path, data_csv, argv, name, run_dir, digest):
         """A harness report is fixed byte for byte, under a fixed run-directory name.
@@ -1149,18 +1167,6 @@ class TestHarnessCommands:
         assert set(report) == {"rows", "resolved_config", "data", "data_sha256", "inputs"}
         assert set(report["rows"]) == {"Original", "w/o Context", "w/o Fusion", "w/o MoE"}
         assert report["inputs"] == {"seeds": [0]}
-
-    def test_ablate_refuses_text_mode_zero(self, tmp_path, data_csv, capsys):
-        # every ablation row sets its own text mode, so a configured one would go unused
-        out_root = tmp_path / "runs"
-        rc = main(["ablate", "--data", str(data_csv), "--seeds", "0", "--text-mode", "zero",
-                   "--out-root", str(out_root)] + BASE)
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        payload = json.loads(err)
-        assert payload["error"] == "ConfigError" and "text_mode" in payload["message"]
-        assert not out_root.exists()
 
     @pytest.mark.parametrize("argv,key", [
         (["promote", "--sizes", "8", "--experts", "1"], "experts"),
@@ -1250,7 +1256,7 @@ class TestHarnessCommands:
 
     @pytest.mark.parametrize("command,extra,sources", [
         ("ablate", ["--seeds", "0"], {"PromptEncoder", "ZeroTextSource"}),
-        ("promote", ["--sizes", "8", "--text-mode", "zero"], {"ZeroTextSource"}),
+        ("promote", ["--sizes", "8"], {"PromptEncoder"}),
     ], ids=["ablate", "promote"])
     def test_harness_renders_with_configured_text(self, tmp_path, data_csv, monkeypatch,
                                                   command, extra, sources):

@@ -350,12 +350,6 @@ class TestHarnesses:
         with pytest.raises(ConfigError, match="seed"):
             ablation_run([], [], HOURLY, self.CONFIG, self.TCONFIG, seeds=())
 
-    def test_promotion_refuses_an_unknown_text_mode(self, monkeypatch):
-        monkeypatch.setattr(evaluation, "train_model", None)  # refused before training
-        with pytest.raises(ConfigError, match="bogus"):
-            promotion_run([], [], HOURLY, self.CONFIG, self.TCONFIG, sizes=(8,),
-                          text_mode="bogus")
-
 
 class TestRenderTable:
     def test_alignment(self):

@@ -21,7 +21,6 @@ from fusecast.textenc import (
     precompute_cache,
     prompt_key,
     save_cache,
-    text_source,
 )
 from fusecast.textenc import _token_vector  # shared by the reference loop below
 from fusecast.train import window_segments
@@ -136,12 +135,6 @@ class TestEncoder:
     def test_zero_source(self):
         z = ZeroTextSource(dim=7)
         np.testing.assert_array_equal(z.embed("anything"), np.zeros(7))
-
-    def test_text_source_names_only_its_modes(self):
-        assert isinstance(text_source("builtin", 7, 0), PromptEncoder)
-        assert isinstance(text_source("zero", 7, 0), ZeroTextSource)
-        with pytest.raises(ConfigError, match="bogus"):
-            text_source("bogus", 7, 0)
 
 
 def _ema_loop(prompt, dim, seed):
