@@ -80,14 +80,10 @@ _SCHEMA = {
     "split_counts": (str, ""),  # "train,val,test" rows; empty = 60/20/20
     "stride": (int, 1),
     "horizon": (int, 96),
-    "text_seed": (int, 0),
-    "decimals": (int, 4),
 }
 
-# key -> (lowest, highest) accepted value. float64 carries 17 significant digits, so
-# more decimals would only slow rendering down; the encoder reads its seed as 64 bits
-_BOUNDS = {"context_len": (1, math.inf), "segment_len": (1, math.inf), "stride": (1, math.inf),
-           "horizon": (1, math.inf), "decimals": (0, 17), "text_seed": (0, 2**64 - 1)}
+# key -> (lowest, highest) accepted value
+_BOUNDS = dict.fromkeys(("context_len", "segment_len", "stride", "horizon"), (1, math.inf))
 
 
 def parse_config_file(path) -> dict:
@@ -232,11 +228,12 @@ def prepare(cfg, data_path, horizon: int, splits):
     """Load, split and normalize a series; return (freq, [windows of each split]).
 
     Normalization stats come from the train split. The val and test splits
-    borrow context from the history before them.
+    borrow context from the history before them. Only the `splits` sampled must hold
+    a window at `horizon`; sample_windows refuses one that does not.
     """
     frame = dataio.load_csv(data_path)
     spec = dataio.SplitSpec.from_counts(_split_counts(cfg, frame), cfg["context_len"])
-    ranges = dataio.make_splits(frame, spec, horizon)
+    ranges = dataio.make_splits(frame, spec, 1)
     norm = dataio.normalize(frame, dataio.compute_norm_stats(frame, ranges.train))
     windows = []
     for which in splits:
@@ -271,7 +268,7 @@ def _fit(cfg, data_path, emb_cache=None):
     freq, (train_w, val_w) = prepare(cfg, data_path, cfg["horizon"], ("train", "val"))
     mconfig, tconfig = _model_config(cfg), _train_config(cfg)
     if not emb_cache:
-        make = partial(PromptEncoder, mconfig.dim, cfg["text_seed"])
+        make = partial(PromptEncoder, mconfig.dim)
     elif Path(emb_cache).exists():
         def make():
             cache = load_cache(emb_cache)
@@ -281,12 +278,11 @@ def _fit(cfg, data_path, emb_cache=None):
     else:
         def make():  # builds and writes the cache, and hands it over without reading it back
             prompts = dict.fromkeys(p for w in train_w + val_w for p in window_segments(
-                w.context, w.start, freq, mconfig.segment_len, cfg["decimals"])[1])
-            cache = precompute_cache(prompts, mconfig.dim, cfg["text_seed"])
+                w.context, w.start, freq, mconfig.segment_len)[1])
+            cache = precompute_cache(prompts, mconfig.dim)
             save_cache(cache, emb_cache)
             return cache
-    (result,) = train_variants(train_w, val_w, freq, [(mconfig, tconfig, make)],
-                               cfg["decimals"])
+    (result,) = train_variants(train_w, val_w, freq, [(mconfig, tconfig, make)])
     return mconfig, result
 
 
@@ -323,18 +319,24 @@ def cmd_evaluate(args) -> int:
     freq, (test_w,) = prepare(cfg, args.data, top, ("test",))
     if args.max_windows:
         test_w = test_w[: args.max_windows]
-    source = PromptEncoder(mconfig.dim, cfg["text_seed"])
+    source, seg = PromptEncoder(mconfig.dim), mconfig.segment_len
+
+    def scored(forecasts, lo, hi):  # against true values lo:hi, averaged per window
+        mse, mae = zip(*(metrics(f, w.target[lo:hi]) for f, w in zip(forecasts, test_w)))
+        return {"mse": float(np.mean(mse)), "mae": float(np.mean(mae))}
+
     per_horizon = {}
     for h in horizons:  # ascending, so `preds` ends as the forecasts at the top horizon
-        mse, mae, preds = forecast_windows(params, mconfig, test_w, freq, h, source,
-                                           cfg["decimals"])
+        mse, mae, preds = forecast_windows(params, mconfig, test_w, freq, h, source)
         if not (math.isfinite(mse) and math.isfinite(mae)):  # JSON has no inf or NaN
             raise ConfigError(f"horizon {h}: forecast MSE {mse} and MAE {mae} are not finite")
-        base_mse, base_mae = zip(*(metrics(persistence_baseline(w.context, h), w.target[:h])
-                                   for w in test_w))  # averaged per window, as the model is
-        per_horizon[h] = {"mse": mse, "mae": mae, "persistence": {
-            "mse": float(np.mean(base_mse)), "mae": float(np.mean(base_mae))}}
-    report = {"horizons": per_horizon,
+        baselines = {"persistence": [persistence_baseline(w.context, h) for w in test_w],
+                     "last_segment": [np.resize(w.context[-seg:], h) for w in test_w]}
+        per_horizon[h] = {"mse": mse, "mae": mae,
+                          **{name: scored(fc, 0, h) for name, fc in baselines.items()}}
+    rolls = [scored([p[lo : lo + seg] for p in preds], lo, lo + seg)["mse"]
+             for lo in range(0, top, seg)]  # each roll of the forecasts at the top horizon
+    report = {"horizons": per_horizon, "roll_mse": rolls,
               "avg_mse": sum(v["mse"] for v in per_horizon.values()) / len(horizons),
               "avg_mae": sum(v["mae"] for v in per_horizon.values()) / len(horizons)}
 
@@ -356,8 +358,7 @@ def cmd_ablate(args) -> int:
     cfg = _config_from(args)
     seeds = _int_list(args.seeds, "seeds")
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
-    report = ablation_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg),
-                          seeds=seeds, text_seed=cfg["text_seed"], decimals=cfg["decimals"])
+    report = ablation_run(train_w, val_w, freq, _model_config(cfg), _train_config(cfg), seeds)
     _publish(args, cfg, report, "ablation.json", render_ablation_table, ("seed",), seeds=seeds)
     return 0
 
@@ -367,8 +368,7 @@ def cmd_promote(args) -> int:
     sizes = _int_list(args.sizes, "sizes")
     config = _model_config({**cfg, "hidden_dim": sizes[0], "gated": True})  # the rows set both
     freq, (train_w, val_w) = prepare(cfg, args.data, cfg["horizon"], ("train", "val"))
-    report = promotion_run(train_w, val_w, freq, config, _train_config(cfg),
-                           sizes, text_seed=cfg["text_seed"], decimals=cfg["decimals"])
+    report = promotion_run(train_w, val_w, freq, config, _train_config(cfg), sizes)
     _publish(args, cfg, report, "promotion.json", render_promotion_table,
              ("hidden_dim", "gated"), sizes=sizes)
     return 0
@@ -408,8 +408,7 @@ def cmd_dump_prompts(args) -> int:
         raise ConfigError(f"windows must be >= 0, got {args.windows}")
     freq, (windows,) = prepare(cfg, args.data, cfg["horizon"], (args.split,))
     for i, w in enumerate(windows[: args.windows]):
-        _, prompts = window_segments(w.context, w.start, freq,
-                                     cfg["segment_len"], cfg["decimals"])
+        _, prompts = window_segments(w.context, w.start, freq, cfg["segment_len"])
         _say(f"window {i} channel {w.channel} starting {w.start}")
         for j, prompt in enumerate(prompts, start=1):
             _say(f"  [{j}] {prompt}")

@@ -69,9 +69,9 @@ def _instant(ts: datetime) -> str:
     return f"{ts.day:02d}-{_MONTHS[ts.month - 1]}-{ts.year:04d} {ts.hour:02d}:{ts.minute:02d}"
 
 
-def render_prompt(segment: Segment, decimals: int = 4) -> str:
-    """The segment's prompt: its time range, then its statistics at ``decimals``."""
+def render_prompt(segment: Segment) -> str:
+    """The segment's prompt: its time range, then its statistics, each to four places."""
     mean, std, change = _stats(segment.values)
     return (f"The time range of this sequence is from {_instant(segment.start)} to "
-            f"{_instant(segment.end)} Mean is {mean:.{decimals}f}, standard deviation is "
-            f"{std:.{decimals}f}, change is {change:.{decimals}f}.")
+            f"{_instant(segment.end)} Mean is {mean:.4f}, standard deviation is "
+            f"{std:.4f}, change is {change:.4f}.")

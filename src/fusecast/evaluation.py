@@ -36,8 +36,7 @@ def persistence_baseline(context, horizon: int):
     return np.full(horizon, context[-1])
 
 
-def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon: int,
-                     text_source, decimals: int = 4):
+def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon: int, text_source):
     """Forecast `horizon` values by repeated next-segment prediction.
 
     Each roll re-renders prompts for the context-length tail window with arithmetic
@@ -51,16 +50,14 @@ def rolling_forecast(params, config: ModelConfig, context, start, freq, horizon:
     buf = context.copy()
     for _ in range(math.ceil(horizon / config.segment_len)):
         tail_start = start + (buf.shape[0] - width) * freq
-        x, prompts = window_segments(buf[-width:], tail_start, freq, config.segment_len,
-                                     decimals)
+        x, prompts = window_segments(buf[-width:], tail_start, freq, config.segment_len)
         te = np.stack([text_source.embed(p) for p in prompts])
         trace = forward(params, config, x[None], te[None], keep_trace=False)
         buf = np.concatenate([buf, trace.pred[0, -1]])
     return buf[width : width + horizon]
 
 
-def forecast_windows(params, config: ModelConfig, windows, freq, horizon: int,
-                     text_source, decimals: int = 4):
+def forecast_windows(params, config: ModelConfig, windows, freq, horizon: int, text_source):
     """Roll every window to `horizon`; returns (mean MSE, mean MAE, per-window forecasts)."""
     if not windows:
         raise ConfigError("no windows to evaluate")
@@ -69,7 +66,7 @@ def forecast_windows(params, config: ModelConfig, windows, freq, horizon: int,
         if len(w.target) < horizon:
             raise ShapeError(f"window future has {len(w.target)} values < horizon {horizon}")
         preds.append(rolling_forecast(params, config, w.context, w.start, freq, horizon,
-                                      text_source, decimals))
+                                      text_source))
         scores.append(metrics(preds[-1], w.target[:horizon]))
     mse, mae = zip(*scores)
     return float(np.mean(mse)), float(np.mean(mae)), preds
@@ -93,7 +90,7 @@ def format_promotion(mse_original: float, mse_new: float) -> str:
     return f"{value:+.1f}%"
 
 
-def train_variants(train_windows, val_windows, freq, rows, decimals: int) -> list:
+def train_variants(train_windows, val_windows, freq, rows) -> list:
     """Train one model per (ModelConfig, TrainConfig, text-source maker) row; results in row order.
 
     A maker takes no arguments and returns a text source. Each distinct (segment_len, maker
@@ -104,15 +101,14 @@ def train_variants(train_windows, val_windows, freq, rows, decimals: int) -> lis
     for mconfig, _, make in rows:
         key = (mconfig.segment_len, make)  # a maker is keyed by identity
         if key not in assembled:  # the source lives only inside this comprehension
-            assembled[key] = [assemble_windows(w, freq, mconfig.segment_len, source, decimals)
+            assembled[key] = [assemble_windows(w, freq, mconfig.segment_len, source)
                               for source in [make()] for w in (train_windows, val_windows)]
     return [train_model(init_params(mconfig), mconfig, tconfig,
                         *assembled[mconfig.segment_len, make]) for mconfig, tconfig, make in rows]
 
 
 def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
-                 tconfig: TrainConfig, seeds=(0, 1, 2), text_seed: int = 0,
-                 decimals: int = 4) -> dict:
+                 tconfig: TrainConfig, seeds=(0, 1, 2)) -> dict:
     """Train the four ABLATION_ROWS under each seed; report validation MSE/MAE.
 
     Each row is a (ModelConfig, text-source maker) pair on the base config and seed.
@@ -129,14 +125,14 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
     if not config.fused or config.experts < 2:  # else two or more rows are one model
         raise ConfigError(f"ablation needs fused=True and experts >= 2, got fused={config.fused} "
                           f"experts={config.experts}")
-    builtin = partial(PromptEncoder, config.dim, text_seed)
+    builtin = partial(PromptEncoder, config.dim)
     zero = partial(ZeroTextSource, config.dim)
     variants = dict(zip(ABLATION_ROWS, [(config, builtin), (config, zero),
                                         (replace(config, fused=False), builtin),
                                         (replace(config, experts=1, gated=False), builtin)]))
     grid = [(replace(variant, seed=seed), replace(tconfig, seed=seed), make)
             for variant, make in variants.values() for seed in seeds]
-    results = iter(train_variants(train_windows, val_windows, freq, grid, decimals))
+    results = iter(train_variants(train_windows, val_windows, freq, grid))
     rows = {}
     for row in variants:  # the grid runs row by row, seed by seed
         scored = [next(results) for _ in seeds]
@@ -154,7 +150,7 @@ def ablation_run(train_windows, val_windows, freq, config: ModelConfig,
 
 
 def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
-                  tconfig: TrainConfig, sizes, text_seed: int = 0, decimals: int = 4) -> dict:
+                  tconfig: TrainConfig, sizes) -> dict:
     """Single-expert vs routed-experts comparison across backbone widths.
 
     For each hidden size, trains a one-expert ungated model and a gated
@@ -168,10 +164,10 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
     bases = [replace(config, dim=dim) for dim in sizes]  # every width is checked before training
     table = []
     for base in bases:  # one harness call per size keeps one size's windows in memory
-        make = partial(PromptEncoder, base.dim, text_seed)
+        make = partial(PromptEncoder, base.dim)
         pair = [(replace(base, experts=1, gated=False), tconfig, make),
                 (replace(base, gated=True), tconfig, make)]
-        results = train_variants(train_windows, val_windows, freq, pair, decimals)
+        results = train_variants(train_windows, val_windows, freq, pair)
         original, moe = ({"mse": r.best_val_mse, "mae": r.best_val_mae} for r in results)
         table.append({
             "size": base.dim,
@@ -185,9 +181,9 @@ def promotion_run(train_windows, val_windows, freq, config: ModelConfig,
 
 
 def render_table(headers, rows) -> str:
-    """Fixed-width text table."""
+    """Fixed-width text table; a short row leaves its last columns blank."""
     cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    widths = [max(len(row[i]) for row in cells if i < len(row)) for i in range(len(headers))]
     lines = []
     for idx, row in enumerate(cells):
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
@@ -227,7 +223,9 @@ def render_promotion_table(report: dict) -> str:
 
 
 def render_forecast_table(report: dict) -> str:
-    rows = [[h, f"{v['mse']:.4f}", f"{v['mae']:.4f}", f"{v['persistence']['mse']:.4f}",
-             f"{v['persistence']['mae']:.4f}"] for h, v in report["horizons"].items()]
-    rows.append(["avg", f"{report['avg_mse']:.4f}", f"{report['avg_mae']:.4f}", "", ""])
-    return render_table(["horizon", "MSE", "MAE", "persistence MSE", "persistence MAE"], rows)
+    rows = [[h, *(f"{cell[m]:.4f}" for cell in (v, v["persistence"], v["last_segment"])
+                  for m in ("mse", "mae"))] for h, v in report["horizons"].items()]
+    rows.append(["avg", f"{report['avg_mse']:.4f}", f"{report['avg_mae']:.4f}"])
+    rows += [[f"roll {k}", f"{mse:.4f}"] for k, mse in enumerate(report["roll_mse"], start=1)]
+    return render_table(["horizon", "MSE", "MAE", "persistence MSE", "persistence MAE",
+                         "last-segment MSE", "last-segment MAE"], rows)

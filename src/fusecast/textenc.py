@@ -94,7 +94,7 @@ class PromptEncoder:
     sources share one, so a token is hashed again by every new source.
     """
 
-    def __init__(self, dim: int, seed: int):
+    def __init__(self, dim: int, seed: int = 0):
         self.dim = dim
         self.seed = seed
         self._vectors: dict[str, np.ndarray] = {}
@@ -143,7 +143,7 @@ class EmbeddingCache:
         return self.lookup(prompt).vector
 
 
-def precompute_cache(prompts, dim: int, seed: int) -> EmbeddingCache:
+def precompute_cache(prompts, dim: int, seed: int = 0) -> EmbeddingCache:
     """Fill a new cache from the encoder: each distinct prompt encoded once, each token once."""
     cache, tokens = EmbeddingCache(dim=dim), {}
     for prompt in dict.fromkeys(prompts):

@@ -135,7 +135,7 @@ def adamw_step(params: dict, grads: dict, state: OptState, config: TrainConfig):
         params[name] -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
-def window_segments(values, start, freq, segment_len: int, decimals: int = 4):
+def window_segments(values, start, freq, segment_len: int):
     """Segment one context window and render its prompts.
 
     The window is trimmed from the front to a multiple of segment_len so the
@@ -148,7 +148,7 @@ def window_segments(values, start, freq, segment_len: int, decimals: int = 4):
         raise ConfigError(f"context of {values.shape[0]} values < one segment of {segment_len}")
     trim = values.shape[0] - n * segment_len
     segments = segment_series(values[trim:], start + trim * freq, segment_len, freq)
-    prompts = [render_prompt(seg, decimals) for seg in segments]
+    prompts = [render_prompt(seg) for seg in segments]
     return np.stack([seg.values for seg in segments]), prompts
 
 
@@ -163,7 +163,7 @@ class WindowTensors:
     future: np.ndarray  # (W, F) true continuation of each window; F <= S once assembled
 
 
-def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int = 4) -> WindowTensors:
+def assemble_windows(windows, freq, segment_len: int, text_source) -> WindowTensors:
     """Every window's segments as a table that stores each distinct one once.
 
     A segment's key is (prompt, value bytes): equal keys hold equal values and
@@ -175,7 +175,7 @@ def assemble_windows(windows, freq, segment_len: int, text_source, decimals: int
         raise ConfigError("no windows to assemble")
     table, text = {}, []
     for i, w in enumerate(windows):
-        x, prompts = window_segments(w.context, w.start, freq, segment_len, decimals)
+        x, prompts = window_segments(w.context, w.start, freq, segment_len)
         kept = w.target[:segment_len]
         if i == 0:
             rows = np.empty((len(windows), len(prompts)), dtype=np.intp)

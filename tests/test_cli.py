@@ -26,9 +26,10 @@ from fusecast.cli import (
 )
 from fusecast.data import TimeSeriesFrame
 from fusecast.errors import ConfigError, FusecastError
-from fusecast.evaluation import persistence_baseline, render_forecast_table
+from fusecast.evaluation import forecast_windows, persistence_baseline, render_forecast_table
 from fusecast.model import ModelConfig, load_checkpoint
 from fusecast.synth import SynthSpec, generate, save_csv, spec_comment
+from fusecast.textenc import PromptEncoder
 from fusecast.train import SPARSITY_MODES, TrainConfig, assemble_windows, metrics
 
 BASE = [
@@ -201,7 +202,7 @@ class TestConfigResolution:
             for key, name in keys.items():
                 assert cli._SCHEMA[key] == (convert[types[name]], getattr(cls, name)), key
         assert set(cli._SCHEMA) - set(cli._MODEL_KEYS) - set(cli._TRAIN_KEYS) == {
-            "context_len", "split_counts", "stride", "horizon", "text_seed", "decimals"}
+            "context_len", "split_counts", "stride", "horizon"}
 
     def test_every_stated_floor_is_enforced_and_names_its_key(self):
         # a floor outside _BOUNDS is the config classes' to enforce, under the key's own name
@@ -452,15 +453,15 @@ class TestTrainCommand:
         assert "cache dim" in err["message"]
 
     def test_embedding_cache_names_the_run_dir(self, tmp_path, data_csv, capsys):
-        # a seed-0 cache read at --text-seed 7 must not overwrite the plain seed-7 run
+        # a run that reads a cache lands beside the run that wrote those bytes, not the plain run
         cache = tmp_path / "emb.jsonl"
         out_root = tmp_path / "runs"
         argv = ["train", "--data", str(data_csv), "--out-root", str(out_root)] + BASE
         assert main(argv + ["--emb-cache", str(cache)]) == 0
-        assert main(argv + ["--text-seed", "7"]) == 0
-        assert main(argv + ["--text-seed", "7", "--emb-cache", str(cache)]) == 0
-        dirs = re.findall(r"report: (\S+)", capsys.readouterr().out)
-        assert len(set(dirs)) == 3
+        assert main(argv) == 0
+        assert main(argv + ["--emb-cache", str(cache)]) == 0
+        written, plain, reread = re.findall(r"report: (\S+)", capsys.readouterr().out)
+        assert written == reread != plain
 
     def test_embedding_cache_refuses_non_finite_vector(self, tmp_path, data_csv, capsys):
         # the cache line is to blame, not the parameter whose gradient turns NaN
@@ -553,23 +554,32 @@ class TestErrorReporting:
         assert not (tmp_path / "runs").exists()
 
     def test_text_mode_is_no_flag_and_no_key(self, tmp_path, data_csv, capsys):
-        # every command embeds with the builtin encoder; ablate's w/o Context row is zero text
+        # every command embeds with the builtin encoder at seed 0 and renders its prompts to
+        # four places; ablate's w/o Context row is zero text. So a seed-0 cache is never read
+        # under another seed, as `--text-seed 7 --emb-cache` once did
+        cache = tmp_path / "c.txt"
+        argv = ["train", "--data", str(data_csv), "--emb-cache", str(cache)] + BASE
+        assert main(argv + ["--out-root", str(tmp_path / "written")]) == 0
+        written = cache.read_bytes()
+        capsys.readouterr()
         out_root = tmp_path / "runs"
-        with pytest.raises(SystemExit) as exc:
-            main(["train", "--data", str(data_csv), "--out-root", str(out_root),
-                  "--text-mode", "zero"] + BASE)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "unrecognized arguments: --text-mode zero" in captured.err
+        argv += ["--out-root", str(out_root)]
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("text_mode=builtin\n")
-        assert main(["train", "--data", str(data_csv), "--out-root", str(out_root),
-                     "--config", str(cfg_file)] + BASE) == 1
-        captured = capsys.readouterr()
-        (line,) = captured.err.splitlines()
-        assert captured.out == "" and json.loads(line) == {
-            "error": "ConfigError", "message": "unknown config key 'text_mode'"}
-        assert not out_root.exists()
+        for key, flag, value in (("text_mode", "zero", "builtin"), ("text_seed", "7", "0"),
+                                 ("decimals", "2", "4")):
+            option = f"--{key.replace('_', '-')}"
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [option, flag])
+            assert exc.value.code == 2, key
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"unrecognized arguments: {option} {flag}" in captured.err
+            cfg_file.write_text(f"{key}={value}\n")
+            assert main(argv + ["--config", str(cfg_file)]) == 1, key
+            captured = capsys.readouterr()
+            (line,) = captured.err.splitlines()
+            assert captured.out == "" and json.loads(line) == {
+                "error": "ConfigError", "message": f"unknown config key {key!r}"}
+            assert cache.read_bytes() == written and not out_root.exists(), key
 
     def test_parse_error_carries_location(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -882,20 +892,11 @@ class TestErrorReporting:
         ("train", ["--context-len", "-5"], "context_len"),
         ("train", ["--horizon", "0"], "horizon"),
         ("train", ["--horizon", "-3"], "horizon"),
-        ("train", ["--decimals", "-1"], "decimals"),
-        ("train", ["--decimals", "18"], "decimals"),
         ("train", ["--max-steps", "-1"], "max_steps"),
-        ("dump-prompts", ["--decimals", "-1"], "decimals"),
-        ("dump-prompts", ["--decimals", "18"], "decimals"),
         ("dump-prompts", ["--segment-len", "0"], "segment_len"),
         ("dump-prompts", ["--windows", "-1"], "windows"),
-        # the encoder reads its seed modulo 2**64, so a seed outside 0..2**64-1 would alias one
-        ("train", ["--text-seed=-1"], "text_seed"),
-        ("dump-prompts", ["--text-seed", str(2**64)], "text_seed"),
     ], ids=["stride-0", "stride-neg", "context-len-neg", "horizon-0", "horizon-neg",
-            "train-decimals-neg", "train-decimals-18", "max-steps-neg", "dump-decimals-neg",
-            "dump-decimals-18", "dump-segment-len-0",
-            "dump-windows-neg", "train-text-seed-neg", "dump-text-seed-2-64"])
+            "max-steps-neg", "dump-segment-len-0", "dump-windows-neg"])
     def test_out_of_range_integer(self, tmp_path, data_csv, capsys, command, bad, key):
         argv = [command, "--data", str(data_csv), "--out-root", str(tmp_path / "runs")]
         assert main(argv + BASE + bad) == 1
@@ -904,8 +905,39 @@ class TestErrorReporting:
         assert key in err["message"]
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("argv,refused", [
+        (["train", *BASE, "--split-counts", "72,24,2"], None),
+        (["evaluate", *DATA, "--split-counts", "72,8,40", "--horizons", "4,32"], None),
+        (["evaluate", *DATA, "--split-counts", "72,8,40", "--horizons", "64"],
+         "range of 52 rows cannot hold context 12 + horizon 64"),
+    ], ids=["train-short-test", "evaluate-short-val", "evaluate-short-test"])
+    def test_a_command_checks_only_the_splits_it_samples(self, tmp_path, data_csv, trained,
+                                                         capsys, argv, refused):
+        # train reads train and val, evaluate reads the test split (with its borrowed context)
+        if argv[0] == "evaluate":
+            argv = argv + ["--checkpoint", str(trained / "checkpoint.json")]
+        out_root = tmp_path / "runs"
+        rc = main(argv + ["--data", str(data_csv), "--out-root", str(out_root)])
+        if refused is None:
+            assert rc == 0 and len(list(out_root.iterdir())) == 1
+        else:
+            assert rc == 1 and not out_root.exists()
+            (line,) = capsys.readouterr().err.splitlines()
+            assert json.loads(line) == {"error": "SplitTooShort", "message": refused}
+
 
 class TestEvaluateCommand:
+    @staticmethod
+    def _top_forecasts(trained, data_csv, top, max_windows=0):
+        """The first test windows of BASE's splits and the checkpoint's forecasts to `top`."""
+        params, config = load_checkpoint(trained / "checkpoint.json")
+        cfg = resolve_config(None, {"context_len": "12", "stride": "4",
+                                    "split_counts": "72,24,24"})
+        freq, (test_w,) = cli.prepare(cfg, data_csv, top, ("test",))
+        test_w = test_w[: max_windows or None]
+        return test_w, forecast_windows(params, config, test_w, freq, top,
+                                        PromptEncoder(config.dim))[2]
+
     def test_report_and_table(self, tmp_path, data_csv, trained, capsys):
         out_root = tmp_path / "runs"
         rc = main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
@@ -917,23 +949,31 @@ class TestEvaluateCommand:
         assert re.fullmatch(r"evaluate-[0-9a-f]{12}", run_dir.name)
         report = json.loads((run_dir / "report.json").read_text())
         assert set(report["horizons"]) == {"4", "8"}
-        # persistence is scored on the same windows and averaged per window, as the model is
-        cfg = resolve_config(None, {"context_len": "12", "stride": "4",
-                                    "split_counts": "72,24,24"})
-        _, (test_w,) = cli.prepare(cfg, data_csv, 8, ("test",))
+        # each baseline is scored on the same windows and averaged per window, as the model is
+        test_w, preds = self._top_forecasts(trained, data_csv, 8, 2)
         for h, cell in report["horizons"].items():
-            assert set(cell) == {"mse", "mae", "persistence"}
-            scores = [metrics(persistence_baseline(w.context, int(h)), w.target[: int(h)])
-                      for w in test_w[:2]]
-            assert cell["persistence"] == {"mse": float(np.mean([mse for mse, _ in scores])),
-                                           "mae": float(np.mean([mae for _, mae in scores]))}
+            assert set(cell) == {"mse", "mae", "persistence", "last_segment"}
+            h = int(h)
+            for name, forecast in (("persistence", lambda w: persistence_baseline(w.context, h)),
+                                   ("last_segment", lambda w: np.resize(w.context[-4:], h))):
+                scores = [metrics(forecast(w), w.target[:h]) for w in test_w]
+                assert cell[name] == {"mse": float(np.mean([mse for mse, _ in scores])),
+                                      "mae": float(np.mean([mae for _, mae in scores]))}, name
+        assert report["roll_mse"] == [
+            float(np.mean([metrics(p[lo : lo + 4], w.target[lo : lo + 4])[0]
+                           for p, w in zip(preds, test_w)])) for lo in (0, 4)]
+        # the first roll is the segment_len horizon, bit for bit (criterion 10's prefix)
+        assert report["roll_mse"][0] == report["horizons"]["4"]["mse"]
         table = render_forecast_table(report)
-        assert "horizon" in table and "avg" in table and f"{report['avg_mse']:.4f}" in table
-        assert table.splitlines()[0].split() == ["horizon", "MSE", "MAE", "persistence", "MSE",
-                                                 "persistence", "MAE"]
-        assert f"{report['horizons']['8']['persistence']['mae']:.4f}" in table.splitlines()[3]
-        assert table.splitlines()[-1].split() == ["avg", f"{report['avg_mse']:.4f}",
-                                                  f"{report['avg_mae']:.4f}"]
+        lines = table.splitlines()
+        assert lines[0].split() == ["horizon", "MSE", "MAE", "persistence", "MSE", "persistence",
+                                    "MAE", "last-segment", "MSE", "last-segment", "MAE"]
+        cell = report["horizons"]["8"]
+        assert lines[3].split() == ["8", *(f"{c[m]:.4f}" for c in (
+            cell, cell["persistence"], cell["last_segment"]) for m in ("mse", "mae"))]
+        assert lines[4:] == [f"avg      {report['avg_mse']:.4f}  {report['avg_mae']:.4f}",
+                             *(f"roll {k}   {mse:.4f}" for k, mse in
+                               enumerate(report["roll_mse"], start=1))]
         assert f"{table}\nreport: {run_dir / 'report.json'}\n" in out
         showcase = (run_dir / "showcase.csv").read_text().splitlines()
         assert showcase[0] == "t,truth,prediction"
@@ -973,10 +1013,24 @@ class TestEvaluateCommand:
         (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
         first = (run_dir / "report.json").read_bytes()
         report = json.loads(first)
-        assert set(report) == {"horizons", "avg_mse", "avg_mae", "resolved_config", "data",
-                               "data_sha256", "inputs"}
+        assert set(report) == {"horizons", "avg_mse", "avg_mae", "roll_mse", "resolved_config",
+                               "data", "data_sha256", "inputs"}
         assert report["inputs"] == {"checkpoint_sha256": cli._sha256(trained / "checkpoint.json"),
                                     "horizons": [4, 8], "max_windows": 0}
+        # last_segment repeats each window's last segment_len context values
+        test_w, preds = self._top_forecasts(trained, data_csv, 8)
+        for h in (4, 8):
+            scores = [metrics(np.resize(w.context[-4:], h), w.target[:h]) for w in test_w]
+            assert report["horizons"][str(h)]["last_segment"] == {
+                "mse": float(np.mean([mse for mse, _ in scores])),
+                "mae": float(np.mean([mae for _, mae in scores]))}
+        # every roll holds segment_len values in every window, so the per-window mean is the
+        # pooled MSE of the roll's slices, up to rounding
+        assert report["roll_mse"] == pytest.approx([metrics(
+            np.concatenate([p[lo : lo + 4] for p in preds]),
+            np.concatenate([w.target[lo : lo + 4] for w in test_w]))[0] for lo in (0, 4)],
+            rel=1e-12)
+        assert report["roll_mse"][0] == report["horizons"]["4"]["mse"]
         model = {key: report["resolved_config"][key] for key in cli._MODEL_KEYS}
         assert model == {key: getattr(config, name) for key, name in cli._MODEL_KEYS.items()}
         assert model["hidden_dim"] == 8 and model["segment_len"] == 4  # not the defaults
@@ -986,6 +1040,19 @@ class TestEvaluateCommand:
         assert main(argv) == 0  # an identical rerun: same directory, same bytes
         assert [p for p in out_root.iterdir() if p.is_dir()] == [run_dir]
         assert (run_dir / "report.json").read_bytes() == first
+
+    def test_roll_mse_has_one_entry_per_roll(self, tmp_path, data_csv, trained):
+        # a top horizon of 2.5 segments rolls three times; the last roll scores its 2 values
+        out_root = tmp_path / "runs"
+        assert main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(data_csv), "--horizons", "10", "--out-root", str(out_root),
+                     *DATA]) == 0
+        (run_dir,) = out_root.iterdir()
+        report = json.loads((run_dir / "report.json").read_text())
+        test_w, preds = self._top_forecasts(trained, data_csv, 10)
+        assert report["roll_mse"] == [
+            float(np.mean([metrics(p[lo:hi], w.target[lo:hi])[0] for p, w in zip(preds, test_w)]))
+            for lo, hi in ((0, 4), (4, 8), (8, 10))]
 
     @pytest.mark.parametrize("extra,key", [
         (["--hidden-dim", "999"], "hidden_dim"),
@@ -1140,10 +1207,10 @@ class TestEvaluateCommand:
 
 class TestHarnessCommands:
     @pytest.mark.parametrize("argv,name,run_dir,digest", [
-        (["ablate", "--seeds", "0,1"], "ablation.json", "ablate-8bd5ed99c6f7",
-         "eba07f0c58c4400c054e4ed34d27769537610d1377865ce879e7161d3d5b8a19"),
-        (["promote", "--sizes", "8,16"], "promotion.json", "promote-2488d9dea4c9",
-         "ceb2a742291ee0d8677cd740bf447932200da60863c0c1691e5d70384c7d17e4"),
+        (["ablate", "--seeds", "0,1"], "ablation.json", "ablate-26c3d8d98d7e",
+         "0e7cb48627b4b08e7a19271a79d78d60d23d08fd73b1f0a33a2b98c34d77463c"),
+        (["promote", "--sizes", "8,16"], "promotion.json", "promote-3f9a8fc86e3b",
+         "e8d966f283679b1320116f53e603edbaa9b8d2bcdac8f6dd275b1052d57bd5fa"),
     ], ids=["ablate", "promote"])
     def test_harness_file_bytes_pinned(self, tmp_path, data_csv, argv, name, run_dir, digest):
         """A harness report is fixed byte for byte, under a fixed run-directory name.
@@ -1262,16 +1329,15 @@ class TestHarnessCommands:
                                                   command, extra, sources):
         seen = []
 
-        def spy(windows, freq, segment_len, text_source, decimals=4):
-            seen.append((type(text_source).__name__, decimals))
-            return assemble_windows(windows, freq, segment_len, text_source, decimals)
+        def spy(windows, freq, segment_len, text_source):
+            seen.append(type(text_source).__name__)
+            return assemble_windows(windows, freq, segment_len, text_source)
 
         monkeypatch.setattr(evaluation, "assemble_windows", spy)
-        rc = main([command, "--data", str(data_csv), "--decimals", "2",
+        rc = main([command, "--data", str(data_csv),
                    "--out-root", str(tmp_path / "runs")] + extra + BASE)
         assert rc == 0
-        assert {name for name, _ in seen} == sources
-        assert {decimals for _, decimals in seen} == {2}
+        assert set(seen) == sources
 
     def test_sweep(self, tmp_path, data_csv, capsys):
         out_root = tmp_path / "runs"
@@ -1334,7 +1400,7 @@ def _error_argv(name, tmp_path, data_csv, trained, two_regime_csv):
             "--context-len", "96", "--segment-len", "24", "--hidden-dim", "8", "--experts", "2",
             "--layers", "1", "--heads", "1", "--stride", "24", "--horizon", "24",
             "--epochs", "3", "--batch", "4", "--lr", "1e40"],
-        "ConfigError": ["dump-prompts", "--data", str(data_csv), "--text-seed", "-1"],
+        "ConfigError": ["dump-prompts", "--data", str(data_csv), "--stride", "0"],
     }.get(name)
 
 

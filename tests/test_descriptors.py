@@ -107,11 +107,6 @@ class TestRendering:
             "Mean is 3.7500, standard deviation is 2.6810, change is 7.0000."
         )
 
-    def test_decimals_parameter(self):
-        seg = Segment(np.array([0.12345, 0.12345]), T0, T0 + HOURLY)
-        assert "Mean is 0.12," in render_prompt(seg, decimals=2)
-        assert render_prompt(seg, decimals=2).endswith("change is 0.00.")
-
     def test_negative_values_render_with_sign(self):
         seg = Segment(np.array([-1.5, -0.5]), T0, T0 + HOURLY)
         text = render_prompt(seg)

@@ -224,7 +224,7 @@ class TestAblationVariants:
     def test_four_toggle_rows(self, monkeypatch):
         seen = []
 
-        def spy(train_windows, val_windows, freq, rows, decimals):
+        def spy(train_windows, val_windows, freq, rows):
             seen.extend((mconfig, tconfig.seed, type(make()).__name__)
                         for mconfig, tconfig, make in rows)
             return [SimpleNamespace(best_val_mse=0.0, best_val_mae=0.0) for _ in rows]
@@ -292,12 +292,12 @@ class TestHarnesses:
         ]
         calls = []
 
-        def spy(windows, freq, segment_len, text_source, decimals):
+        def spy(windows, freq, segment_len, text_source):
             calls.append((segment_len, type(text_source).__name__))
-            return assemble_windows(windows, freq, segment_len, text_source, decimals)
+            return assemble_windows(windows, freq, segment_len, text_source)
 
         monkeypatch.setattr(evaluation, "assemble_windows", spy)
-        results = train_variants(train_w, val_w, HOURLY, rows, 2)
+        results = train_variants(train_w, val_w, HOURLY, rows)
         # train and val once per distinct (segment_len, maker object)
         assert Counter(calls) == {(4, "PromptEncoder"): 2, (4, "ZeroTextSource"): 2,
                                   (2, "PromptEncoder"): 2}
@@ -306,8 +306,8 @@ class TestHarnesses:
             # each command's own assemble-then-train code, kept as the reference
             source = make()
             direct = train_model(init_params(mconfig), mconfig, tconfig,
-                                 assemble_windows(train_w, HOURLY, mconfig.segment_len, source, 2),
-                                 assemble_windows(val_w, HOURLY, mconfig.segment_len, source, 2))
+                                 assemble_windows(train_w, HOURLY, mconfig.segment_len, source),
+                                 assemble_windows(val_w, HOURLY, mconfig.segment_len, source))
             assert result.best_val_mse == direct.best_val_mse
             assert result.best_val_mae == direct.best_val_mae
             assert result.params.keys() == direct.params.keys()
@@ -321,9 +321,9 @@ class TestHarnesses:
     def test_harness_assembles_once_per_source(self, monkeypatch, harness, kwargs, sources):
         calls = []
 
-        def spy(windows, freq, segment_len, text_source, decimals):
+        def spy(windows, freq, segment_len, text_source):
             calls.append(type(text_source).__name__)
-            return assemble_windows(windows, freq, segment_len, text_source, decimals)
+            return assemble_windows(windows, freq, segment_len, text_source)
 
         monkeypatch.setattr(evaluation, "assemble_windows", spy)
         windows = tiny_windows()
