@@ -25,10 +25,14 @@ from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
+# One BLAS thread unless the user chose a count; this takes effect only before NumPy's import
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import data as dataio
-from .errors import ConfigError, FusecastError
+from .errors import ConfigError, FusecastError, SplitTooShort
 from .evaluation import (
     HORIZONS,
     ablation_run,
@@ -229,19 +233,21 @@ def prepare(cfg, data_path, horizon: int, splits):
 
     Normalization stats come from the train split. The val and test splits
     borrow context from the history before them. Only the `splits` sampled must hold
-    a window at `horizon`; sample_windows refuses one that does not.
+    a window at `horizon`; one that does not is refused by name.
     """
-    frame = dataio.load_csv(data_path)
-    spec = dataio.SplitSpec.from_counts(_split_counts(cfg, frame), cfg["context_len"])
+    frame, c = dataio.load_csv(data_path), cfg["context_len"]
+    spec = dataio.SplitSpec.from_counts(_split_counts(cfg, frame), c)
     ranges = dataio.make_splits(frame, spec, 1)
     norm = dataio.normalize(frame, dataio.compute_norm_stats(frame, ranges.train))
     windows = []
     for which in splits:
-        split = getattr(ranges, which)
-        if which != "train":
-            split = dataio.extend_back(split, cfg["context_len"])
-        windows.append(list(dataio.sample_windows(norm, split, cfg["context_len"], horizon,
-                                                  cfg["stride"])))
+        own = getattr(ranges, which)
+        split = own if which == "train" else dataio.extend_back(own, c)
+        if split[1] - split[0] < c + horizon:
+            raise SplitTooShort(f"{which} split has {own[1] - own[0]} rows and borrows "
+                                f"{own[0] - split[0]} rows of context before it: too few for "
+                                f"context {c} + horizon {horizon}")
+        windows.append(list(dataio.sample_windows(norm, split, c, horizon, cfg["stride"])))
     return norm.freq, windows
 
 

@@ -160,7 +160,7 @@ class WindowTensors:
     values: np.ndarray  # (U, S) distinct segment values
     text: np.ndarray  # (U, D) their prompt embeddings
     rows: np.ndarray  # (W, N) intp index into values and text
-    future: np.ndarray  # (W, F) true continuation of each window; F <= S once assembled
+    windows: list  # the W windows themselves, not copied: validation reads their targets
 
 
 def assemble_windows(windows, freq, segment_len: int, text_source) -> WindowTensors:
@@ -168,30 +168,28 @@ def assemble_windows(windows, freq, segment_len: int, text_source) -> WindowTens
 
     A segment's key is (prompt, value bytes): equal keys hold equal values and
     embed to an equal vector, so a window's rows are its window_segments, embedded, bit for bit.
-    The values are the keys' bytes, so no window's array outlives its window.
-    A future keeps its first segment only, the span evaluate_windows scores.
+    The values are the keys' bytes, and no future is copied: training reads none, and
+    train_model stacks the val windows' targets once.
     """
     if not windows:
         raise ConfigError("no windows to assemble")
     table, text = {}, []
     for i, w in enumerate(windows):
         x, prompts = window_segments(w.context, w.start, freq, segment_len)
-        kept = w.target[:segment_len]
+        shape = (len(prompts), len(w.target[:segment_len]))
         if i == 0:
-            rows = np.empty((len(windows), len(prompts)), dtype=np.intp)
-            future = np.empty((len(windows),) + kept.shape)
-        elif (len(prompts), len(kept)) != (rows.shape[1], future.shape[1]):
-            raise ShapeError(f"window {i} has {len(prompts)} segments and {len(kept)} future "
-                             f"values, window 0 has {rows.shape[1]} and {future.shape[1]}")
+            rows, first = np.empty((len(windows), len(prompts)), dtype=np.intp), shape
+        elif shape != first:
+            raise ShapeError(f"window {i} has {shape[0]} segments and {shape[1]} future "
+                             f"values, window 0 has {first[0]} and {first[1]}")
         for j, (segment, prompt) in enumerate(zip(x, prompts)):
             vector = text_source.embed(prompt)  # every prompt, as rolling_forecast does
             row = rows[i, j] = table.setdefault((prompt, segment.tobytes()), len(table))
             if row == len(text):
                 text.append(vector)
-        future[i] = kept
     values = np.frombuffer(b"".join(raw for _, raw in table), dtype=np.float64)
     return WindowTensors(values=values.reshape(len(table), -1), text=np.array(text),
-                         rows=rows, future=future)
+                         rows=rows, windows=windows)
 
 
 def _batch_step(params, mconfig, tconfig, values, text, rows):
@@ -220,16 +218,16 @@ def _train_step(params, mconfig, tconfig, state, values, text, rows) -> float:
     return total
 
 
-def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors):
-    """Forecast quality of the final position against each window's true future.
+def evaluate_windows(params, mconfig: ModelConfig, data: WindowTensors, targets):
+    """Forecast quality of the final position against `targets`, each window's true future.
 
-    Returns (mse, mae, mean gate entropy, alpha). Assembly keeps at most segment_len
+    Returns (mse, mae, mean gate entropy, alpha). `targets` (W, F) hold at most segment_len
     future values, all scored; longer horizons need autoregressive rolling and are the
     evaluation module's job. The forward keeps no trace and gathers its slabs from the
     table itself, so the windows are never gathered whole.
     """
     trace = forward(params, mconfig, data.values, data.text, keep_trace=False, rows=data.rows)
-    mse, mae = metrics(trace.pred[:, -1, :data.future.shape[1]], data.future)
+    mse, mae = metrics(trace.pred[:, -1, :targets.shape[1]], targets)
     entropy = float(-(trace.gate * _gate_log(trace.gate)).sum(axis=-1).mean())
     return mse, mae, entropy, trace.alpha
 
@@ -255,7 +253,8 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
     if train_data.rows.shape[1] < 2:
         raise ConfigError("teacher-forced training needs at least 2 segments per window")
     state = init_opt_state(params)
-    result = TrainResult(params={k: v.copy() for k, v in params.items()})
+    result = TrainResult(params={})  # epoch 0 always fills it, since a diverged epoch raises
+    targets = np.stack([w.target[:mconfig.segment_len] for w in val_data.windows])
     n_windows = len(train_data.rows)
     done = False
     for epoch in range(tconfig.epochs):
@@ -268,7 +267,7 @@ def train_model(params: dict, mconfig: ModelConfig, tconfig: TrainConfig,
             if tconfig.max_steps and state.step >= tconfig.max_steps:
                 done = True
                 break
-        val_mse, val_mae, entropy, alpha = evaluate_windows(params, mconfig, val_data)
+        val_mse, val_mae, entropy, alpha = evaluate_windows(params, mconfig, val_data, targets)
         loss = float(np.mean(batch_losses))
         if not (math.isfinite(loss) and math.isfinite(val_mse)):  # a diverged run is not kept
             raise ConfigError(f"train loss {loss} and validation MSE {val_mse} at epoch {epoch}: "

@@ -17,9 +17,11 @@ def memos_at_first_train(monkeypatch):
     """Weak references to every PromptEncoder built and every token vector made.
 
     Returns a dict that the first `train_model` call of the harness fills, after a
-    `gc.collect()`: `made` and `alive` each count the encoders and the token vectors.
+    `gc.collect()`: `made` and `alive` each count the encoders and the token vectors, and
+    `arrays` names the arrays that its train table and its val table each hold.
     """
-    from fusecast import evaluation, textenc  # here, so the settings above need no fusecast
+    import numpy as np  # here, so the settings above need neither NumPy nor fusecast
+    from fusecast import evaluation, textenc
 
     refs = {"encoders": [], "tokens": []}
     seen = {}
@@ -41,6 +43,8 @@ def memos_at_first_train(monkeypatch):
             seen["made"] = {kind: len(each) for kind, each in refs.items()}
             seen["alive"] = {kind: sum(ref() is not None for ref in each)
                              for kind, each in refs.items()}
+            seen["arrays"] = [{name for name, value in vars(table).items()
+                               if isinstance(value, np.ndarray)} for table in args[3:5]]
         return train_model(*args, **kwargs)
 
     monkeypatch.setattr(textenc.PromptEncoder, "__init__", tracked_init)

@@ -85,6 +85,33 @@ def test_cli_import_loads_no_scipy():
     assert [m for m in out.split() if m == "scipy" or m.startswith("scipy.")] == []
 
 
+_SPY_BLAS_VARS = """
+import json, os, sys
+def seen(): print(json.dumps([os.environ.get(name) for name in sys.argv[1:]]))
+class AtNumpyImport:  # a finder that only looks: OpenBLAS reads its count as NumPy loads
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy": seen()
+sys.meta_path.insert(0, AtNumpyImport())
+import fusecast.cli
+seen()
+"""
+
+
+@pytest.mark.parametrize("preset,want", [
+    ({}, ["1", None]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None]),
+    ({"OMP_NUM_THREADS": "2"}, [None, "2"]),
+], ids=["unset", "openblas-2", "omp-2"])
+def test_cli_import_runs_blas_on_one_thread_unless_a_count_is_set(preset, want):
+    # (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS) as NumPy starts to import, then after the import
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env.update(preset, PYTHONPATH=str(Path(evaluation.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", _SPY_BLAS_VARS, *names], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert [json.loads(line) for line in out.splitlines()] == [want, want]
+
+
 def _readme_config_rows():
     """(key, default, meaning) of each row of the README's config table."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -354,6 +381,8 @@ class TestTrainCommand:
         made = memos_at_first_train["made"]
         assert made["tokens"] > 0 and made["encoders"] == (0 if cache else 1)
         assert memos_at_first_train["alive"] == {"encoders": 0, "tokens": 0}
+        # neither table copies a future: training reads none, validation stacks its own
+        assert memos_at_first_train["arrays"] == [{"values", "text", "rows"}] * 2
 
     def test_lambda_0_trains_alike_under_either_mode(self, tmp_path, data_csv):
         # no penalty at lambda 0, whatever the mode: what a mode without a penalty would train
@@ -909,8 +938,12 @@ class TestErrorReporting:
         (["train", *BASE, "--split-counts", "72,24,2"], None),
         (["evaluate", *DATA, "--split-counts", "72,8,40", "--horizons", "4,32"], None),
         (["evaluate", *DATA, "--split-counts", "72,8,40", "--horizons", "64"],
-         "range of 52 rows cannot hold context 12 + horizon 64"),
-    ], ids=["train-short-test", "evaluate-short-val", "evaluate-short-test"])
+         "test split has 40 rows and borrows 12 rows of context before it: too few for "
+         "context 12 + horizon 64"),
+        (["train", *BASE, "--split-counts", "15,24,24"],
+         "train split has 15 rows and borrows 0 rows of context before it: too few for "
+         "context 12 + horizon 4"),
+    ], ids=["train-short-test", "evaluate-short-val", "evaluate-short-test", "train-short-train"])
     def test_a_command_checks_only_the_splits_it_samples(self, tmp_path, data_csv, trained,
                                                          capsys, argv, refused):
         # train reads train and val, evaluate reads the test split (with its borrowed context)

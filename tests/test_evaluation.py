@@ -340,6 +340,7 @@ class TestHarnesses:
         made = memos_at_first_train["made"]
         assert made["encoders"] > 0 and made["tokens"] > 0
         assert memos_at_first_train["alive"] == {"encoders": 0, "tokens": 0}
+        assert memos_at_first_train["arrays"] == [{"values", "text", "rows"}] * 2
 
     def test_promotion_needs_sizes(self):
         with pytest.raises(ConfigError):

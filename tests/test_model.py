@@ -517,13 +517,14 @@ class TestTraceFreeForward:
         values, text = (part[0] for part in make_inputs(DEFAULT, batch=1, n=769 + 6))
         table = WindowTensors(values=values, text=text,
                               rows=np.arange(769)[:, None] + np.arange(7),  # stride-1 windows
-                              future=np.zeros((769, DEFAULT.segment_len)))
+                              windows=[])  # scoring reads its targets, not the windows
+        targets = np.zeros((769, DEFAULT.segment_len))
         step = peak(dense(TrainConfig().batch, keep_trace=True))
         outputs = 769 * 7 * (DEFAULT.segment_len + DEFAULT.experts) * 8  # pred and gate weights
         # measured: 4.39 MB scoring against 3.18 MB for a B=32 step plus 1.21 MB of scores;
         # slabs of 128 rows peaked at 7.91 MB, and a dense gather of the table adds 3.79 MB
         for name, score in (("dense", dense(769, keep_trace=False)),
-                            ("table", lambda: evaluate_windows(params, DEFAULT, table))):
+                            ("table", lambda: evaluate_windows(params, DEFAULT, table, targets))):
             scoring = peak(score)
             assert scoring <= 1.1 * (step + outputs), f"{name} peaks at {scoring / 1e6:.2f} MB"
 

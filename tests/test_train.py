@@ -25,6 +25,7 @@ from fusecast.train import (
     compute_loss,
     evaluate_windows,
     init_opt_state,
+    metrics,
     train_model,
     window_segments,
 )
@@ -33,11 +34,15 @@ HOURLY = timedelta(hours=1)
 T0 = datetime(2020, 1, 1)
 
 
-def dense_windows(x, te, future):
-    """WindowTensors whose every segment has a row of its own: (W, N, S) x, (W, N, D) te."""
+def dense_windows(x, te, future=None):
+    """WindowTensors whose every segment has a row of its own: (W, N, S) x, (W, N, D) te.
+    Window w's context is x[w], flattened, and its target is future[w] (empty if None)."""
     w, n, s = x.shape
+    targets = np.empty((w, 0)) if future is None else future
+    windows = [WindowSample(channel=0, context=c.reshape(-1), target=t, start=T0)
+               for c, t in zip(x, targets)]
     return WindowTensors(values=x.reshape(-1, s), text=te.reshape(-1, te.shape[-1]),
-                         rows=np.arange(w * n).reshape(w, n), future=future)
+                         rows=np.arange(w * n).reshape(w, n), windows=windows)
 
 
 class TestLoss:
@@ -114,7 +119,7 @@ class TestLoss:
         rng = np.random.default_rng(7)
         x, te = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 8))
         tconfig = TrainConfig(lam=0.05, sparsity_mode="entropy")
-        data = dense_windows(x, te, future=None)
+        data = dense_windows(x, te)
         trace, total, d_pred, d_gate = _batch_step(params, config, tconfig,
                                                    data.values, data.text, data.rows)
         assert np.isfinite(total)
@@ -244,7 +249,10 @@ class TestWindowAssembly:
         assert x.shape == (w, 3, 4)
         assert te.shape == (w, 3, 6)
         assert data.rows.shape == (w, 3) and data.rows.dtype == np.intp
-        assert data.future.shape == (w, 4)  # the one segment that scoring reads
+        # no future is copied: validation stacks the one segment it scores from the windows
+        assert data.windows is windows
+        assert not any(isinstance(v, np.ndarray) for k, v in vars(data).items()
+                       if k not in ("values", "text", "rows"))
 
     @given(length=st.integers(21, 60), channels=st.integers(1, 3), segments=st.integers(1, 4),
            trim=st.integers(0, 5), horizon=st.integers(1, 5), segment_len=st.integers(1, 6),
@@ -262,10 +270,10 @@ class TestWindowAssembly:
         tensors = [window_segments(w.context, w.start, HOURLY, segment_len) for w in windows]
         x, te = data.values[data.rows], data.text[data.rows]
         for got, want in ((x, np.stack([t[0] for t in tensors])),
-                          (te, np.array([[source.embed(p) for p in t[1]] for t in tensors])),
-                          (data.future, np.stack([w.target[:segment_len] for w in windows]))):
+                          (te, np.array([[source.embed(p) for p in t[1]] for t in tensors]))):
             assert got.dtype == np.float64 and got.flags.c_contiguous
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert data.windows is windows  # no copied future; TestTrainingLoop checks val targets
         keys = {(prompt, segment.tobytes()) for w in windows
                 for segment, prompt in zip(*window_segments(w.context, w.start, HOURLY,
                                                             segment_len))}
@@ -306,7 +314,7 @@ class TestWindowAssembly:
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        table = data.values.nbytes + data.text.nbytes + data.rows.nbytes + data.future.nbytes
+        table = data.values.nbytes + data.text.nbytes + data.rows.nbytes
         dense_te = data.rows.size * data.text.shape[1] * 8
         assert data.rows.shape == (len(windows), 12)
         assert len(data.values) < 2 * len(windows)  # stride 1: one new segment per window
@@ -357,14 +365,11 @@ class TestEvaluateWindows:
         config = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, seed=0)
         params = init_params(config)
         rng = np.random.default_rng(5)
-        data = dense_windows(
-            x=rng.normal(size=(6, 3, 4)),
-            te=rng.normal(size=(6, 3, 8)),
-            future=rng.normal(size=(6, 2)),  # shorter than a segment
-        )
-        mse, mae, entropy, alpha = evaluate_windows(params, config, data)
+        data = dense_windows(x=rng.normal(size=(6, 3, 4)), te=rng.normal(size=(6, 3, 8)))
+        future = rng.normal(size=(6, 2))  # shorter than a segment
+        mse, mae, entropy, alpha = evaluate_windows(params, config, data, future)
         trace = forward(params, config, data.values[data.rows], data.text[data.rows])
-        diff = trace.pred[:, -1, :2] - data.future
+        diff = trace.pred[:, -1, :2] - future
         assert mse == pytest.approx(float((diff**2).mean()), abs=1e-15)
         assert mae == pytest.approx(float(np.abs(diff).mean()), abs=1e-15)
         assert alpha == 0.5
@@ -374,8 +379,7 @@ class TestEvaluateWindows:
     def test_one_trace_free_forward(self, monkeypatch):
         config = ModelConfig(segment_len=4, dim=8, experts=2, layers=1, heads=1, seed=0)
         rng = np.random.default_rng(5)
-        data = dense_windows(x=rng.normal(size=(6, 3, 4)), te=rng.normal(size=(6, 3, 8)),
-                             future=rng.normal(size=(6, 4)))
+        data = dense_windows(x=rng.normal(size=(6, 3, 4)), te=rng.normal(size=(6, 3, 8)))
         calls = []
 
         def spy(*args, **kwargs):
@@ -383,7 +387,7 @@ class TestEvaluateWindows:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(fusecast.train, "forward", spy)
-        evaluate_windows(init_params(config), config, data)
+        evaluate_windows(init_params(config), config, data, rng.normal(size=(6, 4)))
         assert len(calls) == 1 and calls[0].keys() == {"keep_trace", "rows"}
         assert calls[0]["keep_trace"] is False and calls[0]["rows"] is data.rows
 
@@ -402,7 +406,7 @@ class TestBatchStep:
         params = init_params(config)
         tconfig = TrainConfig(lam=0.05, sparsity_mode="entropy")
         table = _batch_step(params, config, tconfig, values, text, rows)
-        gathered = dense_windows(values[rows], text[rows], future=None)
+        gathered = dense_windows(values[rows], text[rows])
         dense = _batch_step(params, config, tconfig, gathered.values, gathered.text, gathered.rows)
         assert table[1] == dense[1]  # the loss
         for got, want in zip(table[2:], dense[2:]):  # d_pred and d_gate
@@ -474,10 +478,10 @@ class TestTrainingLoop:
             step_refs.extend(weakref.ref(grad) for grad in grads.values())
             return grads
 
-        def evaluate_spy(params, mconfig, data):
+        def evaluate_spy(params, mconfig, data, targets):
             # no gc.collect(): reference counting alone must have freed them
             alive_at_validation.append(sum(ref() is not None for ref in step_refs))
-            return evaluate(params, mconfig, data)
+            return evaluate(params, mconfig, data, targets)
 
         monkeypatch.setattr(fusecast.train, "backward", backward_spy)
         monkeypatch.setattr(fusecast.train, "evaluate_windows", evaluate_spy)
@@ -507,6 +511,32 @@ class TestTrainingLoop:
         for epoch in (steps[:3], steps[3:]):  # each epoch visits every window once
             seen = np.concatenate([kwargs["rows"] for _, _, kwargs in epoch])
             assert sorted(map(tuple, seen)) == sorted(map(tuple, train.rows))
+
+    @pytest.mark.parametrize("horizon", [3, 8], ids=["shorter-than-a-segment", "longer"])
+    def test_validation_scores_the_first_segment_of_each_val_target(self, monkeypatch, horizon):
+        """Each epoch's val MSE and MAE are metrics(pred[:, -1, :F], stack(target[:S])), bit
+        for bit, where F <= S is the length of each val window's target up to one segment."""
+        windows = list(sample_windows(TestWindowAssembly().make_frame(60), (0, 60),
+                                      context_len=12, horizon=horizon, stride=2))
+        source = PromptEncoder(dim=8, seed=0)
+        train, val = (assemble_windows(w, HOURLY, 4, source) for w in (windows[:12], windows[12:]))
+        evaluate, scored = fusecast.train.evaluate_windows, []
+
+        def spy(params, mconfig, data, targets):
+            scored.append(({k: v.copy() for k, v in params.items()}, targets))
+            return evaluate(params, mconfig, data, targets)
+
+        monkeypatch.setattr(fusecast.train, "evaluate_windows", spy)
+        result = train_model(init_params(self.CONFIG), self.CONFIG, TrainConfig(epochs=2, batch=8),
+                             train, val)
+        want = np.stack([w.target[:4] for w in windows[12:]])
+        assert len(scored) == len(result.curve) == 2 and want.shape[1] == min(horizon, 4)
+        for (params, targets), row in zip(scored, result.curve):
+            assert targets.dtype == np.float64 and targets.flags.c_contiguous
+            assert targets.shape == want.shape and targets.tobytes() == want.tobytes()
+            pred = forward(params, self.CONFIG, val.values, val.text, keep_trace=False,
+                           rows=val.rows).pred
+            assert (row["val_mse"], row["val_mae"]) == metrics(pred[:, -1, :want.shape[1]], want)
 
     def test_max_steps(self):
         train, val = build_training_sets(0), build_training_sets(1, windows=8)
@@ -540,7 +570,7 @@ class TestTrainingLoop:
         x = np.concatenate([first, first * 0.5, first * 0.25], axis=1)
         te = rng.normal(size=(32, 3, 8)) / 4.0
         train = dense_windows(x=x, te=te, future=x[:, -1, :] * 0.5)
-        val = dense_windows(x=x[:8], te=te[:8], future=train.future[:8])
+        val = dense_windows(x=x[:8], te=te[:8], future=x[:8, -1, :] * 0.5)
         params = init_params(self.CONFIG)
         config = TrainConfig(lr=1e-2, lam=0.0, epochs=10, batch=16, sparsity_mode="literal")
         result = train_model(params, self.CONFIG, config, train, val)
