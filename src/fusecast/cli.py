@@ -236,7 +236,7 @@ def prepare(cfg, data_path, horizon: int, splits):
     a window at `horizon`; one that does not is refused by name.
     """
     frame, c = dataio.load_csv(data_path), cfg["context_len"]
-    spec = dataio.SplitSpec.from_counts(_split_counts(cfg, frame), c)
+    spec = dataio.SplitSpec.from_counts(_split_counts(cfg, frame), 0)  # checks boundaries only
     ranges = dataio.make_splits(frame, spec, 1)
     norm = dataio.normalize(frame, dataio.compute_norm_stats(frame, ranges.train))
     windows = []
@@ -329,16 +329,17 @@ def cmd_evaluate(args) -> int:
 
     def scored(forecasts, lo, hi):  # against true values lo:hi, averaged per window
         mse, mae = zip(*(metrics(f, w.target[lo:hi]) for f, w in zip(forecasts, test_w)))
-        return {"mse": float(np.mean(mse)), "mae": float(np.mean(mae))}
+        mse, mae = float(np.mean(mse)), float(np.mean(mae))
+        if not (math.isfinite(mse) and math.isfinite(mae)):  # JSON has no inf or NaN
+            raise ConfigError(f"horizon {hi}: MSE {mse} and MAE {mae} are not finite")
+        return {"mse": mse, "mae": mae}
 
     per_horizon = {}
     for h in horizons:  # ascending, so `preds` ends as the forecasts at the top horizon
-        mse, mae, preds = forecast_windows(params, mconfig, test_w, freq, h, source)
-        if not (math.isfinite(mse) and math.isfinite(mae)):  # JSON has no inf or NaN
-            raise ConfigError(f"horizon {h}: forecast MSE {mse} and MAE {mae} are not finite")
+        preds = forecast_windows(params, mconfig, test_w, freq, h, source)
         baselines = {"persistence": [persistence_baseline(w.context, h) for w in test_w],
                      "last_segment": [np.resize(w.context[-seg:], h) for w in test_w]}
-        per_horizon[h] = {"mse": mse, "mae": mae,
+        per_horizon[h] = {**scored(preds, 0, h),
                           **{name: scored(fc, 0, h) for name, fc in baselines.items()}}
     rolls = [scored([p[lo : lo + seg] for p in preds], lo, lo + seg)["mse"]
              for lo in range(0, top, seg)]  # each roll of the forecasts at the top horizon

@@ -39,7 +39,7 @@ class CacheMiss(FusecastError):
 
 
 class CorruptCache(FusecastError):
-    """Cache file holds conflicting vectors for one key."""
+    """Cache file is malformed or holds conflicting vectors for one prompt."""
 
 
 class NonFiniteGradient(FusecastError):

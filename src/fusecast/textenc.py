@@ -42,7 +42,7 @@ def _prompt_sha(prompt: str) -> str:
 @dataclass(frozen=True)
 class TextEmbedding:
     vector: np.ndarray
-    sha: str  # SHA-256 of the prompt bytes, which tells a key collision from a hit
+    key: str  # the prompt's 16-hex `prompt_key`, which only orders the cache file
 
 
 def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
@@ -124,19 +124,17 @@ class ZeroTextSource:
 
 
 class EmbeddingCache:
-    """Read-only embeddings by prompt key, filled once by `precompute_cache` or `load_cache`."""
+    """Read-only embeddings by prompt SHA-256, filled once by `precompute_cache` or `load_cache`."""
 
     def __init__(self, dim: int):
         self.dim = dim
         self._entries: dict[str, TextEmbedding] = {}
 
     def lookup(self, prompt: str) -> TextEmbedding:
-        key = prompt_key(prompt)
-        entry = self._entries.get(key)
+        sha = _prompt_sha(prompt)
+        entry = self._entries.get(sha)
         if entry is None:
-            raise CacheMiss(f"prompt not cached (key {key}): {prompt[:80]!r}")
-        if entry.sha != _prompt_sha(prompt):
-            raise CorruptCache(f"key {key} maps to a different prompt (hash collision or drift)")
+            raise CacheMiss(f"prompt not cached (SHA-256 {sha}): {prompt[:80]!r}")
         return entry
 
     def embed(self, prompt: str) -> np.ndarray:
@@ -149,21 +147,21 @@ def precompute_cache(prompts, dim: int, seed: int = 0) -> EmbeddingCache:
     for prompt in dict.fromkeys(prompts):
         vector = encode_prompt(prompt, dim, seed, tokens)
         vector.flags.writeable = False  # every later lookup hands out this array
-        cache._entries[prompt_key(prompt)] = TextEmbedding(vector=vector, sha=_prompt_sha(prompt))
+        cache._entries[_prompt_sha(prompt)] = TextEmbedding(vector=vector, key=prompt_key(prompt))
     return cache
 
 
 def save_cache(cache: EmbeddingCache, path) -> None:
-    """Write the cache file; entries sorted by key so rebuilds are byte-identical.
+    """Write the cache file; entries sorted by key, then SHA-256, so rebuilds are byte-identical.
 
     The header line, then one JSON line per entry, each written as it is made, so only
-    one entry's text is alive at once.
+    one entry's text is alive at once. Two sorts order the entries without a tuple each.
     """
     with open(path, "w", encoding="utf-8") as fh:
         print(f"SMET-EMB v1 dim={cache.dim}", file=fh)
-        for key in sorted(cache._entries):
-            entry = cache._entries[key]
-            print(json.dumps({"key": key, "prompt_sha256": entry.sha,
+        for sha in sorted(sorted(cache._entries), key=lambda sha: cache._entries[sha].key):
+            entry = cache._entries[sha]
+            print(json.dumps({"key": entry.key, "prompt_sha256": sha,
                               "values": entry.vector.tolist()}, separators=(",", ":")), file=fh)
 
 
@@ -184,6 +182,7 @@ def load_cache(path) -> EmbeddingCache:
                     obj = json.loads(line)
                     key, sha = obj["key"], obj["prompt_sha256"]
                     vector = np.asarray(obj["values"], dtype=np.float64)
+                    seen = cache._entries.get(sha)  # a TypeError if the SHA-256 is unhashable
                 except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
                     raise CorruptCache(f"line {lineno}: {exc}") from exc
                 if vector.shape != (dim,):
@@ -191,10 +190,10 @@ def load_cache(path) -> EmbeddingCache:
                                        f"header dim={dim}")
                 if not np.isfinite(vector).all():
                     raise CorruptCache(f"line {lineno}: values are not all finite")
-                if key in cache._entries and not np.array_equal(cache._entries[key].vector, vector):
-                    raise CorruptCache(f"line {lineno}: duplicate key {key} with different values")
+                if seen is not None and not np.array_equal(seen.vector, vector):
+                    raise CorruptCache(f"line {lineno}: SHA-256 {sha} repeated with other values")
                 vector.flags.writeable = False
-                cache._entries[key] = TextEmbedding(vector=vector, sha=sha)
+                cache._entries[sha] = TextEmbedding(vector=vector, key=key)
         except UnicodeDecodeError:  # the text layer decodes ahead of the line it hands out
             raise CorruptCache(f"{path}: not UTF-8 text") from None
     return cache

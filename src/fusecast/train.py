@@ -33,7 +33,6 @@ class TrainConfig:
     batch: int = 32
     seed: int = 0
     sparsity_mode: str = "literal"
-    weight_decay: float = 0.0
     max_steps: int = 0  # optimizer-step cap; 0 means none
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not 0 <= self.lam < math.inf:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch < 1:
@@ -113,9 +110,7 @@ def init_opt_state(params: dict) -> OptState:
 
 
 def adamw_step(params: dict, grads: dict, state: OptState, config: TrainConfig):
-    """One AdamW update, in place. Weight decay is decoupled; theta is exempt
-    (decaying the fusion gate logit would bias alpha toward 0.5 for no reason).
-    """
+    """One AdamW update with no weight decay (plain Adam), in place."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - _BETA1**t
@@ -130,8 +125,6 @@ def adamw_step(params: dict, grads: dict, state: OptState, config: TrainConfig):
         m += (1.0 - _BETA1) * grad
         v *= _BETA2
         v += (1.0 - _BETA2) * grad * grad
-        if config.weight_decay and name != "theta":
-            params[name] *= 1.0 - config.lr * config.weight_decay
         params[name] -= config.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 

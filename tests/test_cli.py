@@ -26,7 +26,8 @@ from fusecast.cli import (
 )
 from fusecast.data import TimeSeriesFrame
 from fusecast.errors import ConfigError, FusecastError
-from fusecast.evaluation import forecast_windows, persistence_baseline, render_forecast_table
+from fusecast.evaluation import (forecast_windows, persistence_baseline, render_forecast_table,
+                                 rolling_forecast)
 from fusecast.model import ModelConfig, load_checkpoint
 from fusecast.synth import SynthSpec, generate, save_csv, spec_comment
 from fusecast.textenc import PromptEncoder
@@ -237,7 +238,7 @@ class TestConfigResolution:
                   in _readme_config_rows() if key not in cli._BOUNDS}
         floors = {key: found.groups() for key, found in floors.items() if found}
         assert set(floors) == {"hidden_dim", "experts", "layers", "lr", "lambda", "epochs",
-                               "batch", "seed", "weight_decay", "max_steps"}
+                               "batch", "seed", "max_steps"}
         for key, (relation, floor) in floors.items():
             if relation == ">":
                 value = float(floor)
@@ -585,7 +586,8 @@ class TestErrorReporting:
     def test_text_mode_is_no_flag_and_no_key(self, tmp_path, data_csv, capsys):
         # every command embeds with the builtin encoder at seed 0 and renders its prompts to
         # four places; ablate's w/o Context row is zero text. So a seed-0 cache is never read
-        # under another seed, as `--text-seed 7 --emb-cache` once did
+        # under another seed, as `--text-seed 7 --emb-cache` once did. No run decays its
+        # weights, so `weight_decay` is gone as well
         cache = tmp_path / "c.txt"
         argv = ["train", "--data", str(data_csv), "--emb-cache", str(cache)] + BASE
         assert main(argv + ["--out-root", str(tmp_path / "written")]) == 0
@@ -595,7 +597,7 @@ class TestErrorReporting:
         argv += ["--out-root", str(out_root)]
         cfg_file = tmp_path / "run.cfg"
         for key, flag, value in (("text_mode", "zero", "builtin"), ("text_seed", "7", "0"),
-                                 ("decimals", "2", "4")):
+                                 ("decimals", "2", "4"), ("weight_decay", "4", "0.0")):
             option = f"--{key.replace('_', '-')}"
             with pytest.raises(SystemExit) as exc:
                 main(argv + [option, flag])
@@ -829,9 +831,7 @@ class TestErrorReporting:
         (["--lr", "inf"], "lr must be"),
         (["--lr", "nan"], "lr must be"),
         (["--lambda", "nan"], "lambda must be"),
-        (["--weight-decay", "-5"], "weight_decay must be"),
-        (["--weight-decay", "inf"], "weight_decay must be"),
-    ], ids=["lr-inf", "lr-nan", "lambda-nan", "weight-decay-neg", "weight-decay-inf"])
+    ], ids=["lr-inf", "lr-nan", "lambda-nan"])
     def test_non_finite_or_negative_float(self, tmp_path, data_csv, capsys, bad, message):
         argv = ["train", "--data", str(data_csv), "--out-root", str(tmp_path / "runs")]
         assert main(argv + BASE + bad) == 1
@@ -943,10 +943,16 @@ class TestErrorReporting:
         (["train", *BASE, "--split-counts", "15,24,24"],
          "train split has 15 rows and borrows 0 rows of context before it: too few for "
          "context 12 + horizon 4"),
-    ], ids=["train-short-test", "evaluate-short-val", "evaluate-short-test", "train-short-train"])
+        (["train", *BASE, "--split-counts", "10,24,24"],
+         "train split has 10 rows and borrows 0 rows of context before it: too few for "
+         "context 12 + horizon 4"),
+        (["evaluate", *DATA, "--split-counts", "10,70,40", "--horizons", "4"], None),
+    ], ids=["train-short-test", "evaluate-short-val", "evaluate-short-test", "train-short-train",
+            "train-below-one-context", "evaluate-short-train"])
     def test_a_command_checks_only_the_splits_it_samples(self, tmp_path, data_csv, trained,
                                                          capsys, argv, refused):
         # train reads train and val, evaluate reads the test split (with its borrowed context)
+        # and the train split's statistics only
         if argv[0] == "evaluate":
             argv = argv + ["--checkpoint", str(trained / "checkpoint.json")]
         out_root = tmp_path / "runs"
@@ -969,7 +975,7 @@ class TestEvaluateCommand:
         freq, (test_w,) = cli.prepare(cfg, data_csv, top, ("test",))
         test_w = test_w[: max_windows or None]
         return test_w, forecast_windows(params, config, test_w, freq, top,
-                                        PromptEncoder(config.dim))[2]
+                                        PromptEncoder(config.dim))
 
     def test_report_and_table(self, tmp_path, data_csv, trained, capsys):
         out_root = tmp_path / "runs"
@@ -1011,6 +1017,36 @@ class TestEvaluateCommand:
         showcase = (run_dir / "showcase.csv").read_text().splitlines()
         assert showcase[0] == "t,truth,prediction"
         assert len(showcase) == 1 + 8
+
+    def test_model_cell_averages_per_window_metrics(self, tmp_path, data_csv, trained):
+        # the model is scored as the baselines are: per window, then averaged over windows
+        out_root = tmp_path / "runs"
+        assert main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
+                     "--data", str(data_csv), "--horizons", "4,6",
+                     "--out-root", str(out_root), *DATA]) == 0
+        (run_dir,) = out_root.iterdir()
+        report = json.loads((run_dir / "report.json").read_text())
+        params, config = load_checkpoint(trained / "checkpoint.json")
+        cfg = resolve_config(None, {"context_len": "12", "stride": "4",
+                                    "split_counts": "72,24,24"})
+        freq, (test_w,) = cli.prepare(cfg, data_csv, 6, ("test",))
+        enc = PromptEncoder(config.dim)
+        for h in (4, 6):
+            preds = forecast_windows(params, config, test_w, freq, h, enc)
+            assert len(preds) == len(test_w) > 1
+            per_sq, per_abs = [], []
+            for w, got in zip(test_w, preds):
+                pred = rolling_forecast(params, config, w.context, w.start, freq, h, enc)
+                np.testing.assert_array_equal(got, pred)
+                diff = pred - w.target[:h]
+                per_sq.append((diff**2).mean())
+                per_abs.append(np.abs(diff).mean())
+            cell = report["horizons"][str(h)]
+            assert cell["mse"] == pytest.approx(np.mean(per_sq), abs=1e-15)
+            assert cell["mae"] == pytest.approx(np.mean(per_abs), abs=1e-15)
+            scores = [metrics(p, w.target[:h]) for p, w in zip(preds, test_w)]
+            assert (cell["mse"], cell["mae"]) == (float(np.mean([m for m, _ in scores])),
+                                                  float(np.mean([m for _, m in scores])))
 
     def test_every_run_writes_its_showcase_and_prints_its_table(self, tmp_path, data_csv,
                                                                  trained, capsys):
@@ -1240,10 +1276,10 @@ class TestEvaluateCommand:
 
 class TestHarnessCommands:
     @pytest.mark.parametrize("argv,name,run_dir,digest", [
-        (["ablate", "--seeds", "0,1"], "ablation.json", "ablate-26c3d8d98d7e",
-         "0e7cb48627b4b08e7a19271a79d78d60d23d08fd73b1f0a33a2b98c34d77463c"),
-        (["promote", "--sizes", "8,16"], "promotion.json", "promote-3f9a8fc86e3b",
-         "e8d966f283679b1320116f53e603edbaa9b8d2bcdac8f6dd275b1052d57bd5fa"),
+        (["ablate", "--seeds", "0,1"], "ablation.json", "ablate-8b1ae5745b0c",
+         "9e3c395fdd96a4841cf61ac81d20c2331597cf384f2a8d9e4a173af76666d96a"),
+        (["promote", "--sizes", "8,16"], "promotion.json", "promote-d83b3b7010af",
+         "454a60c3280c0baa47066a629856f0138feb94c3eadef82de6fdf89f726a926b"),
     ], ids=["ablate", "promote"])
     def test_harness_file_bytes_pinned(self, tmp_path, data_csv, argv, name, run_dir, digest):
         """A harness report is fixed byte for byte, under a fixed run-directory name.

@@ -192,23 +192,6 @@ class TestValidationIsTheFirstRoll:
 
 
 class TestForecastWindows:
-    def test_averages_per_window_metrics(self):
-        frame = generate(SynthSpec(kind="sine", length=60))
-        windows = list(sample_windows(frame, (0, 60), context_len=8, horizon=6, stride=10))
-        params = init_params(CONFIG)
-        enc = PromptEncoder(8, 0)
-        mse, mae, preds = forecast_windows(params, CONFIG, windows, HOURLY, 6, enc)
-        assert len(preds) == len(windows)
-        per_sq, per_abs = [], []
-        for w, got in zip(windows, preds):
-            pred = rolling_forecast(params, CONFIG, w.context, w.start, HOURLY, 6, enc)
-            np.testing.assert_array_equal(got, pred)
-            diff = pred - w.target[:6]
-            per_sq.append((diff**2).mean())
-            per_abs.append(np.abs(diff).mean())
-        assert mse == pytest.approx(np.mean(per_sq), abs=1e-15)
-        assert mae == pytest.approx(np.mean(per_abs), abs=1e-15)
-
     def test_horizon_beyond_target(self):
         frame = generate(SynthSpec(kind="sine", length=60))
         windows = list(sample_windows(frame, (0, 60), context_len=8, horizon=4, stride=10))

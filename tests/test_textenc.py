@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import json
 import re
 import tracemalloc
 import weakref
@@ -184,9 +185,11 @@ class TestCache:
 
     def test_lookup_roundtrip(self, tmp_path):
         cache, prompts = self.build()
-        assert len(self.entry_lines(cache, tmp_path / "emb.cache")) == 5
+        lines = [json.loads(line) for line in self.entry_lines(cache, tmp_path / "emb.cache")]
+        assert [(e["key"], e["prompt_sha256"]) for e in lines] == sorted(
+            (prompt_key(p), hashlib.sha256(p.encode()).hexdigest()) for p in prompts)
         for p in prompts:
-            assert cache.lookup(p).sha == hashlib.sha256(p.encode()).hexdigest()
+            assert cache.lookup(p).key == prompt_key(p)
             np.testing.assert_array_equal(cache.embed(p), encode_prompt(p, 6, 0))
 
     def test_miss(self):
@@ -269,8 +272,9 @@ class TestCache:
         finally:
             tracemalloc.stop()
         assert path.stat().st_size > 2.6e6
-        # measured: 0.05 MB writing one line at a time, 8.13 MB joining the lines first
-        assert peak <= 0.5e6, f"saving peaks at {peak / 1e6:.2f} MB"
+        # measured: 0.11 MB writing one line at a time in key order, 0.47 MB sorting a
+        # (key, SHA-256) tuple per entry, 8.13 MB joining the lines first
+        assert peak <= 0.25e6, f"saving peaks at {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("dim,seed,digest", [
         (8, 0, "1e42fe852337e52b9d5d52686b7e629943cf901492e01fea2d6c674f5bf03bfe"),
@@ -304,6 +308,15 @@ class TestCache:
         path = tmp_path / "bad"
         path.write_text('SMET-EMB v1 dim=2\n{"key": "00", "values": [0.0, 1.0]}\n')
         with pytest.raises(CorruptCache):
+            load_cache(path)
+
+    @pytest.mark.parametrize("sha", ["[1]", '{"a": 1}'])
+    def test_unhashable_sha_is_corrupt(self, tmp_path, sha):
+        # entries are held by prompt SHA-256, so one that cannot key a dict is refused
+        path = tmp_path / "bad"
+        path.write_text(f'SMET-EMB v1 dim=1\n{{"key": "00", "prompt_sha256": {sha}, '
+                        '"values": [0.5]}\n')
+        with pytest.raises(CorruptCache, match="^line 2: unhashable"):
             load_cache(path)
 
     def test_wrong_value_count(self, tmp_path):
@@ -347,6 +360,17 @@ class TestCache:
         with pytest.raises(CorruptCache):
             load_cache(path)
 
+    def test_duplicate_sha_under_another_key_conflicting_values(self, tmp_path):
+        # entries are told apart by prompt SHA-256, whatever their keys say
+        path = tmp_path / "bad"
+        path.write_text(
+            'SMET-EMB v1 dim=1\n'
+            '{"key": "00", "prompt_sha256": "aa", "values": [0.5]}\n'
+            '{"key": "01", "prompt_sha256": "aa", "values": [0.75]}\n'
+        )
+        with pytest.raises(CorruptCache, match="^line 3: SHA-256 aa repeated with other values"):
+            load_cache(path)
+
     def test_duplicate_key_same_values_tolerated(self, tmp_path):
         path = tmp_path / "ok"
         path.write_text(
@@ -358,7 +382,7 @@ class TestCache:
             '{"key":"00","prompt_sha256":"aa","values":[0.5]}']
 
     def test_lookup_detects_prompt_drift(self, tmp_path):
-        # same key, different stored prompt hash: corrupt, not a silent hit
+        # same key, different stored prompt hash: a miss, not a silent hit
         cache, prompts = self.build()
         path = tmp_path / "emb.cache"
         save_cache(cache, path)
@@ -366,5 +390,26 @@ class TestCache:
         sha = hashlib.sha256(prompts[0].encode()).hexdigest()
         path.write_text(text.replace(sha, "0" * 64))
         loaded = load_cache(path)
-        with pytest.raises(CorruptCache):
+        with pytest.raises(CacheMiss, match=sha):
             loaded.lookup(prompts[0])
+        with pytest.raises(CacheMiss):
+            loaded.embed(prompts[0])
+        for p in prompts[1:]:
+            np.testing.assert_array_equal(loaded.embed(p), cache.embed(p))
+
+    def test_entries_sharing_a_key_both_load_and_look_up(self, tmp_path):
+        # the 16-hex key only orders the file: two prompts whose keys collide stay apart
+        cache, prompts = self.build()
+        path = tmp_path / "emb.cache"
+        save_cache(cache, path)
+        header, *entries = path.read_text().splitlines()
+        shared = [{**json.loads(line), "key": "0" * 16} for line in entries[:2]]
+        path.write_text("\n".join([header, *map(json.dumps, shared)]) + "\n")
+        loaded = load_cache(path)
+        by_sha = {hashlib.sha256(p.encode()).hexdigest(): p for p in prompts}
+        for entry in shared:
+            prompt = by_sha[entry["prompt_sha256"]]
+            assert loaded.lookup(prompt).key == "0" * 16
+            np.testing.assert_array_equal(loaded.embed(prompt), cache.embed(prompt))
+        resaved = [json.loads(line) for line in self.entry_lines(loaded, tmp_path / "resaved")]
+        assert resaved == sorted(shared, key=lambda e: e["prompt_sha256"])
