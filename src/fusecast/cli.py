@@ -1,11 +1,11 @@
 """Command-line interface: synthesis, training, evaluation, and harnesses.
 
-Configuration is a flat key=value namespace resolved in three layers:
-built-in defaults, then an optional config file, then command-line flags.
-Every command accepts every key. The resolved mapping, less the keys a command
-does not read, is embedded into its artifact, and each run writes into a
-directory named by a content hash of that mapping, so identical invocations
-land in identical places with byte-identical artifacts.
+Configuration is a flat namespace of keys resolved in two layers: built-in
+defaults, then command-line flags. Every command accepts every key. The
+resolved mapping, less the keys a command does not read, is embedded into its
+artifact, and each run writes into a directory named by a content hash of that
+mapping, so identical invocations land in identical places with byte-identical
+artifacts.
 
 Errors are emitted as one JSON object on stderr with a nonzero exit code. A command writes
 every artifact before it prints its first line, so a closed stdout is not an error.
@@ -90,49 +90,22 @@ _SCHEMA = {
 _BOUNDS = dict.fromkeys(("context_len", "segment_len", "stride", "horizon"), (1, math.inf))
 
 
-def parse_config_file(path) -> dict:
-    """Flat key=value lines; blank lines and # comments are skipped, and so is a leading BOM."""
-    out = {}
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path}: not UTF-8 text") from None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+def resolve_config(overrides: dict, checkpoint=None) -> dict:
+    """defaults <- flags; `overrides` holds schema keys, each value parsed by its key's type.
 
-
-def resolve_config(config_path, overrides: dict, checkpoint=None) -> dict:
-    """defaults <- config file <- flags, every key validated against the schema.
-
-    A `checkpoint` ModelConfig sets the model keys; a file or flag that gives one of
-    them another value is refused.
+    A `checkpoint` ModelConfig sets the model keys; a flag that gives one of them another
+    value is refused.
     """
     resolved = {key: default for key, (_, default) in _SCHEMA.items()}
-    layers = []
-    if config_path:
-        layers.append(parse_config_file(config_path))
-    layers.append(overrides)
-    for layer in layers:
-        for key, value in layer.items():
-            if key not in _SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            convert = _SCHEMA[key][0]
-            try:
-                resolved[key] = convert(value) if isinstance(value, str) else value
-            except (ValueError, TypeError):
-                raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
+    for key, value in overrides.items():
+        try:
+            resolved[key] = _SCHEMA[key][0](value) if isinstance(value, str) else value
+        except (ValueError, TypeError):
+            raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
     if checkpoint is not None:
         for key, name in _MODEL_KEYS.items():
             value = getattr(checkpoint, name)
-            if any(key in layer for layer in layers) and resolved[key] != value:
+            if key in overrides and resolved[key] != value:
                 raise ConfigError(f"{key} {resolved[key]!r} != the checkpoint's {value!r}")
             resolved[key] = value
     if resolved["sparsity_mode"] not in SPARSITY_MODES:
@@ -146,11 +119,9 @@ def resolve_config(config_path, overrides: dict, checkpoint=None) -> dict:
 
 
 def _config_from(args, checkpoint=None) -> dict:
-    overrides = {}
-    for key, value in vars(args).items():
-        if key.startswith("cfg_") and value is not None:
-            overrides[key[4:]] = value
-    return resolve_config(args.config, overrides, checkpoint)
+    overrides = {key[4:]: value for key, value in vars(args).items()
+                 if key.startswith("cfg_") and value is not None}
+    return resolve_config(overrides, checkpoint)
 
 
 def make_run_dir(out_root, command: str, payload: dict) -> Path:
@@ -283,9 +254,8 @@ def _fit(cfg, data_path, emb_cache=None):
             return cache
     else:
         def make():  # builds and writes the cache, and hands it over without reading it back
-            prompts = dict.fromkeys(p for w in train_w + val_w for p in window_segments(
-                w.context, w.start, freq, mconfig.segment_len)[1])
-            cache = precompute_cache(prompts, mconfig.dim)
+            cache = precompute_cache((p for w in train_w + val_w for p in window_segments(
+                w.context, w.start, freq, mconfig.segment_len)[1]), mconfig.dim)
             save_cache(cache, emb_cache)
             return cache
     (result,) = train_variants(train_w, val_w, freq, [(mconfig, tconfig, make)])
@@ -327,21 +297,22 @@ def cmd_evaluate(args) -> int:
         test_w = test_w[: args.max_windows]
     source, seg = PromptEncoder(mconfig.dim), mconfig.segment_len
 
-    def scored(forecasts, lo, hi):  # against true values lo:hi, averaged per window
-        mse, mae = zip(*(metrics(f, w.target[lo:hi]) for f, w in zip(forecasts, test_w)))
+    def scored(forecasts, lo, hi):  # values lo:hi against the truth, averaged per window
+        mse, mae = zip(*(metrics(f[lo:hi], w.target[lo:hi]) for f, w in zip(forecasts, test_w)))
         mse, mae = float(np.mean(mse)), float(np.mean(mae))
         if not (math.isfinite(mse) and math.isfinite(mae)):  # JSON has no inf or NaN
             raise ConfigError(f"horizon {hi}: MSE {mse} and MAE {mae} are not finite")
         return {"mse": mse, "mae": mae}
 
+    # each baseline forecast at a shorter horizon is a prefix of its forecast at the top one
+    baselines = {"persistence": [persistence_baseline(w.context, top) for w in test_w],
+                 "last_segment": [np.resize(w.context[-seg:], top) for w in test_w]}
     per_horizon = {}
     for h in horizons:  # ascending, so `preds` ends as the forecasts at the top horizon
         preds = forecast_windows(params, mconfig, test_w, freq, h, source)
-        baselines = {"persistence": [persistence_baseline(w.context, h) for w in test_w],
-                     "last_segment": [np.resize(w.context[-seg:], h) for w in test_w]}
         per_horizon[h] = {**scored(preds, 0, h),
                           **{name: scored(fc, 0, h) for name, fc in baselines.items()}}
-    rolls = [scored([p[lo : lo + seg] for p in preds], lo, lo + seg)["mse"]
+    rolls = [scored(preds, lo, lo + seg)["mse"]
              for lo in range(0, top, seg)]  # each roll of the forecasts at the top horizon
     report = {"horizons": per_horizon, "roll_mse": rolls,
               "avg_mse": sum(v["mse"] for v in per_horizon.values()) / len(horizons),
@@ -384,7 +355,7 @@ def cmd_promote(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _config_from(args)
     values = _int_list(args.values, "values")
-    configs = [resolve_config(None, {**cfg, args.axis: value}) for value in values]
+    configs = [resolve_config({**cfg, args.axis: value}) for value in values]
     for each in configs:  # every value's model is checked before any training
         _model_config(each)
     curve = []
@@ -472,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, p in sub.choices.items():  # every command but these two reads data and the config
         if name not in ("synth", "gradcheck"):
             p.add_argument("--data", required=True)
-            p.add_argument("--config", default=None, help="flat key=value config file")
             p.add_argument("--out-root", default="runs", help="directory holding run outputs")
             for key in _SCHEMA:
                 p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", default=None,

@@ -51,4 +51,4 @@ class NonFiniteGradient(FusecastError):
 
 
 class ConfigError(FusecastError):
-    """An unknown config key, or an invalid setting or argument value."""
+    """An invalid setting or argument value."""

@@ -20,7 +20,6 @@ from fusecast.cli import (
     _bool,
     main,
     make_run_dir,
-    parse_config_file,
     resolve_config,
     write_json,
 )
@@ -142,46 +141,25 @@ def test_readme_quick_start_runs_as_written(tmp_path, monkeypatch, capsys):
 
 class TestConfigResolution:
     def test_defaults(self):
-        cfg = resolve_config(None, {})
+        cfg = resolve_config({})
         assert cfg["context_len"] == 168
         assert cfg["hidden_dim"] == 64
         assert cfg["lambda"] == 0.1
         assert cfg["gated"] is True
 
-    def test_file_then_flags(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("# comment\n\nepochs = 3\nlr=0.05\n")
-        cfg = resolve_config(path, {"epochs": "5"})
-        assert cfg["epochs"] == 5  # flag beats file
-        assert cfg["lr"] == 0.05  # file beats default
-
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError):
-            resolve_config(None, {"bogus": "1"})
-
     @pytest.mark.parametrize("rows,expected", [(1000, (600, 200, 200)), (1001, (600, 200, 201))])
     def test_default_split_is_60_20_20(self, rows, expected):
         frame = generate(SynthSpec(kind="constant", length=rows))
-        assert cli._split_counts(resolve_config(None, {}), frame) == expected
+        assert cli._split_counts(resolve_config({}), frame) == expected
 
     def test_split_counts_keep_their_repeats(self):
         frame = generate(SynthSpec(kind="constant", length=300))
-        cfg = resolve_config(None, {"split_counts": "100,100,100"})
+        cfg = resolve_config({"split_counts": "100,100,100"})
         assert cli._split_counts(cfg, frame) == (100, 100, 100)
 
     def test_unparseable_value(self):
         with pytest.raises(ConfigError):
-            resolve_config(None, {"epochs": "three"})
-
-    def test_text_mode_guard(self):
-        with pytest.raises(ConfigError, match="unknown config key 'text_mode'"):
-            resolve_config(None, {"text_mode": "oracle"})
-
-    def test_config_file_syntax(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("epochs\n")
-        with pytest.raises(ConfigError):
-            parse_config_file(path)
+            resolve_config({"epochs": "three"})
 
     @pytest.mark.parametrize("text,expected", [
         ("1", True), ("true", True), ("YES", True), ("on", True),
@@ -198,7 +176,7 @@ class TestConfigResolution:
         # the README's table is the one hand-written copy of the schema and its bounds
         rows = _readme_config_rows()
         assert [key for key, _, _ in rows] == list(cli._SCHEMA)
-        defaults = resolve_config(None, {})
+        defaults = resolve_config({})
         for key, text, meaning in rows:
             convert = cli._SCHEMA[key][0]
             assert convert("" if text == "(60/20/20)" else text) == defaults[key], key
@@ -246,14 +224,14 @@ class TestConfigResolution:
                 value = int(floor) - 1
             else:
                 value = math.nextafter(float(floor), -math.inf)
-            cfg = resolve_config(None, {key: value})
+            cfg = resolve_config({key: value})
             with pytest.raises(ConfigError, match=rf"^{key}\b"):
                 cli._model_config(cfg)
                 cli._train_config(cfg)
 
     def test_every_config_field_is_set_by_one_key(self):
         # a dataclass field that no key sets is a knob no command can turn
-        defaults = resolve_config(None, {})
+        defaults = resolve_config({})
         base = asdict(cli._train_config(defaults))
         setters = {f"TrainConfig.{name}": [] for name in base}
         for key, value in defaults.items():
@@ -448,20 +426,6 @@ class TestTrainCommand:
         assert stamped["data"] == "sine.csv"
         assert stamped["data_sha256"] == cli._sha256(data_csv)
 
-    def test_config_file_layer_lands_in_record(self, tmp_path, data_csv):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("epochs=3\nlambda=0.02\n")
-        out_root = tmp_path / "runs"
-        base = list(BASE)
-        base[base.index("--epochs") + 1] = "1"
-        argv = ["train", "--data", str(data_csv), "--out-root", str(out_root),
-                "--config", str(cfg_file)] + base
-        assert main(argv) == 0
-        (run_dir,) = [p for p in out_root.iterdir() if p.is_dir()]
-        record = json.loads((run_dir / "record.json").read_text())
-        assert record["resolved_config"]["epochs"] == 1  # flag wins
-        assert record["resolved_config"]["lambda"] == 0.02  # file wins
-
     def test_embedding_cache_created_and_validated(self, tmp_path, data_csv, capsys):
         cache = tmp_path / "emb.jsonl"
         out_root = tmp_path / "runs"
@@ -511,46 +475,22 @@ class TestTrainCommand:
 
 
 class TestErrorReporting:
-    def test_bad_config_key_is_json_on_stderr(self, tmp_path, data_csv, capsys):
-        cfg_file = tmp_path / "bad.cfg"
-        cfg_file.write_text("bogus=1\n")
-        rc = main(["train", "--data", str(data_csv), "--config", str(cfg_file),
-                   "--out-root", str(tmp_path / "runs")])
-        assert rc == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
-        assert "bogus" in err["message"]
-
-    def test_a_config_file_with_a_byte_order_mark_runs(self, tmp_path, data_csv, capsys):
-        # Windows Notepad often writes UTF-8 with a BOM in front of the first key
-        cfg_file = tmp_path / "notepad.cfg"
-        cfg_file.write_bytes(b"\xef\xbb\xbfcontext_len=12\n")
-        assert main(["dump-prompts", "--data", str(data_csv), "--config", str(cfg_file),
-                     "--out-root", str(tmp_path / "runs")] + BASE) == 0
-        assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("layer", ["flag", "config"])
-    def test_sparsity_mode_none_is_refused(self, tmp_path, data_csv, capsys, layer):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("sparsity_mode=none\n")
-        given = ["--sparsity-mode", "none"] if layer == "flag" else ["--config", str(cfg_file)]
+    def test_sparsity_mode_none_is_refused(self, tmp_path, data_csv, capsys):
         out_root = tmp_path / "runs"
-        rc = main(["train", "--data", str(data_csv), "--out-root", str(out_root)] + BASE + given)
+        rc = main(["train", "--data", str(data_csv), "--out-root", str(out_root)] + BASE
+                  + ["--sparsity-mode", "none"])
         assert rc == 1
         (line,) = capsys.readouterr().err.splitlines()
         err = json.loads(line)
         assert err["error"] == "ConfigError" and "sparsity_mode" in err["message"]
         assert not out_root.exists()
 
-    @pytest.mark.parametrize("layer", ["flag", "config"])
     @pytest.mark.parametrize("command,value", [("evaluate", "bogus"), ("dump-prompts", "none")],
                              ids=["evaluate", "dump-prompts"])
     def test_every_command_checks_the_sparsity_mode(self, tmp_path, data_csv, trained, capsys,
-                                                    command, value, layer):
+                                                    command, value):
         # neither command builds a TrainConfig, so the key is checked where the config resolves
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(f"sparsity_mode={value}\n")
-        given = ["--sparsity-mode", value] if layer == "flag" else ["--config", str(cfg_file)]
+        given = ["--sparsity-mode", value]
         if command == "evaluate":
             given += ["--checkpoint", str(trained / "checkpoint.json")]
         out_root = tmp_path / "runs"
@@ -569,18 +509,28 @@ class TestErrorReporting:
         ["evaluate", "--checkpoint", "c.json", "--plot-data"],
         ["ablate", "--table"],
         ["promote", "--sizes", "8", "--table"],
-    ], ids=["evaluate-table", "evaluate-plot-data", "ablate-table", "promote-table"])
+        ["train", "--config", "run.cfg"],
+        ["evaluate", "--checkpoint", "c.json", "--config", "run.cfg"],
+        ["ablate", "--config", "run.cfg"],
+        ["promote", "--sizes", "8", "--config", "run.cfg"],
+        ["sweep", "--axis", "hidden_dim", "--values", "8", "--config", "run.cfg"],
+        ["dump-prompts", "--config", "run.cfg"],
+    ], ids=["evaluate-table", "evaluate-plot-data", "ablate-table", "promote-table",
+            "train-config", "evaluate-config", "ablate-config", "promote-config",
+            "sweep-config", "dump-prompts-config"])
     def test_presentation_flags_are_unknown(self, tmp_path, data_csv, capsys, argv):
-        # every run prints its table and every evaluate writes its showcase, so no flag asks
+        # every run prints its table and every evaluate writes its showcase, so no flag asks;
+        # every key is a flag, so no config file sets one
+        flag = [part for part in argv if part.startswith("--")][-1]
         with pytest.raises(SystemExit) as exc:
             main([argv[0], "--help"])
-        assert exc.value.code == 0 and argv[-1] not in capsys.readouterr().out
+        assert exc.value.code == 0 and flag not in capsys.readouterr().out
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--data", str(data_csv), "--out-root", str(tmp_path / "runs")])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage: ")
-        assert f"unrecognized arguments: {argv[-1]}" in captured.err
+        assert f"unrecognized arguments: {' '.join(argv[argv.index(flag):])}" in captured.err
         assert not (tmp_path / "runs").exists()
 
     def test_text_mode_is_no_flag_and_no_key(self, tmp_path, data_csv, capsys):
@@ -595,21 +545,14 @@ class TestErrorReporting:
         capsys.readouterr()
         out_root = tmp_path / "runs"
         argv += ["--out-root", str(out_root)]
-        cfg_file = tmp_path / "run.cfg"
-        for key, flag, value in (("text_mode", "zero", "builtin"), ("text_seed", "7", "0"),
-                                 ("decimals", "2", "4"), ("weight_decay", "4", "0.0")):
+        for key, value in (("text_mode", "zero"), ("text_seed", "7"), ("decimals", "2"),
+                           ("weight_decay", "4")):
             option = f"--{key.replace('_', '-')}"
             with pytest.raises(SystemExit) as exc:
-                main(argv + [option, flag])
+                main(argv + [option, value])
             assert exc.value.code == 2, key
             captured = capsys.readouterr()
-            assert captured.out == "" and f"unrecognized arguments: {option} {flag}" in captured.err
-            cfg_file.write_text(f"{key}={value}\n")
-            assert main(argv + ["--config", str(cfg_file)]) == 1, key
-            captured = capsys.readouterr()
-            (line,) = captured.err.splitlines()
-            assert captured.out == "" and json.loads(line) == {
-                "error": "ConfigError", "message": f"unknown config key {key!r}"}
+            assert captured.out == "" and f"unrecognized arguments: {option} {value}" in captured.err
             assert cache.read_bytes() == written and not out_root.exists(), key
 
     def test_parse_error_carries_location(self, tmp_path, capsys):
@@ -709,9 +652,8 @@ class TestErrorReporting:
     @pytest.mark.parametrize("flag,body,error", [
         ("--data", b"date,OT\n2020-01-01 00:00:00,1.0\n2020-01-01 01:00:00,\xff\n", "ParseError"),
         ("--data", b"date,OT\n2020-01-01 00:00:00," + b"1" * 200_000 + b"\n", "ParseError"),
-        ("--config", b"epochs=2\n\xff\n", "ConfigError"),
         ("--emb-cache", b"SMET-EMB v1 dim=8\n\xff\n", "CorruptCache"),
-    ], ids=["csv-not-utf8", "csv-huge-cell", "config-not-utf8", "cache-not-utf8"])
+    ], ids=["csv-not-utf8", "csv-huge-cell", "cache-not-utf8"])
     def test_unreadable_input_file(self, tmp_path, data_csv, capsys, flag, body, error):
         bad = tmp_path / "bad-input"
         bad.write_bytes(body)
@@ -970,7 +912,7 @@ class TestEvaluateCommand:
     def _top_forecasts(trained, data_csv, top, max_windows=0):
         """The first test windows of BASE's splits and the checkpoint's forecasts to `top`."""
         params, config = load_checkpoint(trained / "checkpoint.json")
-        cfg = resolve_config(None, {"context_len": "12", "stride": "4",
+        cfg = resolve_config({"context_len": "12", "stride": "4",
                                     "split_counts": "72,24,24"})
         freq, (test_w,) = cli.prepare(cfg, data_csv, top, ("test",))
         test_w = test_w[: max_windows or None]
@@ -1027,7 +969,7 @@ class TestEvaluateCommand:
         (run_dir,) = out_root.iterdir()
         report = json.loads((run_dir / "report.json").read_text())
         params, config = load_checkpoint(trained / "checkpoint.json")
-        cfg = resolve_config(None, {"context_len": "12", "stride": "4",
+        cfg = resolve_config({"context_len": "12", "stride": "4",
                                     "split_counts": "72,24,24"})
         freq, (test_w,) = cli.prepare(cfg, data_csv, 6, ("test",))
         enc = PromptEncoder(config.dim)
@@ -1061,7 +1003,7 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert out == f"{render_forecast_table(report)}\nreport: {run_dir / 'report.json'}\n"
         # the first test window up to the largest horizon, floats in shortest round-trip form
-        cfg = resolve_config(None, {"context_len": "12", "stride": "4",
+        cfg = resolve_config({"context_len": "12", "stride": "4",
                                     "split_counts": "72,24,24"})
         _, (test_w,) = cli.prepare(cfg, data_csv, 8, ("test",))
         rows = (run_dir / "showcase.csv").read_text().splitlines()
@@ -1132,15 +1074,10 @@ class TestEvaluateCommand:
         (["--gated", "false"], "gated"),
         (["--fused", "off"], "fused"),
         (["--seed", "3"], "seed"),
-        (["hidden_dim=999\n"], "hidden_dim"),
-    ], ids=["hidden-dim", "segment-len", "experts", "layers", "heads", "gated", "fused", "seed",
-            "config-file"])
+    ], ids=["hidden-dim", "segment-len", "experts", "layers", "heads", "gated", "fused", "seed"])
     def test_model_key_must_match_the_checkpoint(self, tmp_path, data_csv, trained, capsys,
                                                  extra, key):
-        # a model key given by flag or config line but not honoured would mislabel the report
-        if not extra[0].startswith("--"):
-            (tmp_path / "run.cfg").write_text(extra[0])
-            extra = ["--config", str(tmp_path / "run.cfg")]
+        # a model key given by flag but not honoured would mislabel the report
         out_root = tmp_path / "runs"
         assert main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
                      "--data", str(data_csv), "--horizons", "4", "--out-root", str(out_root),
@@ -1152,9 +1089,8 @@ class TestEvaluateCommand:
         assert not out_root.exists()
 
     def test_model_key_matching_the_checkpoint_runs(self, tmp_path, data_csv, trained):
-        (tmp_path / "run.cfg").write_text("hidden_dim=8\ngated=yes\n")
         assert self._evaluate(tmp_path / "runs", data_csv, trained,
-                              "--config", str(tmp_path / "run.cfg")) == 0
+                              "--hidden-dim", "8", "--gated", "yes") == 0
 
     def _evaluate(self, out_root, data_csv, trained, *extra):
         return main(["evaluate", "--checkpoint", str(trained / "checkpoint.json"),
@@ -1387,7 +1323,7 @@ class TestHarnessCommands:
         assert not out_root.exists()
 
     def test_context_of_exactly_two_segments_is_accepted(self):
-        cfg = resolve_config(None, {"context_len": 48, "segment_len": 24})
+        cfg = resolve_config({"context_len": 48, "segment_len": 24})
         assert cli._model_config(cfg).segment_len == 24
 
     @pytest.mark.parametrize("command,extra,sources", [
