@@ -1,7 +1,8 @@
 """Command-line interface: synthesis, training, evaluation, and harnesses.
 
 Configuration is a flat namespace of keys resolved in two layers: built-in
-defaults, then command-line flags. Every command accepts every key. The
+defaults, then command-line flags. Every command accepts every key, and argparse
+converts each flag to its key's type, refusing an unreadable value by name. The
 resolved mapping, less the keys a command does not read, is embedded into its
 artifact, and each run writes into a directory named by a content hash of that
 mapping, so identical invocations land in identical places with byte-identical
@@ -59,7 +60,7 @@ def _bool(text):
         return True
     if lowered in _FALSE:
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 # config key -> the ModelConfig or TrainConfig field it sets: its namesake, except these two
@@ -91,17 +92,12 @@ _BOUNDS = dict.fromkeys(("context_len", "segment_len", "stride", "horizon"), (1,
 
 
 def resolve_config(overrides: dict, checkpoint=None) -> dict:
-    """defaults <- flags; `overrides` holds schema keys, each value parsed by its key's type.
+    """defaults <- flags; `overrides` maps schema keys to values of their keys' types.
 
     A `checkpoint` ModelConfig sets the model keys; a flag that gives one of them another
     value is refused.
     """
-    resolved = {key: default for key, (_, default) in _SCHEMA.items()}
-    for key, value in overrides.items():
-        try:
-            resolved[key] = _SCHEMA[key][0](value) if isinstance(value, str) else value
-        except (ValueError, TypeError):
-            raise ConfigError(f"config key {key!r}: cannot parse {value!r}") from None
+    resolved = {key: default for key, (_, default) in _SCHEMA.items()} | overrides
     if checkpoint is not None:
         for key, name in _MODEL_KEYS.items():
             value = getattr(checkpoint, name)
@@ -445,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--data", required=True)
             p.add_argument("--out-root", default="runs", help="directory holding run outputs")
             for key in _SCHEMA:
-                p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", default=None,
-                               metavar="V")
+                p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}",
+                               type=_SCHEMA[key][0], metavar="V")
 
     # argparse takes only -5 and -0.5 forms as negative numbers; read anything that starts
     # with a minus and a digit (-1e-3, -.5e1, -4,8), and -inf or -nan, as a value, not a flag

@@ -15,14 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    DegenerateChannel,
-    MalformedSeries,
-    ParseError,
-    ShapeError,
-    SplitTooShort,
-    TooShort,
-)
+from .errors import ConfigError, DegenerateChannel, ParseError, SplitTooShort
 
 _DATE_FORMATS = ("%Y-%m-%d %H:%M:%S", "%Y-%m-%d %H:%M", "%Y-%m-%d")
 
@@ -115,14 +108,14 @@ def load_csv(path) -> TimeSeriesFrame:
     except csv.Error as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not rows:
-        raise TooShort(f"{path}: empty file")
+        raise ParseError(f"{path}: empty file")
     header = rows[0]
     if len(header) < 2:
         raise ParseError(f"{path}: need a date column plus at least one channel")
     names = tuple(h.strip() for h in header[1:])
     body = rows[1:]
     if len(body) < 2:
-        raise TooShort(f"{path}: need at least 2 data rows, got {len(body)}")
+        raise ParseError(f"{path}: need at least 2 data rows, got {len(body)}")
 
     timestamps: list[datetime] = []
     values = np.empty((len(body), len(names)), dtype=np.float64)
@@ -149,13 +142,11 @@ def load_csv(path) -> TimeSeriesFrame:
 
     freq = timestamps[1] - timestamps[0]
     if freq <= timedelta(0):
-        raise MalformedSeries(f"{path}: timestamps not increasing at row 2")
+        raise ParseError(f"{path}: timestamps not increasing at row 2", row=2)
     for i in range(1, len(timestamps)):
         if timestamps[i] - timestamps[i - 1] != freq:
-            raise MalformedSeries(
-                f"{path}: non-uniform step at row {i + 1}: "
-                f"{timestamps[i] - timestamps[i - 1]} != {freq}"
-            )
+            raise ParseError(f"{path}: non-uniform step at row {i + 1}: "
+                             f"{timestamps[i] - timestamps[i - 1]} != {freq}", row=i + 1)
     return TimeSeriesFrame(tuple(timestamps), values, names, freq)
 
 
@@ -208,7 +199,7 @@ def compute_norm_stats(frame: TimeSeriesFrame, train_range: tuple[int, int]) -> 
 
 def _check_stats(frame: TimeSeriesFrame, stats: NormStats) -> None:
     if stats.mean.shape != (frame.channels,) or stats.std.shape != (frame.channels,):
-        raise ShapeError(
+        raise ConfigError(
             f"stats cover {stats.mean.shape[0]} channels, frame has {frame.channels}"
         )
 

@@ -1,4 +1,9 @@
-"""Exception types shared across the package: each is a failure that a command reports."""
+"""Exception types shared across the package: each is a failure that a command reports.
+
+The first three say an input cannot be read, one type per format: a CSV, a setting
+(flag, key, checkpoint or array argument) and a cache file. The other four say a
+readable input cannot serve this run.
+"""
 
 
 class FusecastError(Exception):
@@ -6,7 +11,10 @@ class FusecastError(Exception):
 
 
 class ParseError(FusecastError):
-    """A CSV cell could not be parsed; carries row/column context."""
+    """A CSV is not a uniform series: a bad byte, cell or layout, under two data rows,
+    or a timestamp off the grid. `row` (a 1-based data row) and `column` locate the
+    fault when one cell or row holds it; a grid error's `row` is the first off the grid.
+    """
 
     def __init__(self, message, row=None, column=None):
         super().__init__(message)
@@ -14,20 +22,18 @@ class ParseError(FusecastError):
         self.column = column
 
 
-class MalformedSeries(FusecastError):
-    """Timestamps are not strictly increasing with a constant step."""
+class ConfigError(FusecastError):
+    """An invalid setting: a flag or config value, a malformed checkpoint (a parameter
+    block of the wrong shape included), or an array argument of the wrong shape.
+    """
 
 
-class TooShort(FusecastError):
-    """Input series has fewer than two rows."""
+class CorruptCache(FusecastError):
+    """Cache file is malformed or holds conflicting vectors for one prompt."""
 
 
 class SplitTooShort(FusecastError):
     """A split cannot hold one full context+forecast window."""
-
-
-class ShapeError(FusecastError):
-    """Array dimensions do not match the declared contract."""
 
 
 class DegenerateChannel(FusecastError):
@@ -38,17 +44,9 @@ class CacheMiss(FusecastError):
     """A prompt was not found in the embedding cache."""
 
 
-class CorruptCache(FusecastError):
-    """Cache file is malformed or holds conflicting vectors for one prompt."""
-
-
 class NonFiniteGradient(FusecastError):
     """A gradient turned NaN/inf during optimization."""
 
     def __init__(self, message, param=None):
         super().__init__(message)
         self.param = param
-
-
-class ConfigError(FusecastError):
-    """An invalid setting or argument value."""

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .model import ModelConfig, forward, init_params
 from .textenc import PromptEncoder, ZeroTextSource
 # `metrics` is unused here, but the acceptance criteria import it from this module
@@ -33,7 +33,7 @@ def persistence_baseline(context, horizon: int):
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if context.shape[0] < 1:
-        raise ShapeError("empty context")
+        raise ConfigError("empty context")
     return np.full(horizon, context[-1])
 
 
@@ -64,7 +64,7 @@ def forecast_windows(params, config: ModelConfig, windows, freq, horizon: int, t
         raise ConfigError("no windows to evaluate")
     for w in windows:
         if len(w.target) < horizon:
-            raise ShapeError(f"window future has {len(w.target)} values < horizon {horizon}")
+            raise ConfigError(f"window future has {len(w.target)} values < horizon {horizon}")
     return [rolling_forecast(params, config, w.context, w.start, freq, horizon, text_source)
             for w in windows]
 

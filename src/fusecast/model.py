@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 
 _LN_EPS = 1e-5
 _CHECKPOINT_FORMAT = "fusecast-ckpt v1"
@@ -273,7 +273,7 @@ def _segment_embed(values, params):
     """SE = GeLU(values @ seg_W + seg_b); returns (pre-activation, SE, phi) for backward."""
     seg_w = params["seg_W"]
     if values.shape[-1] != seg_w.shape[0]:
-        raise ShapeError(f"segment length {values.shape[-1]} != seg_W rows {seg_w.shape[0]}")
+        raise ConfigError(f"segment length {values.shape[-1]} != seg_W rows {seg_w.shape[0]}")
     pre = values @ seg_w + params["seg_b"]
     return (pre, *_gelu(pre))
 
@@ -283,7 +283,7 @@ def fuse(se, te, theta):
     se = np.asarray(se, dtype=np.float64)
     te = np.asarray(te, dtype=np.float64)
     if se.shape != te.shape:
-        raise ShapeError(f"fusion inputs {se.shape} vs {te.shape}")
+        raise ConfigError(f"fusion inputs {se.shape} vs {te.shape}")
     alpha = sigmoid(float(theta))
     return alpha * se + (1.0 - alpha) * te, alpha
 
@@ -452,12 +452,12 @@ def forward(params: dict, config: ModelConfig, x, te, *, keep_trace: bool = True
     te = np.asarray(te, dtype=np.float64)
     table = rows is not None
     if table and np.ndim(rows) != 2:
-        raise ShapeError(f"row index shape {np.shape(rows)}, want (B, N)")
+        raise ConfigError(f"row index shape {np.shape(rows)}, want (B, N)")
     if x.ndim != 3 - table or x.shape[-1] != config.segment_len:
         want = "U" if table else "B, N"
-        raise ShapeError(f"segment shape {x.shape}, want ({want}, {config.segment_len})")
+        raise ConfigError(f"segment shape {x.shape}, want ({want}, {config.segment_len})")
     if te.shape != x.shape[:-1] + (config.dim,):
-        raise ShapeError(f"text shape {te.shape}, want {x.shape[:-1] + (config.dim,)}")
+        raise ConfigError(f"text shape {te.shape}, want {x.shape[:-1] + (config.dim,)}")
     if keep_trace:
         return _forward_rows(params, config, *((x[rows], te[rows]) if table else (x, te)))
     batch, n = np.shape(rows)[:2] if table else x.shape[:2]
@@ -486,7 +486,7 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
     trace._kept(trace.e_hat)
     d_pred = np.asarray(d_pred, dtype=np.float64)
     if d_pred.shape != trace.pred.shape:
-        raise ShapeError(f"d_pred shape {d_pred.shape} != pred shape {trace.pred.shape}")
+        raise ConfigError(f"d_pred shape {d_pred.shape} != pred shape {trace.pred.shape}")
     grads = {}
     grads["out_b"] = d_pred.sum(axis=(0, 1))
     grads["out_W"] = _weight_grad(trace.s_hat, d_pred)
@@ -497,7 +497,7 @@ def backward(params: dict, config: ModelConfig, trace: ForwardTrace,
     if d_gate is not None:
         d_gate = np.asarray(d_gate, dtype=np.float64)
         if d_gate.shape != weights.shape:
-            raise ShapeError(f"d_gate shape {d_gate.shape} != gate shape {weights.shape}")
+            raise ConfigError(f"d_gate shape {d_gate.shape} != gate shape {weights.shape}")
         d_weights = d_weights + d_gate
     k, d, _ = params["experts_W"].shape
     d_experts = (weights[..., None] * d_s_hat[..., None, :]).reshape(-1, k * d)
@@ -562,7 +562,7 @@ def load_checkpoint(path):
                 raise ConfigError(f"unexpected parameter block {name!r}")
             value = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
             if value.shape != expected[name]:
-                raise ShapeError(f"{name}: shape {value.shape}, config implies {expected[name]}")
+                raise ConfigError(f"{name}: shape {value.shape}, config implies {expected[name]}")
             if not np.isfinite(value).all():
                 raise ConfigError(f"parameter block {name!r} is not all finite")
             params[name] = value

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CacheMiss, ConfigError, CorruptCache, ShapeError
+from .errors import CacheMiss, ConfigError, CorruptCache
 
 CACHE_HEADER_RE = re.compile(r"^SMET-EMB v1 dim=(\d+)$")
 _EMA_DECAY = 0.5  # encode_prompt's running sum is exact only for this decay
@@ -69,7 +69,7 @@ def encode_prompt(prompt: str, dim: int, seed: int, memo=None) -> np.ndarray:
     `memo`, a dict from token to vector for this (dim, seed), is read and filled.
     """
     if dim < 1:
-        raise ShapeError(f"embedding dim must be >= 1, got {dim}")
+        raise ConfigError(f"embedding dim must be >= 1, got {dim}")
     tokens = re.findall(r"\w+", prompt)
     if not tokens:
         raise ConfigError("prompt has no tokens")

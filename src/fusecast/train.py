@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .descriptors import render_prompt, segment_series
-from .errors import ConfigError, NonFiniteGradient, ShapeError
+from .errors import ConfigError, NonFiniteGradient
 from .model import ModelConfig, backward, forward, init_params
 
 SPARSITY_MODES = ("literal", "entropy")
@@ -68,9 +68,9 @@ def compute_loss(targets, predictions, gate_weights, lam: float, mode: str):
     predictions = np.asarray(predictions, dtype=np.float64)
     gate_weights = np.asarray(gate_weights, dtype=np.float64)
     if targets.ndim < 2 or targets.shape != predictions.shape:
-        raise ShapeError(f"targets {targets.shape} vs predictions {predictions.shape}")
+        raise ConfigError(f"targets {targets.shape} vs predictions {predictions.shape}")
     if gate_weights.shape[:-1] != targets.shape[:-1]:
-        raise ShapeError(f"gate rows {gate_weights.shape} vs target rows {targets.shape}")
+        raise ConfigError(f"gate rows {gate_weights.shape} vs target rows {targets.shape}")
     diff = predictions - targets
     mse_part = float((diff * diff).sum() / targets.size)
     if mode == "literal":
@@ -90,7 +90,7 @@ def metrics(pred, truth):
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
-        raise ShapeError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
+        raise ConfigError(f"prediction shape {pred.shape} != truth shape {truth.shape}")
     diff = pred - truth
     return float((diff * diff).mean()), float(np.abs(diff).mean())
 
@@ -173,7 +173,7 @@ def assemble_windows(windows, freq, segment_len: int, text_source) -> WindowTens
         if i == 0:
             rows, first = np.empty((len(windows), len(prompts)), dtype=np.intp), shape
         elif shape != first:
-            raise ShapeError(f"window {i} has {shape[0]} segments and {shape[1]} future "
+            raise ConfigError(f"window {i} has {shape[0]} segments and {shape[1]} future "
                              f"values, window 0 has {first[0]} and {first[1]}")
         for j, (segment, prompt) in enumerate(zip(x, prompts)):
             vector = text_source.embed(prompt)  # every prompt, as rolling_forecast does

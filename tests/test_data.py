@@ -18,14 +18,7 @@ from fusecast.data import (
     sample_windows,
     window_count,
 )
-from fusecast.errors import (
-    DegenerateChannel,
-    MalformedSeries,
-    ParseError,
-    ShapeError,
-    SplitTooShort,
-    TooShort,
-)
+from fusecast.errors import ConfigError, DegenerateChannel, ParseError, SplitTooShort
 
 HOURLY = timedelta(hours=1)
 
@@ -118,22 +111,26 @@ class TestLoadCsv:
             "2020-01-01 01:00:00,2.0\n"
             "2020-01-01 03:00:00,3.0\n",
         )
-        with pytest.raises(MalformedSeries):
+        refused = "non-uniform step at row 3: 2:00:00 != 1:00:00$"
+        with pytest.raises(ParseError, match=refused) as info:
             load_csv(path)
+        assert (info.value.row, info.value.column) == (3, None)
 
     def test_decreasing_timestamps(self, tmp_path):
         path = write(
             tmp_path,
             "date,a\n2020-01-01 01:00:00,1.0\n2020-01-01 00:00:00,2.0\n",
         )
-        with pytest.raises(MalformedSeries):
+        with pytest.raises(ParseError, match="timestamps not increasing at row 2$") as info:
             load_csv(path)
+        assert (info.value.row, info.value.column) == (2, None)
 
     def test_too_few_rows(self, tmp_path):
         path = write(tmp_path, "date,a\n2020-01-01 00:00:00,1.0\n")
-        with pytest.raises(TooShort):
+        with pytest.raises(ParseError, match="need at least 2 data rows, got 1$") as info:
             load_csv(path)
-        with pytest.raises(TooShort):
+        assert info.value.row is None
+        with pytest.raises(ParseError, match="empty.csv: empty file$"):
             load_csv(write(tmp_path, "", name="empty.csv"))
 
     def test_header_needs_a_channel(self, tmp_path):
@@ -235,7 +232,7 @@ class TestNormalization:
     def test_channel_count_mismatch(self):
         frame = make_frame(50, channels=2)
         stats = NormStats(mean=np.zeros(3), std=np.ones(3))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="^stats cover 3 channels, frame has 2$"):
             normalize(frame, stats)
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from fusecast import evaluation
 from fusecast.data import sample_windows
-from fusecast.errors import ConfigError, ShapeError
+from fusecast.errors import ConfigError
 from fusecast.evaluation import (
     ABLATION_ROWS,
     HORIZONS,
@@ -46,7 +46,7 @@ class TestMetrics:
         assert mae == pytest.approx((0 + 2 + 1) / 3, abs=1e-15)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"^prediction shape \(3,\) != truth shape \(4,\)$"):
             metrics(np.zeros(3), np.zeros(4))
 
     def test_standard_horizons(self):
@@ -70,7 +70,7 @@ class TestPersistence:
             persistence_baseline([1.0], horizon)
 
     def test_empty_context(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="^empty context$"):
             persistence_baseline([], 3)
 
 
@@ -195,7 +195,7 @@ class TestForecastWindows:
     def test_horizon_beyond_target(self):
         frame = generate(SynthSpec(kind="sine", length=60))
         windows = list(sample_windows(frame, (0, 60), context_len=8, horizon=4, stride=10))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="^window future has 4 values < horizon 6$"):
             forecast_windows(init_params(CONFIG), CONFIG, windows, HOURLY, 6, PromptEncoder(8, 0))
 
     def test_empty(self):

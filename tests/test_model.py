@@ -3,13 +3,14 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusecast.errors import ConfigError, ShapeError
+from fusecast.errors import ConfigError
 from fusecast.model import (
     ModelConfig,
     _ERF_CHUNK,
@@ -200,7 +201,7 @@ class TestFusion:
         assert (e >= lo - 1e-12).all() and (e <= hi + 1e-12).all()
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"^fusion inputs \(2, 3\) vs \(2, 4\)$"):
             fuse(np.zeros((2, 3)), np.zeros((2, 4)), 0.0)
 
 
@@ -293,7 +294,7 @@ class TestForward:
     def test_params_for_another_segment_len_are_refused(self):
         params = init_params(ModelConfig(segment_len=6, dim=8, experts=2, layers=1, heads=1))
         x, te = make_inputs(TINY)  # inputs of TINY's segment_len pass forward's own checks
-        with pytest.raises(ShapeError, match="seg_W rows 6"):
+        with pytest.raises(ConfigError, match="seg_W rows 6"):
             forward(params, TINY, x, te)
 
     @pytest.mark.parametrize("layers", [0, 1])
@@ -343,7 +344,8 @@ class TestForward:
     )
     def test_shape_errors(self, x_shape, te_shape):
         params = init_params(TINY)
-        with pytest.raises(ShapeError):
+        shown = f"segment shape {re.escape(str(x_shape))}|text shape {re.escape(str(te_shape))}"
+        with pytest.raises(ConfigError, match=f"^({shown}), want "):
             forward(params, TINY, np.zeros(x_shape), np.zeros(te_shape))
 
     def test_forward_is_pure(self):
@@ -446,14 +448,14 @@ class TestTraceFreeForward:
             assert np.array_equal(table.gate, full.gate)
             assert table.alpha == full.alpha
 
-    @pytest.mark.parametrize("x_shape,te_shape,rows_shape", [
-        ((2, 3, 4), (2, 3, 8), (2, 3)),  # x is a batch, not a table
-        ((6, 4), (5, 8), (2, 3)),  # te has another row count
-        ((6, 4), (6, 8), (6,)),  # rows is not (B, N)
+    @pytest.mark.parametrize("x_shape,te_shape,rows_shape,refused", [
+        ((2, 3, 4), (2, 3, 8), (2, 3), "segment"),  # x is a batch, not a table
+        ((6, 4), (5, 8), (2, 3), "text"),  # te has another row count
+        ((6, 4), (6, 8), (6,), "row index"),  # rows is not (B, N)
     ], ids=["x-not-2d", "te-rows-differ", "rows-not-2d"])
-    def test_a_malformed_table_is_refused(self, x_shape, te_shape, rows_shape):
+    def test_a_malformed_table_is_refused(self, x_shape, te_shape, rows_shape, refused):
         rows = np.arange(math.prod(rows_shape)).reshape(rows_shape) % 5
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=f"^{refused} shape "):
             forward(init_params(TINY), TINY, np.zeros(x_shape), np.zeros(te_shape),
                     keep_trace=False, rows=rows)
 
@@ -622,7 +624,7 @@ class TestCheckpoint:
         params = init_params(TINY)
         params["out_b"] = np.zeros(5)
         save_checkpoint(params, TINY, tmp_path / "m.json")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"^out_b: shape \(5,\), config implies \(4,\)$"):
             load_checkpoint(tmp_path / "m.json")
 
     def test_save_peak_memory(self, tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fusecast import textenc
-from fusecast.errors import CacheMiss, ConfigError, CorruptCache, ShapeError
+from fusecast.errors import CacheMiss, ConfigError, CorruptCache
 from fusecast.synth import SynthSpec, generate
 from fusecast.textenc import (
     PromptEncoder,
@@ -98,7 +98,7 @@ class TestEncoder:
                 encode_prompt(bad, 8, seed=0)
 
     def test_bad_dim(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match="^embedding dim must be >= 1, got 0$"):
             encode_prompt("x", 0, seed=0)
 
     def test_prompt_encoder_matches_function(self):

@@ -12,7 +12,7 @@ import fusecast.textenc
 import fusecast.train
 from fusecast.data import TimeSeriesFrame, WindowSample, sample_windows
 from fusecast.descriptors import render_prompt, segment_series
-from fusecast.errors import ConfigError, NonFiniteGradient, ShapeError
+from fusecast.errors import ConfigError, NonFiniteGradient
 from fusecast.model import ModelConfig, backward, forward, init_params
 from fusecast.textenc import PromptEncoder, ZeroTextSource
 from fusecast.train import (
@@ -70,9 +70,9 @@ class TestLoss:
         assert exp == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
 
     def test_shape_validation(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"^targets \(2, 3\) vs predictions \(2, 4\)$"):
             compute_loss(np.zeros((2, 3)), np.zeros((2, 4)), np.zeros((2, 2)), 0.1, "literal")
-        with pytest.raises(ShapeError):
+        with pytest.raises(ConfigError, match=r"^gate rows \(3, 2\) vs target rows \(2, 3\)$"):
             compute_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((3, 2)), 0.1, "literal")
 
     def test_unknown_mode(self):
@@ -314,7 +314,7 @@ class TestWindowAssembly:
     def test_assembly_refuses_windows_of_unequal_shape(self, contexts, futures):
         windows = [WindowSample(channel=0, context=np.arange(float(c)), target=np.zeros(f),
                                 start=T0) for c, f in zip(contexts, futures)]
-        with pytest.raises(ShapeError, match="^window 1 "):
+        with pytest.raises(ConfigError, match="^window 1 "):
             assemble_windows(windows, HOURLY, 24, ZeroTextSource(6))
 
     def test_assembly_takes_a_trimmed_window_of_equal_shape(self):
